@@ -14,7 +14,6 @@ from .numerics import ParamGroup, Tensor, cross_entropy, grad_check, linear, sof
 from .parser import (
     ParserConfig,
     SentimentRelationMap,
-    TagSequence,
     TripletParser,
     build_gold,
     decode_bio,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchReport", "Corpus", "DependencyGraph", "EncodedSequence", "Encoder",
     "EncoderConfig", "MatchScores", "ParamGroup", "ParserConfig", "Sentence",
-    "SentimentRelationMap", "Span", "StructureConfig", "TagSequence", "Tensor",
+    "SentimentRelationMap", "Span", "StructureConfig", "Tensor",
     "TrainConfig", "TrainHistory", "Triplet", "TripletModel", "TripletParser",
     "Vocabulary", "aggregate", "bench_distance", "build_gold", "count_params",
     "cross_entropy", "decode_bio", "decode_grid", "dependency_distance_matrix",

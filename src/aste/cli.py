@@ -29,7 +29,7 @@ from .data import (
 )
 from .encoder import EncoderConfig, adapter_increment, count_params, structural_layer_increment
 from .errors import ParseError, TrainingDivergedError, ValidationError
-from .evaluation import RATIO_CAVEAT, bench_distance, score_corpus
+from .evaluation import bench_distance, bench_summary, score_corpus
 from .model import TripletModel
 from .parser import ParserConfig
 from .structure import DEPENDENCY, NONE, RELATIVE, StructureConfig
@@ -43,7 +43,6 @@ CONFIG_DEFAULTS = {
     "layers": 2,
     "ffn_dim": 64,
     "max_len": 160,
-    "dropout": 0.0,
     "adapter": "none",
     "tau": 8,
     "tag_hidden": 64,
@@ -94,7 +93,6 @@ def _model_configs(cfg: dict, vocab_size: int) -> tuple[EncoderConfig, ParserCon
         ffn_dim=cfg["ffn_dim"],
         max_len=cfg["max_len"],
         adapter=structure,
-        dropout=cfg["dropout"],
     )
     parser_config = ParserConfig(tag_hidden=cfg["tag_hidden"], pair_hidden=cfg["pair_hidden"])
     return encoder, parser_config
@@ -119,7 +117,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--layers", type=int)
     sub.add_argument("--ffn-dim", dest="ffn_dim", type=int)
     sub.add_argument("--max-len", dest="max_len", type=int)
-    sub.add_argument("--dropout", type=float)
     sub.add_argument("--adapter", choices=sorted(ADAPTER_KINDS))
     sub.add_argument("--tau", type=int)
     sub.add_argument("--tag-hidden", dest="tag_hidden", type=int)
@@ -320,15 +317,7 @@ def _cmd_bench(args) -> int:
         bench_distance(m, args.length, args.reps, seed=args.seed, tau=args.tau)
         for m in methods
     ]
-    print("method\ttokens\telapsed_ms\ttokens_per_ms")
-    for report in reports:
-        print(f"{report.method}\t{report.tokens_processed}"
-              f"\t{report.elapsed_ms:.3f}\t{report.tokens_per_ms:.1f}")
-    if len(reports) == 2:
-        ratio = reports[0].tokens_per_ms / reports[1].tokens_per_ms
-        print(f"# ratio (relative/dependency): {ratio:.1f}x")
-    print(f"# hardware: {reports[0].hardware}")
-    print(f"# {RATIO_CAVEAT}")
+    print(bench_summary(reports), end="")
     return 0
 
 

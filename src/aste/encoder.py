@@ -47,7 +47,6 @@ class EncoderConfig:
     ffn_dim: int = 64
     max_len: int = 160
     adapter: StructureConfig = field(default_factory=StructureConfig)
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -56,8 +55,6 @@ class EncoderConfig:
             raise ValidationError("need at least one layer")
         if self.max_len < 3:
             raise ValidationError("max_len must fit the two markers plus a token")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValidationError("dropout must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -154,76 +151,70 @@ class Encoder:
         d = self.config.head_dim
         return full.cols(head * d, (head + 1) * d)
 
-    def _bias_indices(self, distances: np.ndarray, m: int) -> np.ndarray:
+    def _distance_index(self, distances: np.ndarray, m: int) -> np.ndarray:
+        """Bias-table rows for an (m, m) distance matrix, validated once
+        and shared by every layer and head."""
+        if self.adapter is None:
+            raise ValidationError("distance matrix supplied but structure is disabled")
         distances = np.asarray(distances, dtype=np.int64)
         if distances.shape != (m, m):
             raise ShapeError(f"distance matrix {distances.shape} does not match length {m}")
         return distances_to_indices(distances, self.config.adapter.tau)
 
+    def _head_logits(self, q: Tensor, k: Tensor | None, layer: int, head: int,
+                     index: np.ndarray | None) -> Tensor:
+        """One head's pre-softmax logits: the content term
+        ``(q_i . k_j) / sqrt(d)`` when ``k`` is given, plus the distance
+        term ``(q_i . r_ij) / sqrt(d)`` when ``index`` is given."""
+        qh = self._head_slice(q, head)
+        scale = math.sqrt(self.config.head_dim)
+        bias = None
+        if index is not None:
+            bias = gather_cols(qh @ self.adapter[f"l{layer}.rel"].T, index) / scale
+        if k is None:
+            return bias
+        scores = (qh @ self._head_slice(k, head).T) / scale
+        return scores if bias is None else scores + bias
+
     def structured_attention_map(self, x: Tensor, layer: int, head: int,
                                  distances: np.ndarray) -> Tensor:
         """The distance-bias term of a head's logits, on its own."""
-        if self.adapter is None:
-            raise ValidationError("structure is disabled in this configuration")
         q, _, _ = self._qkv(x, layer)
-        qh = self._head_slice(q, head)
-        return self._structured_term(qh, layer, distances, x.shape[0])
-
-    def _structured_term(self, qh: Tensor, layer: int, distances, m: int) -> Tensor:
-        table = self.adapter[f"l{layer}.rel"]
-        index = self._bias_indices(distances, m)
-        per_bucket = qh @ table.T
-        return gather_cols(per_bucket, index) / math.sqrt(self.config.head_dim)
+        return self._head_logits(q, None, layer, head, self._distance_index(distances, x.shape[0]))
 
     def attention_scores(self, x: Tensor, layer: int, head: int,
                          distances: np.ndarray | None = None) -> Tensor:
-        """Pre-softmax logits for one head; the bias term is added only
-        when a distance matrix is supplied."""
+        """Pre-softmax logits for one head, exactly as the encoder's blocks
+        compute them; the bias term is added only when a distance matrix
+        is supplied."""
         q, k, _ = self._qkv(x, layer)
-        qh = self._head_slice(q, head)
-        kh = self._head_slice(k, head)
-        scores = (qh @ kh.T) / math.sqrt(self.config.head_dim)
-        if distances is not None:
-            if self.adapter is None:
-                raise ValidationError("distance matrix supplied but structure is disabled")
-            scores = scores + self._structured_term(qh, layer, distances, x.shape[0])
-        return scores
+        index = None if distances is None else self._distance_index(distances, x.shape[0])
+        return self._head_logits(q, k, layer, head, index)
 
     # -- blocks ----------------------------------------------------------
 
-    def _block(self, x: Tensor, layer: int, distances, key_mask, drop_rng) -> Tensor:
+    def _block(self, x: Tensor, layer: int, index, key_mask) -> Tensor:
         c = self.config
         q, k, v = self._qkv(x, layer)
-        scale = math.sqrt(c.head_dim)
         mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[None, :]
         heads = []
         for h in range(c.heads):
-            qh = self._head_slice(q, h)
-            kh = self._head_slice(k, h)
-            vh = self._head_slice(v, h)
-            scores = (qh @ kh.T) / scale
-            if distances is not None and self.adapter is not None:
-                scores = scores + self._structured_term(qh, layer, distances, x.shape[0])
-            weights = softmax(scores, mask=mask)
-            heads.append(weights @ vh)
+            weights = softmax(self._head_logits(q, k, layer, h, index), mask=mask)
+            heads.append(weights @ self._head_slice(v, h))
         att = linear(concat_cols(heads), self.params[f"l{layer}.wo"], self.params[f"l{layer}.bo"])
-        att = _dropout(att, c.dropout, drop_rng)
         x = layer_norm(x + att, self.params[f"l{layer}.ln1_g"], self.params[f"l{layer}.ln1_b"])
         hidden = linear(x, self.params[f"l{layer}.ffn_w1"], self.params[f"l{layer}.ffn_b1"]).relu()
         out = linear(hidden, self.params[f"l{layer}.ffn_w2"], self.params[f"l{layer}.ffn_b2"])
-        out = _dropout(out, c.dropout, drop_rng)
         return layer_norm(x + out, self.params[f"l{layer}.ln2_g"], self.params[f"l{layer}.ln2_b"])
 
     def encode(self, token_ids, distances: np.ndarray | None = None,
-               pad_to: int | None = None, key_mask: np.ndarray | None = None,
-               drop_rng: np.random.Generator | None = None) -> EncodedSequence:
+               pad_to: int | None = None, key_mask: np.ndarray | None = None) -> EncodedSequence:
         """Run the full stack over one (optionally padded) sentence."""
         x = self.embed(token_ids, pad_to=pad_to)
-        if distances is not None and distances.shape[0] != x.shape[0]:
-            raise ShapeError("distance matrix does not match the augmented length")
+        index = None if distances is None else self._distance_index(distances, x.shape[0])
         x = layer_norm(x, self.params["emb_ln_g"], self.params["emb_ln_b"])
         for layer in range(self.config.layers):
-            x = self._block(x, layer, distances, key_mask, drop_rng)
+            x = self._block(x, layer, index, key_mask)
         return EncodedSequence(hidden=x, content_rows=x.shape[0] - 2)
 
     def param_groups(self) -> list[ParamGroup]:
@@ -231,13 +222,6 @@ class Encoder:
         if self.adapter is not None:
             groups.append(self.adapter)
         return groups
-
-
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
 
 
 # -- parameter accounting -----------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -113,11 +114,28 @@ class BenchReport:
         return self.tokens_processed / self.elapsed_ms
 
     def table(self) -> str:
-        return (
-            "method\ttokens\telapsed_ms\ttokens_per_ms\n"
-            f"{self.method}\t{self.tokens_processed}\t{self.elapsed_ms:.3f}"
-            f"\t{self.tokens_per_ms:.1f}\n"
-        )
+        return bench_table([self])
+
+
+def bench_table(reports) -> str:
+    """Tab-separated header plus one row per report."""
+    lines = ["method\ttokens\telapsed_ms\ttokens_per_ms"]
+    lines += [
+        f"{r.method}\t{r.tokens_processed}\t{r.elapsed_ms:.3f}\t{r.tokens_per_ms:.1f}"
+        for r in reports
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def bench_summary(reports) -> str:
+    """``bench_table`` followed by comment lines: the relative/dependency
+    throughput ratio when both methods ran, the hardware, and the caveat."""
+    notes = []
+    if len(reports) == 2:
+        ratio = reports[0].tokens_per_ms / reports[1].tokens_per_ms
+        notes.append(f"ratio (relative/dependency): {ratio:.1f}x")
+    notes += [f"hardware: {reports[0].hardware}", RATIO_CAVEAT]
+    return bench_table(reports) + "".join(f"# {note}\n" for note in notes)
 
 
 def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
@@ -132,33 +150,22 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
     if repetitions < 1:
         raise ValidationError("need at least one repetition")
     if method == "relative":
-        work = lambda: relative_distance_matrix(n, tau)
-        inputs = None
+        jobs = [partial(relative_distance_matrix, n, tau)] * repetitions
     elif method == "dependency":
         rng = np.random.default_rng(seed)
-        inputs = [
-            DependencyGraph.from_heads(random_tree_heads(n, rng))
+        jobs = [
+            partial(dependency_distance_matrix,
+                    DependencyGraph.from_heads(random_tree_heads(n, rng)), tau)
             for _ in range(repetitions)
         ]
-        work = None
     else:
         raise ValidationError(f"unknown benchmark method {method!r}")
-
-    if method == "relative":
-        for _ in range(warmup):
-            work()
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            work()
-        elapsed = time.perf_counter() - start
-    else:
-        for graph in inputs[:warmup]:
-            dependency_distance_matrix(graph, tau)
-        start = time.perf_counter()
-        for graph in inputs:
-            dependency_distance_matrix(graph, tau)
-        elapsed = time.perf_counter() - start
-
+    for job in jobs[:warmup]:
+        job()
+    start = time.perf_counter()
+    for job in jobs:
+        job()
+    elapsed = time.perf_counter() - start
     return BenchReport(
         method=method,
         tokens_processed=repetitions * n,
@@ -176,13 +183,4 @@ def bench_comparison(n: int = 128, repetitions: int = 100, seed: int = 0,
     """
     rel = bench_distance("relative", n, relative_repetitions or 10 * repetitions, seed=seed)
     dep = bench_distance("dependency", n, repetitions, seed=seed)
-    ratio = rel.tokens_per_ms / dep.tokens_per_ms
-    lines = [
-        "method\ttokens\telapsed_ms\ttokens_per_ms",
-        f"relative\t{rel.tokens_processed}\t{rel.elapsed_ms:.3f}\t{rel.tokens_per_ms:.1f}",
-        f"dependency\t{dep.tokens_processed}\t{dep.elapsed_ms:.3f}\t{dep.tokens_per_ms:.1f}",
-        f"# ratio (relative/dependency): {ratio:.1f}x",
-        f"# hardware: {rel.hardware}",
-        f"# {RATIO_CAVEAT}",
-    ]
-    return "\n".join(lines) + "\n"
+    return bench_summary([rel, dep])

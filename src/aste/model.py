@@ -9,17 +9,20 @@ model is self-contained.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .data import Sentence, Triplet, Vocabulary
-from .encoder import EncodedSequence, Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig
 from .errors import ValidationError
 from .numerics import ParamGroup, Tensor
-from .parser import ParserConfig, TripletParser, decode_bio, decode_grid
+from .parser import TAGS, ParserConfig, SentimentRelationMap, TripletParser, decode_bio, decode_grid
 from .structure import NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
@@ -30,11 +33,9 @@ _VERSION = 1
 class SentenceForward:
     """Differentiable outputs of one (possibly padded) sentence pass."""
 
-    encoded: EncodedSequence
     aspect: Tensor
     opinion: Tensor
     relations: Tensor
-    content_len: int
 
 
 class TripletModel:
@@ -73,8 +74,7 @@ class TripletModel:
             len(sentence), structure, heads=sentence.heads, total_len=total
         )
 
-    def forward(self, sentence: Sentence, pad_to: int | None = None,
-                drop_rng: np.random.Generator | None = None) -> SentenceForward:
+    def forward(self, sentence: Sentence, pad_to: int | None = None) -> SentenceForward:
         n = len(sentence)
         ids = self.vocab.encode(sentence.tokens)
         distances = self.sentence_distances(sentence, pad_to=pad_to)
@@ -82,16 +82,11 @@ class TripletModel:
         if pad_to is not None and pad_to > n:
             key_mask = np.zeros(pad_to + 2, dtype=bool)
             key_mask[:n + 2] = True
-        encoded = self.encoder.encode(
-            ids, distances=distances, pad_to=pad_to, key_mask=key_mask, drop_rng=drop_rng
-        )
-        hidden = encoded.content
+        hidden = self.encoder.encode(ids, distances, pad_to=pad_to, key_mask=key_mask).content
         return SentenceForward(
-            encoded=encoded,
             aspect=self.parser.tag_probs(hidden, "aspect"),
             opinion=self.parser.tag_probs(hidden, "opinion"),
             relations=self.parser.relation_probs(hidden),
-            content_len=n,
         )
 
     # -- decoding ------------------------------------------------------------
@@ -99,11 +94,10 @@ class TripletModel:
     def predict(self, sentence: Sentence) -> set[Triplet]:
         """Decode the model's triplets for one sentence."""
         forward = self.forward(sentence)
-        hidden = forward.encoded.content
-        aspects = decode_bio(self.parser.tag(hidden, "aspect").tags)
-        opinions = decode_bio(self.parser.tag(hidden, "opinion").tags)
-        relation_map = self.parser.score_sentiment(hidden)
-        return decode_grid(aspects, opinions, relation_map)
+        aspects = decode_bio([TAGS[i] for i in forward.aspect.data.argmax(axis=-1)])
+        opinions = decode_bio([TAGS[i] for i in forward.opinion.data.argmax(axis=-1)])
+        probs = forward.relations.data
+        return decode_grid(aspects, opinions, SentimentRelationMap(probs, probs.argmax(axis=-1)))
 
     def predict_corpus(self, sentences) -> list[set[Triplet]]:
         return [self.predict(s) for s in sentences]
@@ -155,30 +149,46 @@ class TripletModel:
 
     @classmethod
     def load(cls, path) -> "TripletModel":
-        with open(path, "rb") as handle:
-            if handle.read(4) != _MAGIC:
-                raise ValidationError("not a model weight file")
-            version, = struct.unpack("<I", handle.read(4))
-            if version != _VERSION:
-                raise ValidationError(f"unsupported weight file version {version}")
-            header_len, = struct.unpack("<I", handle.read(4))
-            header = json.loads(handle.read(header_len).decode("utf-8"))
+        """Rebuild a saved model; any malformed file raises ValidationError."""
+        handle = io.BytesIO(Path(path).read_bytes())
+        if handle.read(4) != _MAGIC:
+            raise ValidationError("not a model weight file")
+        version, = _unpack(handle, "<I")
+        if version != _VERSION:
+            raise ValidationError(f"unsupported weight file version {version}")
+        header_len, = _unpack(handle, "<I")
+        model = cls._from_header(_read_exact(handle, header_len))
+        shapes = {
+            f"{group.name}/{name}": tensor.data.shape
+            for group in model.param_groups()
+            for name, tensor in group.items()
+        }
+        count, = _unpack(handle, "<I")
+        snapshot: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            key = f"{_read_str(handle)}/{_read_str(handle)}"
+            ndim, = _unpack(handle, "<I")
+            shape = tuple(_unpack(handle, "<I")[0] for _ in range(ndim))
+            # Checked before reading, so a corrupt shape cannot size a read.
+            if shapes.get(key) != shape:
+                raise ValidationError(f"weight file tensor {key} has unexpected shape {shape}")
+            data = np.frombuffer(_read_exact(handle, 8 * math.prod(shape)), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ValidationError(f"weight file tensor {key} holds non-finite values")
+            snapshot[key] = data.reshape(shape).astype(np.float64)
+        model.load_snapshot(snapshot)
+        return model
+
+    @classmethod
+    def _from_header(cls, raw: bytes) -> "TripletModel":
+        try:
+            header = json.loads(raw.decode("utf-8"))
             encoder_config = _encoder_config_from_dict(header["encoder"])
             parser_config = ParserConfig(**header["parser"])
             vocab = Vocabulary.from_token_list(header["vocab"])
-            model = cls(encoder_config, parser_config, vocab, seed=0)
-            count, = struct.unpack("<I", handle.read(4))
-            snapshot: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                group_name = _read_str(handle)
-                name = _read_str(handle)
-                ndim, = struct.unpack("<I", handle.read(4))
-                shape = tuple(struct.unpack("<I", handle.read(4))[0] for _ in range(ndim))
-                size = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(handle.read(8 * size), dtype="<f8").reshape(shape)
-                snapshot[f"{group_name}/{name}"] = data.astype(np.float64)
-        model.load_snapshot(snapshot)
-        return model
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"unreadable weight file header: {exc}") from exc
+        return cls(encoder_config, parser_config, vocab, seed=0)
 
 
 def _encoder_config_dict(config: EncoderConfig) -> dict:
@@ -189,6 +199,8 @@ def _encoder_config_dict(config: EncoderConfig) -> dict:
 
 def _encoder_config_from_dict(raw: dict) -> EncoderConfig:
     raw = dict(raw)
+    # Older files record a training-only dropout rate; inference never used it.
+    raw.pop("dropout", None)
     raw["adapter"] = StructureConfig(**raw["adapter"])
     return EncoderConfig(**raw)
 
@@ -199,6 +211,20 @@ def _write_str(handle, text: str) -> None:
     handle.write(data)
 
 
+def _read_exact(handle, size: int) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise ValidationError("weight file is truncated")
+    return data
+
+
+def _unpack(handle, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(handle, struct.calcsize(fmt)))
+
+
 def _read_str(handle) -> str:
-    length, = struct.unpack("<H", handle.read(2))
-    return handle.read(length).decode("utf-8")
+    length, = _unpack(handle, "<H")
+    try:
+        return _read_exact(handle, length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"undecodable name in weight file: {exc}") from exc

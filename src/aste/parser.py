@@ -37,21 +37,11 @@ class ParserConfig:
 
 
 @dataclass
-class TagSequence:
-    """Per-token B/I/O distributions plus their argmax decode."""
-
-    probs: np.ndarray
-    tags: list[str]
-    tensor: Tensor | None = None
-
-
-@dataclass
 class SentimentRelationMap:
     """Pairwise label distributions and their argmax labels."""
 
     probs: np.ndarray
     labels: np.ndarray
-    tensor: Tensor | None = None
 
     def __post_init__(self):
         if self.probs.ndim != 3 or self.probs.shape[2] != len(REL_LABELS):
@@ -60,12 +50,6 @@ class SentimentRelationMap:
     @property
     def n(self) -> int:
         return self.probs.shape[0]
-
-    def transposed(self) -> "SentimentRelationMap":
-        return SentimentRelationMap(
-            probs=self.probs.transpose(1, 0, 2).copy(),
-            labels=self.labels.T.copy(),
-        )
 
 
 def parser_param_count(dim: int, config: ParserConfig) -> int:
@@ -108,12 +92,6 @@ class TripletParser:
         inner = linear(hidden, p[f"{which}_w1"], p[f"{which}_b1"]).relu()
         return softmax(linear(inner, p[f"{which}_w2"], p[f"{which}_b2"]))
 
-    def tag(self, hidden: Tensor, which: str) -> TagSequence:
-        tensor = self.tag_probs(hidden, which)
-        probs = tensor.data
-        tags = [TAGS[i] for i in probs.argmax(axis=-1)]
-        return TagSequence(probs=probs, tags=tags, tensor=tensor)
-
     # -- pairwise sentiment --------------------------------------------------
 
     def relation_probs(self, hidden: Tensor) -> Tensor:
@@ -130,11 +108,6 @@ class TripletParser:
         logits = logits + (dep @ p["pair_dep_w2"]).reshape(1, n, len(REL_LABELS))
         logits = logits + p["pair_b2"]
         return softmax(logits)
-
-    def score_sentiment(self, hidden: Tensor) -> SentimentRelationMap:
-        tensor = self.relation_probs(hidden)
-        probs = tensor.data
-        return SentimentRelationMap(probs=probs, labels=probs.argmax(axis=-1), tensor=tensor)
 
 
 # -- decoding ------------------------------------------------------------

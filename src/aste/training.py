@@ -122,8 +122,7 @@ def joint_loss(pred: BatchPredictions, gold: BatchTargets,
     return tagging, parsing, tagging + parsing
 
 
-def assemble_batch(model: TripletModel, sentences,
-                   drop_rng: np.random.Generator | None = None):
+def assemble_batch(model: TripletModel, sentences):
     """Pad a batch to its longest sentence and stack predictions/targets."""
     longest = max(len(s) for s in sentences)
     a_parts, o_parts, r_parts = [], [], []
@@ -132,7 +131,7 @@ def assemble_batch(model: TripletModel, sentences,
     n_labels = None
     for sentence in sentences:
         n = len(sentence)
-        forward = model.forward(sentence, pad_to=longest, drop_rng=drop_rng)
+        forward = model.forward(sentence, pad_to=longest)
         n_labels = forward.relations.shape[-1]
         a_parts.append(forward.aspect)
         o_parts.append(forward.opinion)
@@ -284,7 +283,6 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     groups = model.param_groups()
     optimizer = AdamW(groups)
     rng = np.random.default_rng(config.seed)
-    drop_rng = np.random.default_rng(config.seed + 1) if encoder_config.dropout > 0 else None
     batches = bucket_batches(corpus.train, config.batch_size)
     steps_per_epoch = len(batches)
     history = TrainHistory(metadata={
@@ -308,7 +306,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
             base_lr = lr_at(t, config)
             model.zero_grad()
             try:
-                pred, gold, masks = assemble_batch(model, batches[batch_index], drop_rng)
+                pred, gold, masks = assemble_batch(model, batches[batch_index])
                 tagging, parsing, total = joint_loss(pred, gold, masks)
                 total.backward()
             except NumericError as exc:

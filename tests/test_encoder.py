@@ -163,6 +163,49 @@ class TestEncode:
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(6), atol=1e-12)
         np.testing.assert_array_equal(weights[:, 4:], np.zeros((6, 2)))
 
+    def test_distances_without_adapter_rejected(self):
+        enc = make_encoder()
+        with pytest.raises(ValidationError):
+            enc.encode([1, 2, 3], distances=relative_distance_matrix(5, 4))
+
+    def test_distance_size_mismatch(self):
+        enc = make_encoder(adapter_kind=RELATIVE)
+        with pytest.raises(ShapeError):
+            enc.encode([1, 2, 3], distances=relative_distance_matrix(4, 4))
+
+    def test_blocks_compose_from_attention_scores(self):
+        """Every layer of ``encode`` rebuilt by hand from the public
+        per-head logits: softmax, weights @ v, concat, output projection,
+        residual norms and the feed-forward net."""
+        enc = make_encoder(seed=19, adapter_kind=RELATIVE)
+        rng = np.random.default_rng(4)
+        for table in enc.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+        ids = [3, 1, 4, 1, 5]
+        distances = relative_distance_matrix(7, 4)
+        p = {name: t.data for name, t in enc.params.items()}
+
+        def norm(x, prefix):
+            centred = x - x.mean(axis=-1, keepdims=True)
+            scaled = centred / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+            return scaled * p[f"{prefix}_g"] + p[f"{prefix}_b"]
+
+        x = norm(enc.embed(ids).data, "emb_ln")
+        d = enc.config.head_dim
+        for l in range(enc.config.layers):
+            v = x @ p[f"l{l}.wv"] + p[f"l{l}.bv"]
+            heads = [
+                softmax(enc.attention_scores(Tensor(x), l, h, distances)).data
+                @ v[:, h * d:(h + 1) * d]
+                for h in range(enc.config.heads)
+            ]
+            att = np.concatenate(heads, axis=1) @ p[f"l{l}.wo"] + p[f"l{l}.bo"]
+            x = norm(x + att, f"l{l}.ln1")
+            ffn = np.maximum(x @ p[f"l{l}.ffn_w1"] + p[f"l{l}.ffn_b1"], 0.0)
+            x = norm(x + ffn @ p[f"l{l}.ffn_w2"] + p[f"l{l}.ffn_b2"], f"l{l}.ln2")
+        encoded = enc.encode(ids, distances=distances).hidden.data
+        np.testing.assert_allclose(encoded, x, rtol=0, atol=1e-12)
+
     def test_padded_forward_matches_unpadded_content(self):
         enc = make_encoder(seed=6, adapter_kind=RELATIVE)
         ids = [1, 2, 3]

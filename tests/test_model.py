@@ -1,14 +1,18 @@
 """Model assembly and weight-file round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from aste.data import Sentence, Vocabulary
+from aste.cli import main
+from aste.data import Sentence, Vocabulary, write_corpus_file
 from aste.encoder import EncoderConfig
 from aste.errors import ValidationError
 from aste.model import TripletModel
-from aste.parser import ParserConfig
-from aste.structure import DEPENDENCY, RELATIVE, StructureConfig
+from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
+from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
 
 
@@ -65,6 +69,40 @@ class TestForward:
             TripletModel(config, ParserConfig(), vocab, seed=0)
 
 
+def reference_predict(model, sentence):
+    """Triplets from separate encoder, tagger and scorer calls."""
+    ids = model.vocab.encode(sentence.tokens)
+    hidden = model.encoder.encode(ids, distances=model.sentence_distances(sentence)).content
+    spans = [
+        decode_bio([TAGS[i] for i in model.parser.tag_probs(hidden, which).data.argmax(axis=-1)])
+        for which in ("aspect", "opinion")
+    ]
+    probs = model.parser.relation_probs(hidden).data
+    return decode_grid(*spans, SentimentRelationMap(probs, probs.argmax(axis=-1)))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("adapter_kind", [RELATIVE, DEPENDENCY])
+    def test_matches_separately_computed_heads(self, adapter_kind):
+        model, corpus = build_model(adapter_kind=adapter_kind, seed=2)
+        rng = np.random.default_rng(1)
+        for table in model.encoder.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+        # Larger parser weights make the argmaxes vary, so triplets come out.
+        for _, tensor in model.parser.params.items():
+            tensor.data *= 10.0
+        sentences = [
+            Sentence(tokens=s.tokens, heads=random_tree_heads(len(s), rng))
+            for s in corpus.train + corpus.dev
+        ]
+        produced = 0
+        for sentence in sentences:
+            predicted = model.predict(sentence)
+            assert predicted == reference_predict(model, sentence)
+            produced += len(predicted)
+        assert produced > 0
+
+
 class TestSnapshots:
     def test_snapshot_round_trip(self):
         model, corpus = build_model(adapter_kind=RELATIVE)
@@ -108,3 +146,74 @@ class TestWeightFile:
         b = TripletModel.load(path)
         sentence = corpus.train[2]
         assert a.predict(sentence) == b.predict(sentence)
+
+    def test_header_with_dropout_rate_still_loads(self, tmp_path):
+        """Files from before the dropout option was removed name a rate."""
+        model, corpus = build_model(adapter_kind=RELATIVE, seed=4)
+        path = tmp_path / "w.bin"
+        model.save(path)
+        data = path.read_bytes()
+        header_len, = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + header_len])
+        header["encoder"]["dropout"] = 0.1
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len:])
+        loaded = TripletModel.load(path)
+        for sentence in corpus.dev[:4]:
+            assert loaded.predict(sentence) == model.predict(sentence)
+
+
+class TestDamagedWeightFile:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model, corpus = build_model(adapter_kind=RELATIVE, seed=6)
+        path = tmp_path / "weights.bin"
+        model.save(path)
+        corpus_path = tmp_path / "dev.jsonl"
+        write_corpus_file(corpus_path, corpus.dev)
+        return path, corpus_path
+
+    @staticmethod
+    def cut_points(size):
+        return [0, 3, 6, 10, 15, 200, size // 2, size - 100, size - 1]
+
+    def test_truncated_file_raises_validation_error(self, saved):
+        path, _ = saved
+        data = path.read_bytes()
+        for cut in self.cut_points(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValidationError):
+                TripletModel.load(path)
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_truncated_file_exits_1_without_traceback(self, saved, tmp_path, capsys, command):
+        path, corpus_path = saved
+        data = path.read_bytes()
+        extra = ["--out", str(tmp_path / "out.jsonl")] if command == "decode" else []
+        for cut in self.cut_points(len(data)):
+            path.write_bytes(data[:cut])
+            code = main([command, "--weights", str(path), "--input", str(corpus_path)] + extra)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("aste: ")
+            assert "Traceback" not in err
+
+    def test_damaged_header_raises_validation_error(self, saved):
+        path, _ = saved
+        data = path.read_bytes()
+        header_len, = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + header_len])
+        header["encoder"]["dim"] = 10  # no longer matches the stored tensors
+        for raw in (b"\xff" * header_len, b"[" + b" " * (header_len - 1),
+                    json.dumps({"encoder": {}}).encode(), json.dumps(header).encode()):
+            path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len:])
+            with pytest.raises(ValidationError):
+                TripletModel.load(path)
+
+    def test_non_finite_weight_raises_validation_error(self, saved):
+        path, _ = saved
+        data = path.read_bytes()
+        for value in (float("nan"), float("inf")):
+            path.write_bytes(data[:-8] + struct.pack("<d", value))
+            with pytest.raises(ValidationError):
+                TripletModel.load(path)
