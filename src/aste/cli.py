@@ -260,9 +260,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _read_for_model(path, model: TripletModel) -> list:
+    """The records of a corpus file, each checked to fit the model's
+    encoder, so an over-long sentence fails before anything is written."""
+    sentences = read_corpus_file(path)
+    limit = model.encoder_config.max_len - 2
+    too_long = [i for i, sentence in enumerate(sentences) if len(sentence) > limit]
+    if too_long:
+        # Reading skips blank lines, so the record's line is counted again.
+        with open(path, encoding="utf-8") as handle:
+            line_no = [no for no, line in enumerate(handle, start=1) if line.strip()][too_long[0]]
+        raise ParseError(line_no, f"sentence of {len(sentences[too_long[0]])} tokens exceeds "
+                                  f"the model's limit of {limit} (max_len minus two markers)")
+    return sentences
+
+
 def _cmd_eval(args) -> int:
     model = TripletModel.load(args.weights)
-    sentences = read_corpus_file(args.input)
+    sentences = _read_for_model(args.input, model)
     scores = score_corpus(model.predict_corpus(sentences), [s.triplet_set() for s in sentences])
     table = (
         "matched\tpredicted\tgold\tprecision\trecall\tf1\n"
@@ -277,7 +292,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_decode(args) -> int:
     model = TripletModel.load(args.weights)
-    sentences = read_corpus_file(args.input)
+    sentences = _read_for_model(args.input, model)
     with open(args.out, "w", encoding="utf-8") as handle:
         for sentence in sentences:
             predicted = sorted(model.predict(sentence))

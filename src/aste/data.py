@@ -263,34 +263,6 @@ def preprocess(sentences) -> tuple[list[Sentence], PreprocessReport]:
     return kept, report
 
 
-_SENTENCE_FINAL = {".", "!", "?", "。", "！", "？"}
-
-
-def chunk_review(tokens, max_len: int = MAX_TOKENS) -> list[list[str]]:
-    """Cut a long raw review at sentence-final punctuation into pieces of
-    at most ``max_len`` tokens.
-
-    Sentences are merged greedily while they fit; a punctuation-free run
-    longer than ``max_len`` is hard-split.
-    """
-    units: list[list[str]] = []
-    current: list[str] = []
-    for token in tokens:
-        current.append(token)
-        if token in _SENTENCE_FINAL or len(current) >= max_len:
-            units.append(current)
-            current = []
-    if current:
-        units.append(current)
-    pieces: list[list[str]] = []
-    for unit in units:
-        if pieces and len(pieces[-1]) + len(unit) <= max_len:
-            pieces[-1] = pieces[-1] + unit
-        else:
-            pieces.append(unit)
-    return pieces
-
-
 def split_corpus(sentences, seed: int, name: str = "corpus",
                  ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> Corpus:
     """Seeded uniform shuffle, then contiguous 70/10/20 cut.

@@ -26,7 +26,6 @@ from .errors import ShapeError, ValidationError
 from .numerics import (
     ParamGroup,
     Tensor,
-    concat_cols,
     gather_cols,
     layer_norm,
     linear,
@@ -63,19 +62,19 @@ class EncoderConfig:
 
 @dataclass
 class EncodedSequence:
-    """Hidden states for one augmented sentence.
+    """Hidden states, (m, dim) for one augmented sentence or (B, m, dim)
+    for a padded batch.
 
-    Row 0 is the start marker, row ``content_rows + 1`` the end marker;
-    the content view strips both (padding slots, when present, stay in
-    the content view and are handled by masks downstream).
+    Row 0 is the start marker; the content view drops it and the last
+    row, which is the end marker or padding. Padding slots stay in the
+    content view and are handled by masks downstream.
     """
 
     hidden: Tensor
-    content_rows: int
 
     @property
     def content(self) -> Tensor:
-        return self.hidden.rows(1, 1 + self.content_rows)
+        return self.hidden[..., 1:-1, :]
 
 
 class Encoder:
@@ -112,110 +111,125 @@ class Encoder:
 
     # -- embedding -------------------------------------------------------
 
-    def embed(self, token_ids, pad_to: int | None = None) -> Tensor:
-        """Marker-augmented token + position embeddings.
+    def _layout(self, token_ids):
+        """Marker-augmented id rows and their key mask.
 
-        ``pad_to`` (content slots, >= n) right-pads with the padding
-        embedding after the end marker.
+        ``token_ids`` is one id sequence, giving (m,) ids, or a list of
+        them, giving (B, m) ids right-padded after the end marker to the
+        longest sequence. The key mask marks the rows a sentence really
+        has; it is None when nothing is padded.
         """
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1:
+        single = len(token_ids) == 0 or np.ndim(token_ids[0]) == 0
+        seqs = [np.asarray(s, dtype=np.int64) for s in ([token_ids] if single else token_ids)]
+        if any(ids.ndim != 1 for ids in seqs):
             raise ShapeError("token ids must be a flat sequence")
-        n = ids.size
-        if n and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
+        every = np.concatenate(seqs)
+        if every.size and (every.min() < 0 or every.max() >= self.config.vocab_size):
             raise ValidationError("unknown token id outside the vocabulary")
-        slots = n if pad_to is None else pad_to
-        if slots < n:
-            raise ValidationError("pad_to is smaller than the sentence")
-        m = slots + 2
+        lengths = np.array([ids.size for ids in seqs])
+        m = int(lengths.max()) + 2
         if m > self.config.max_len:
             raise ValidationError(f"sequence of {m} rows exceeds max_len={self.config.max_len}")
-        full = np.full(m, PAD_ID, dtype=np.int64)
-        full[0] = START_ID
-        full[1:n + 1] = ids
-        full[n + 1] = END_ID
-        tok = take_rows(self.params["tok_emb"], full)
-        pos = take_rows(self.params["pos_emb"], np.arange(m))
-        return tok + pos
+        full = np.full((len(seqs), m), PAD_ID, dtype=np.int64)
+        full[:, 0] = START_ID
+        for row, ids in zip(full, seqs):
+            row[1:ids.size + 1] = ids
+            row[ids.size + 1] = END_ID
+        if single:
+            return full[0], None
+        return full, None if (lengths == m - 2).all() else np.arange(m) < lengths[:, None] + 2
+
+    def _embed_rows(self, ids: np.ndarray) -> Tensor:
+        tok = take_rows(self.params["tok_emb"], ids)
+        return tok + take_rows(self.params["pos_emb"], np.arange(ids.shape[-1]))
+
+    def embed(self, token_ids) -> Tensor:
+        """Marker-augmented token + position embeddings: (m, dim) for one
+        id sequence, (B, m, dim) for a list of them, padded as ``encode``
+        pads."""
+        return self._embed_rows(self._layout(token_ids)[0])
 
     # -- attention -------------------------------------------------------
 
-    def _qkv(self, x: Tensor, layer: int):
-        p = self.params
-        q = linear(x, p[f"l{layer}.wq"], p[f"l{layer}.bq"])
-        k = linear(x, p[f"l{layer}.wk"], p[f"l{layer}.bk"])
-        v = linear(x, p[f"l{layer}.wv"], p[f"l{layer}.bv"])
-        return q, k, v
+    def _heads(self, x: Tensor, layer: int, names: str) -> list[Tensor]:
+        """The named projections (``q``, ``k``, ``v``) of (..., m, dim)
+        states, each split into (..., H, m, d) heads."""
+        c = self.config
+        out = []
+        for name in names:
+            proj = linear(x, self.params[f"l{layer}.w{name}"], self.params[f"l{layer}.b{name}"])
+            out.append(proj.reshape(*x.shape[:-1], c.heads, c.head_dim).swapaxes(-3, -2))
+        return out
 
-    def _head_slice(self, full: Tensor, head: int) -> Tensor:
-        d = self.config.head_dim
-        return full.cols(head * d, (head + 1) * d)
-
-    def _distance_index(self, distances: np.ndarray, m: int) -> np.ndarray:
-        """Bias-table rows for an (m, m) distance matrix, validated once
-        and shared by every layer and head."""
+    def _distance_index(self, distances, rows: tuple[int, ...]) -> np.ndarray:
+        """Bias-table rows for the (..., m, m) distances of (..., m) token
+        rows, validated once and broadcast over heads as (..., 1, m, m)."""
         if self.adapter is None:
             raise ValidationError("distance matrix supplied but structure is disabled")
         distances = np.asarray(distances, dtype=np.int64)
-        if distances.shape != (m, m):
-            raise ShapeError(f"distance matrix {distances.shape} does not match length {m}")
-        return distances_to_indices(distances, self.config.adapter.tau)
+        if distances.shape != rows + rows[-1:]:
+            raise ShapeError(f"distance matrix {distances.shape} does not match length {rows[-1]}")
+        return distances_to_indices(distances, self.config.adapter.tau)[..., None, :, :]
 
-    def _head_logits(self, q: Tensor, k: Tensor | None, layer: int, head: int,
-                     index: np.ndarray | None) -> Tensor:
-        """One head's pre-softmax logits: the content term
+    def _logits(self, q: Tensor, k: Tensor | None, layer: int,
+                index: np.ndarray | None) -> Tensor:
+        """All heads' (..., H, m, m) pre-softmax logits: the content term
         ``(q_i . k_j) / sqrt(d)`` when ``k`` is given, plus the distance
-        term ``(q_i . r_ij) / sqrt(d)`` when ``index`` is given."""
-        qh = self._head_slice(q, head)
+        term ``(q_i . r_ij) / sqrt(d)`` when ``index`` is given. The
+        distance term is one product with the layer's table and one
+        gather (Shaw et al. 2018, section 3.3)."""
         scale = math.sqrt(self.config.head_dim)
         bias = None
         if index is not None:
-            bias = gather_cols(qh @ self.adapter[f"l{layer}.rel"].T, index) / scale
+            bias = gather_cols(q @ self.adapter[f"l{layer}.rel"].T, index) / scale
         if k is None:
             return bias
-        scores = (qh @ self._head_slice(k, head).T) / scale
+        scores = (q @ k.T) / scale
         return scores if bias is None else scores + bias
 
     def structured_attention_map(self, x: Tensor, layer: int, head: int,
                                  distances: np.ndarray) -> Tensor:
         """The distance-bias term of a head's logits, on its own."""
-        q, _, _ = self._qkv(x, layer)
-        return self._head_logits(q, None, layer, head, self._distance_index(distances, x.shape[0]))
+        q, = self._heads(x, layer, "q")
+        index = self._distance_index(distances, x.shape[:-1])
+        return self._logits(q, None, layer, index)[..., head, :, :]
 
     def attention_scores(self, x: Tensor, layer: int, head: int,
                          distances: np.ndarray | None = None) -> Tensor:
         """Pre-softmax logits for one head, exactly as the encoder's blocks
         compute them; the bias term is added only when a distance matrix
         is supplied."""
-        q, k, _ = self._qkv(x, layer)
-        index = None if distances is None else self._distance_index(distances, x.shape[0])
-        return self._head_logits(q, k, layer, head, index)
+        q, k = self._heads(x, layer, "qk")
+        index = None if distances is None else self._distance_index(distances, x.shape[:-1])
+        return self._logits(q, k, layer, index)[..., head, :, :]
 
     # -- blocks ----------------------------------------------------------
 
     def _block(self, x: Tensor, layer: int, index, key_mask) -> Tensor:
-        c = self.config
-        q, k, v = self._qkv(x, layer)
-        mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[None, :]
-        heads = []
-        for h in range(c.heads):
-            weights = softmax(self._head_logits(q, k, layer, h, index), mask=mask)
-            heads.append(weights @ self._head_slice(v, h))
-        att = linear(concat_cols(heads), self.params[f"l{layer}.wo"], self.params[f"l{layer}.bo"])
-        x = layer_norm(x + att, self.params[f"l{layer}.ln1_g"], self.params[f"l{layer}.ln1_b"])
-        hidden = linear(x, self.params[f"l{layer}.ffn_w1"], self.params[f"l{layer}.ffn_b1"]).relu()
-        out = linear(hidden, self.params[f"l{layer}.ffn_w2"], self.params[f"l{layer}.ffn_b2"])
-        return layer_norm(x + out, self.params[f"l{layer}.ln2_g"], self.params[f"l{layer}.ln2_b"])
+        p = self.params
+        q, k, v = self._heads(x, layer, "qkv")
+        heads = softmax(self._logits(q, k, layer, index), mask=key_mask) @ v
+        merged = heads.swapaxes(-3, -2).reshape(*x.shape)
+        att = linear(merged, p[f"l{layer}.wo"], p[f"l{layer}.bo"])
+        x = layer_norm(x + att, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
+        hidden = linear(x, p[f"l{layer}.ffn_w1"], p[f"l{layer}.ffn_b1"]).relu()
+        out = linear(hidden, p[f"l{layer}.ffn_w2"], p[f"l{layer}.ffn_b2"])
+        return layer_norm(x + out, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
 
-    def encode(self, token_ids, distances: np.ndarray | None = None,
-               pad_to: int | None = None, key_mask: np.ndarray | None = None) -> EncodedSequence:
-        """Run the full stack over one (optionally padded) sentence."""
-        x = self.embed(token_ids, pad_to=pad_to)
-        index = None if distances is None else self._distance_index(distances, x.shape[0])
-        x = layer_norm(x, self.params["emb_ln_g"], self.params["emb_ln_b"])
+    def encode(self, token_ids, distances: np.ndarray | None = None) -> EncodedSequence:
+        """Run the full stack over one id sequence or a padded batch of them.
+
+        ``distances`` is the (m, m) matrix of one sequence or the
+        (B, m, m) stack of a batch, padded like the ids. Padded key slots,
+        worked out from the sequence lengths, get no attention weight.
+        """
+        ids, key_mask = self._layout(token_ids)
+        index = None if distances is None else self._distance_index(distances, ids.shape)
+        x = layer_norm(self._embed_rows(ids), self.params["emb_ln_g"], self.params["emb_ln_b"])
+        mask = None if key_mask is None else key_mask[..., None, None, :]
         for layer in range(self.config.layers):
-            x = self._block(x, layer, index, key_mask)
-        return EncodedSequence(hidden=x, content_rows=x.shape[0] - 2)
+            x = self._block(x, layer, index, mask)
+        return EncodedSequence(hidden=x)
 
     def param_groups(self) -> list[ParamGroup]:
         groups = [self.params]

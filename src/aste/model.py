@@ -30,8 +30,9 @@ _VERSION = 1
 
 
 @dataclass
-class SentenceForward:
-    """Differentiable outputs of one (possibly padded) sentence pass."""
+class BatchForward:
+    """Differentiable outputs of one padded batch pass: (B, n, 3) tag and
+    (B, n, n, 4) relation distributions, n the longest sentence."""
 
     aspect: Tensor
     opinion: Tensor
@@ -74,16 +75,18 @@ class TripletModel:
             len(sentence), structure, heads=sentence.heads, total_len=total
         )
 
-    def forward(self, sentence: Sentence, pad_to: int | None = None) -> SentenceForward:
-        n = len(sentence)
-        ids = self.vocab.encode(sentence.tokens)
-        distances = self.sentence_distances(sentence, pad_to=pad_to)
-        key_mask = None
-        if pad_to is not None and pad_to > n:
-            key_mask = np.zeros(pad_to + 2, dtype=bool)
-            key_mask[:n + 2] = True
-        hidden = self.encoder.encode(ids, distances, pad_to=pad_to, key_mask=key_mask).content
-        return SentenceForward(
+    def forward(self, sentences) -> BatchForward:
+        """One pass over a batch of sentences, padded to the longest; a
+        single sentence is a batch of one."""
+        if not sentences:
+            raise ValidationError("forward needs at least one sentence")
+        longest = max(len(s) for s in sentences)
+        distances = None
+        if self.encoder_config.adapter.kind != NONE:
+            distances = np.stack([self.sentence_distances(s, pad_to=longest) for s in sentences])
+        ids = [self.vocab.encode(s.tokens) for s in sentences]
+        hidden = self.encoder.encode(ids, distances).content
+        return BatchForward(
             aspect=self.parser.tag_probs(hidden, "aspect"),
             opinion=self.parser.tag_probs(hidden, "opinion"),
             relations=self.parser.relation_probs(hidden),
@@ -93,10 +96,10 @@ class TripletModel:
 
     def predict(self, sentence: Sentence) -> set[Triplet]:
         """Decode the model's triplets for one sentence."""
-        forward = self.forward(sentence)
-        aspects = decode_bio([TAGS[i] for i in forward.aspect.data.argmax(axis=-1)])
-        opinions = decode_bio([TAGS[i] for i in forward.opinion.data.argmax(axis=-1)])
-        probs = forward.relations.data
+        forward = self.forward([sentence])
+        aspects = decode_bio([TAGS[i] for i in forward.aspect.data[0].argmax(axis=-1)])
+        opinions = decode_bio([TAGS[i] for i in forward.opinion.data[0].argmax(axis=-1)])
+        probs = forward.relations.data[0]
         return decode_grid(aspects, opinions, SentimentRelationMap(probs, probs.argmax(axis=-1)))
 
     def predict_corpus(self, sentences) -> list[set[Triplet]]:

@@ -21,7 +21,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor", "ParamGroup", "linear", "softmax", "cross_entropy", "layer_norm",
-    "concat_cols", "concat_rows", "stack_last", "take_rows", "gather_cols",
+    "stack_last", "take_rows", "gather_cols",
     "normal_init", "zeros_init", "grad_check",
 ]
 
@@ -133,19 +133,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def back(g):
-            return ((self, -g),)
-
-        return Tensor(-self.data, _parents=(self,), _backward=back, _op="neg")
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other.data
@@ -164,26 +151,28 @@ class Tensor:
         return self * (1.0 / float(scalar))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
-        if self.shape[1] != other.shape[0]:
+        """``(..., m, k) @ (..., k, n)``, leading axes broadcast; a 2-D
+        right operand is a weight shared by every leading index."""
+        if self.data.ndim < 2 or other.data.ndim < 2:
+            raise ShapeError("matmul expects operands of at least 2 dimensions")
+        if self.shape[-1] != other.shape[-2]:
             raise ShapeError(f"matmul inner dims differ: {self.shape} @ {other.shape}")
         data = self.data @ other.data
 
         def back(g):
-            return ((self, g @ other.data.T), (other, self.data.T @ g))
+            return (
+                (self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)),
+                (other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)),
+            )
 
         return Tensor(data, _parents=(self, other), _backward=back, _op="matmul")
 
     @property
     def T(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError("T expects a 2-D tensor")
-
-        def back(g):
-            return ((self, g.T),)
-
-        return Tensor(self.data.T, _parents=(self,), _backward=back, _op="transpose")
+        """Swap the last two axes."""
+        if self.data.ndim < 2:
+            raise ShapeError("T expects at least 2 dimensions")
+        return self.swapaxes(-1, -2)
 
     # -- shaping --------------------------------------------------------
 
@@ -195,21 +184,25 @@ class Tensor:
 
         return Tensor(self.data.reshape(shape), _parents=(self,), _backward=back, _op="reshape")
 
-    def rows(self, start: int, stop: int) -> "Tensor":
+    def swapaxes(self, a: int, b: int) -> "Tensor":
+        def back(g):
+            return ((self, np.swapaxes(g, a, b)),)
+
+        return Tensor(np.swapaxes(self.data, a, b), _parents=(self,), _backward=back, _op="swapaxes")
+
+    def __getitem__(self, key) -> "Tensor":
+        """Basic slicing only (ints, slices, ``...``, ``None``), so no
+        element is picked twice and the backward pass can assign."""
+        parts = key if isinstance(key, tuple) else (key,)
+        if not all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts):
+            raise ShapeError("tensor indexing supports basic slices only")
+
         def back(g):
             full = np.zeros_like(self.data)
-            full[start:stop] = g
+            full[key] = g
             return ((self, full),)
 
-        return Tensor(self.data[start:stop], _parents=(self,), _backward=back, _op="rows")
-
-    def cols(self, start: int, stop: int) -> "Tensor":
-        def back(g):
-            full = np.zeros_like(self.data)
-            full[:, start:stop] = g
-            return ((self, full),)
-
-        return Tensor(self.data[:, start:stop], _parents=(self,), _backward=back, _op="cols")
+        return Tensor(self.data[key], _parents=(self,), _backward=back, _op="getitem")
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -228,29 +221,6 @@ class Tensor:
         return Tensor(self.data.sum(), _parents=(self,), _backward=back, _op="sum")
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors side by side along the column axis."""
-    widths = [p.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def back(g):
-        return tuple((p, g[:, offsets[i]:offsets[i + 1]]) for i, p in enumerate(parts))
-
-    data = np.concatenate([p.data for p in parts], axis=1)
-    return Tensor(data, _parents=tuple(parts), _backward=back, _op="concat_cols")
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    heights = [p.shape[0] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(heights)])
-
-    def back(g):
-        return tuple((p, g[offsets[i]:offsets[i + 1]]) for i, p in enumerate(parts))
-
-    data = np.concatenate([p.data for p in parts], axis=0)
-    return Tensor(data, _parents=tuple(parts), _backward=back, _op="concat_rows")
-
-
 def stack_last(parts: list[Tensor]) -> Tensor:
     """Stack equally shaped tensors along a new trailing axis."""
 
@@ -262,10 +232,8 @@ def stack_last(parts: list[Tensor]) -> Tensor:
 
 
 def take_rows(table: Tensor, ids: Array) -> Tensor:
-    """Embedding lookup: ``out[i] = table[ids[i]]``."""
+    """Embedding lookup: ``out[..., :] = table[ids[...]]`` for ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError("take_rows expects a flat id array")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("row id out of range")
 
@@ -278,24 +246,30 @@ def take_rows(table: Tensor, ids: Array) -> Tensor:
 
 
 def gather_cols(scores: Tensor, index: Array) -> Tensor:
-    """Per-row column gather: ``out[i, j] = scores[i, index[i, j]]``.
+    """Per-row column gather: ``out[..., i, j] = scores[..., i, index[..., i, j]]``.
 
-    ``index`` has one row per row of ``scores``; columns may repeat, and
-    the backward pass scatter-adds accordingly.
+    ``index`` has one row per row of ``scores`` and broadcasts over its
+    leading axes; columns may repeat, and the backward pass scatter-adds
+    accordingly.
     """
     index = np.asarray(index, dtype=np.int64)
-    if index.shape[0] != scores.shape[0]:
+    width = scores.shape[-1]
+    if index.shape[-2:-1] != scores.shape[-2:-1]:
         raise ShapeError("gather_cols row counts differ")
-    if index.size and (index.min() < 0 or index.max() >= scores.shape[1]):
+    if index.size and (index.min() < 0 or index.max() >= width):
         raise IndexError("gather index out of range")
-    row_ids = np.arange(scores.shape[0])[:, None]
+    index = np.broadcast_to(index, scores.shape[:-1] + index.shape[-1:])
+    # Flat positions into ``scores``: the gather is one take, and its
+    # backward one bincount scatter-add.
+    rows = np.arange(scores.size // width).reshape(scores.shape[:-1] + (1,))
+    flat = (rows * width + index).ravel()
 
     def back(g):
-        full = np.zeros_like(scores.data)
-        np.add.at(full, (np.broadcast_to(row_ids, index.shape), index), g)
-        return ((scores, full),)
+        full = np.bincount(flat, weights=g.ravel(), minlength=scores.size)
+        return ((scores, full.reshape(scores.shape)),)
 
-    return Tensor(scores.data[row_ids, index], _parents=(scores,), _backward=back, _op="gather_cols")
+    return Tensor(np.take(scores.data, flat).reshape(index.shape), _parents=(scores,),
+                  _backward=back, _op="gather_cols")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

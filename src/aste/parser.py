@@ -85,7 +85,7 @@ class TripletParser:
     # -- tagging -----------------------------------------------------------
 
     def tag_probs(self, hidden: Tensor, which: str) -> Tensor:
-        """(n, 3) tag distributions from the aspect or opinion head."""
+        """(..., n, 3) tag distributions from the aspect or opinion head."""
         if which not in ("aspect", "opinion"):
             raise ValidationError(f"unknown tagger {which!r}")
         p = self.params
@@ -95,17 +95,17 @@ class TripletParser:
     # -- pairwise sentiment --------------------------------------------------
 
     def relation_probs(self, hidden: Tensor) -> Tensor:
-        """(n, n, 4) distributions over ordered token pairs, i = j included."""
+        """(..., n, n, 4) distributions over ordered token pairs, i = j
+        included, for (..., n, dim) hidden states."""
         p = self.params
-        n = hidden.shape[0]
+        *lead, n = hidden.shape[:-1]
+        k = len(REL_LABELS)
         head = linear(hidden, p["pair_head_w1"], p["pair_head_b1"]).relu()
         dep = linear(hidden, p["pair_dep_w1"], p["pair_dep_b1"]).relu()
-        per_label = [
-            (head @ p[f"pair_bil_{label.lower()}"]) @ dep.T for label in REL_LABELS
-        ]
-        logits = stack_last(per_label)
-        logits = logits + (head @ p["pair_head_w2"]).reshape(n, 1, len(REL_LABELS))
-        logits = logits + (dep @ p["pair_dep_w2"]).reshape(1, n, len(REL_LABELS))
+        dep_t = dep.T
+        logits = stack_last([(head @ p[f"pair_bil_{label.lower()}"]) @ dep_t for label in REL_LABELS])
+        logits = logits + (head @ p["pair_head_w2"]).reshape(*lead, n, 1, k)
+        logits = logits + (dep @ p["pair_dep_w2"]).reshape(*lead, 1, n, k)
         logits = logits + p["pair_b2"]
         return softmax(logits)
 

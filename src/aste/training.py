@@ -19,7 +19,7 @@ from .encoder import EncoderConfig
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
 from .model import TripletModel
-from .numerics import ParamGroup, Tensor, concat_rows, cross_entropy
+from .numerics import ParamGroup, Tensor, cross_entropy
 from .parser import ParserConfig, build_gold
 from .structure import NONE
 
@@ -123,46 +123,27 @@ def joint_loss(pred: BatchPredictions, gold: BatchTargets,
 
 
 def assemble_batch(model: TripletModel, sentences):
-    """Pad a batch to its longest sentence and stack predictions/targets."""
-    longest = max(len(s) for s in sentences)
-    a_parts, o_parts, r_parts = [], [], []
-    a_gold, o_gold, r_gold = [], [], []
-    token_masks, cell_masks = [], []
-    n_labels = None
-    for sentence in sentences:
+    """One padded forward over the batch; predictions, targets and masks
+    flattened to one row per token and per token pair."""
+    forward = model.forward(sentences)
+    longest = forward.aspect.shape[1]
+    aspect = np.zeros((len(sentences), longest), dtype=np.int64)
+    opinion = np.zeros_like(aspect)
+    relations = np.zeros((len(sentences), longest, longest), dtype=np.int64)
+    tokens = np.zeros(aspect.shape, dtype=bool)
+    for b, sentence in enumerate(sentences):
         n = len(sentence)
-        forward = model.forward(sentence, pad_to=longest)
-        n_labels = forward.relations.shape[-1]
-        a_parts.append(forward.aspect)
-        o_parts.append(forward.opinion)
-        r_parts.append(forward.relations.reshape(longest * longest, n_labels))
-        aspect, opinion, relations = build_gold(sentence)
-        padded_a = np.zeros(longest, dtype=np.int64)
-        padded_a[:n] = aspect
-        padded_o = np.zeros(longest, dtype=np.int64)
-        padded_o[:n] = opinion
-        padded_r = np.zeros((longest, longest), dtype=np.int64)
-        padded_r[:n, :n] = relations
-        token_mask = np.zeros(longest, dtype=bool)
-        token_mask[:n] = True
-        a_gold.append(padded_a)
-        o_gold.append(padded_o)
-        r_gold.append(padded_r.reshape(-1))
-        token_masks.append(token_mask)
-        cell_masks.append(np.outer(token_mask, token_mask).reshape(-1))
+        aspect[b, :n], opinion[b, :n], relations[b, :n, :n] = build_gold(sentence)
+        tokens[b, :n] = True
     pred = BatchPredictions(
-        aspect=concat_rows(a_parts),
-        opinion=concat_rows(o_parts),
-        relations=concat_rows(r_parts),
+        aspect=forward.aspect.reshape(-1, forward.aspect.shape[-1]),
+        opinion=forward.opinion.reshape(-1, forward.opinion.shape[-1]),
+        relations=forward.relations.reshape(-1, forward.relations.shape[-1]),
     )
-    gold = BatchTargets(
-        aspect=np.concatenate(a_gold),
-        opinion=np.concatenate(o_gold),
-        relations=np.concatenate(r_gold),
-    )
+    gold = BatchTargets(aspect.reshape(-1), opinion.reshape(-1), relations.reshape(-1))
     masks = BatchMasks(
-        tokens=np.concatenate(token_masks),
-        cells=np.concatenate(cell_masks),
+        tokens=tokens.reshape(-1),
+        cells=(tokens[:, :, None] & tokens[:, None, :]).reshape(-1),
     )
     return pred, gold, masks
 

@@ -203,6 +203,30 @@ class TestTrainEvalDecode:
             record = parse_record(line)
             assert set(record.triplets) == model.predict(sentence)
 
+    def test_overlong_sentence_rejected_before_any_output(self, capsys, corpus_files, tmp_path):
+        train, dev = corpus_files
+        out_dir = tmp_path / "run"
+        run(capsys, *self.train_args(train, dev, out_dir))
+        weights = str(out_dir / "weights.bin")
+        records = read_corpus_file(dev)[:3]
+        long = type(records[0])(tokens=["w"] * 170)
+        lines = [serialize_record(records[0]), "", serialize_record(long)]
+        lines += [serialize_record(r) for r in records[1:]]
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        decoded = tmp_path / "predictions.jsonl"
+        code, _, err = run(capsys, "decode", "--weights", weights,
+                           "--input", str(corpus), "--out", str(decoded))
+        assert code == 1
+        assert "line 3" in err and "170 tokens" in err and "158" in err
+        assert not decoded.exists()
+        scores = tmp_path / "scores.tsv"
+        code, out, err = run(capsys, "eval", "--weights", weights,
+                             "--input", str(corpus), "--scores", str(scores))
+        assert code == 1
+        assert "line 3" in err and out == ""
+        assert not scores.exists()
+
     def test_unknown_config_key_rejected(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files
         bad = tmp_path / "bad.json"

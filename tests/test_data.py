@@ -15,7 +15,6 @@ from aste.data import (
     Span,
     Triplet,
     Vocabulary,
-    chunk_review,
     convert_triple_format,
     parse_record,
     preprocess,
@@ -277,22 +276,6 @@ class TestConverter:
         sentences, failures = convert_triple_format(lines)
         assert len(sentences) == 2
         assert "line 2" in failures[0]
-
-
-class TestChunking:
-    def test_splits_at_sentence_final_punctuation(self):
-        tokens = ["a", "b", ".", "c", "d", "!"]
-        assert chunk_review(tokens, max_len=4) == [["a", "b", "."], ["c", "d", "!"]]
-
-    def test_merges_while_fitting(self):
-        tokens = ["a", ".", "b", ".", "c", "."]
-        assert chunk_review(tokens, max_len=10) == [tokens]
-
-    def test_hard_splits_oversize_runs(self):
-        tokens = ["w"] * 10
-        pieces = chunk_review(tokens, max_len=4)
-        assert all(len(p) <= 4 for p in pieces)
-        assert sum(len(p) for p in pieces) == 10
 
 
 class TestRecordTypes:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aste.data import NUM_RESERVED
+from aste.data import NUM_RESERVED, PAD_ID
 from aste.encoder import (
     Encoder,
     EncoderConfig,
@@ -64,8 +64,14 @@ class TestEmbed:
 
     def test_padded_layout(self):
         enc = make_encoder()
-        rows = enc.embed([4, 5], pad_to=5)
-        assert rows.shape == (7, 8)
+        batch = enc.embed([[4, 5], [6, 7, 8, 9]]).data
+        assert batch.shape == (2, 6, 8)
+        # The short sentence keeps its own rows, then pads to the longest
+        # with the pad token at the following positions.
+        np.testing.assert_array_equal(batch[0, :4], enc.embed([4, 5]).data)
+        pad_rows = enc.params["tok_emb"].data[PAD_ID] + enc.params["pos_emb"].data[4:6]
+        np.testing.assert_array_equal(batch[0, 4:], pad_rows)
+        np.testing.assert_array_equal(batch[1], enc.embed([6, 7, 8, 9]).data)
 
 
 class TestAttentionScores:
@@ -208,14 +214,21 @@ class TestEncode:
 
     def test_padded_forward_matches_unpadded_content(self):
         enc = make_encoder(seed=6, adapter_kind=RELATIVE)
+        for table in enc.adapter.tensors.values():
+            table.data[...] = np.random.default_rng(2).normal(0, 0.5, table.shape)
         ids = [1, 2, 3]
         distances = relative_distance_matrix(5, 4)
         plain = enc.encode(ids, distances=distances).hidden.data
         from aste.structure import augmented_distance_matrix
         padded_distances = augmented_distance_matrix(3, enc.config.adapter, total_len=8)
-        mask = np.array([True] * 5 + [False] * 3)
-        padded = enc.encode(ids, distances=padded_distances, pad_to=6, key_mask=mask).hidden.data
-        np.testing.assert_allclose(padded[:5], plain, atol=1e-12)
+        # A batch pads to its longest sequence and masks the padded keys.
+        longer = [4, 5, 6, 7, 8, 9]
+        stacked = np.stack([padded_distances, relative_distance_matrix(8, 4)])
+        batch = enc.encode([ids, longer], distances=stacked).hidden.data
+        assert batch.shape == (2, 8, 8)
+        np.testing.assert_allclose(batch[0, :5], plain, atol=1e-12)
+        alone = enc.encode(longer, distances=relative_distance_matrix(8, 4)).hidden.data
+        np.testing.assert_allclose(batch[1], alone, atol=1e-12)
 
 
 class TestEncoderGradients:

@@ -26,39 +26,63 @@ def build_model(adapter_kind=None, seed=0):
     return model, corpus
 
 
+def mixed_length_batch(corpus, rng):
+    """Sentences of several lengths, each with a random dependency tree."""
+    by_length = {len(s): s for s in corpus.train + corpus.dev}
+    assert len(by_length) >= 3
+    return [
+        Sentence(tokens=s.tokens, triplets=s.triplets, heads=random_tree_heads(len(s), rng))
+        for s in by_length.values()
+    ]
+
+
 class TestForward:
     def test_shapes(self):
         model, corpus = build_model()
-        sentence = corpus.train[0]
-        out = model.forward(sentence)
-        n = len(sentence)
-        assert out.aspect.shape == (n, 3)
-        assert out.opinion.shape == (n, 3)
-        assert out.relations.shape == (n, n, 4)
+        batch = mixed_length_batch(corpus, np.random.default_rng(0))
+        out = model.forward(batch)
+        b, n = len(batch), max(len(s) for s in batch)
+        assert out.aspect.shape == (b, n, 3)
+        assert out.opinion.shape == (b, n, 3)
+        assert out.relations.shape == (b, n, n, 4)
+        single = model.forward([batch[0]])
+        assert single.relations.shape == (1, len(batch[0]), len(batch[0]), 4)
 
     def test_padded_content_matches_unpadded(self):
-        model, corpus = build_model(adapter_kind=RELATIVE)
-        sentence = corpus.train[0]
-        n = len(sentence)
-        plain = model.forward(sentence)
-        padded = model.forward(sentence, pad_to=n + 4)
-        np.testing.assert_allclose(
-            padded.aspect.data[:n], plain.aspect.data, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            padded.relations.data[:n, :n], plain.relations.data, atol=1e-12
-        )
+        """The content rows of every sentence in a padded mixed-length
+        batch equal that sentence's own batch-of-one pass."""
+        for kind in (None, RELATIVE, DEPENDENCY):
+            model, corpus = build_model(adapter_kind=kind, seed=4)
+            if kind is not None:
+                rng = np.random.default_rng(5)
+                for table in model.encoder.adapter.tensors.values():
+                    table.data[...] = rng.normal(0, 0.5, table.shape)
+            batch = mixed_length_batch(corpus, np.random.default_rng(6))
+            padded = model.forward(batch)
+            for b, sentence in enumerate(batch):
+                n = len(sentence)
+                alone = model.forward([sentence])
+                for name in ("aspect", "opinion"):
+                    np.testing.assert_allclose(getattr(padded, name).data[b, :n],
+                                               getattr(alone, name).data[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(padded.relations.data[b, :n, :n],
+                                           alone.relations.data[0], rtol=0, atol=1e-12)
+
+    def test_empty_batch_rejected(self):
+        model, _ = build_model()
+        with pytest.raises(ValidationError):
+            model.forward([])
 
     def test_dependency_needs_heads(self):
         model, corpus = build_model(adapter_kind=DEPENDENCY)
         with pytest.raises(ValidationError):
-            model.forward(corpus.train[0])
+            model.forward([corpus.train[0]])
 
     def test_dependency_forward_with_heads(self):
         model, _ = build_model(adapter_kind=DEPENDENCY)
         sentence = Sentence(tokens=["the", "pizza", "great"], heads=[1, -1, 1])
-        out = model.forward(sentence)
-        assert out.relations.shape == (3, 3, 4)
+        out = model.forward([sentence])
+        assert out.relations.shape == (1, 3, 3, 4)
 
     def test_vocab_size_checked(self):
         corpus = learnable_corpus(10, seed=1)
@@ -107,11 +131,11 @@ class TestSnapshots:
     def test_snapshot_round_trip(self):
         model, corpus = build_model(adapter_kind=RELATIVE)
         sentence = corpus.train[0]
-        before = model.forward(sentence).aspect.data.copy()
+        before = model.forward([sentence]).aspect.data.copy()
         snapshot = model.state_snapshot()
         model.encoder.params["tok_emb"].data[...] += 1.0
         model.load_snapshot(snapshot)
-        np.testing.assert_array_equal(model.forward(sentence).aspect.data, before)
+        np.testing.assert_array_equal(model.forward([sentence]).aspect.data, before)
 
     def test_missing_key_rejected(self):
         model, _ = build_model()

@@ -11,8 +11,6 @@ from aste.errors import NumericError, ShapeError
 from aste.numerics import (
     ParamGroup,
     Tensor,
-    concat_cols,
-    concat_rows,
     cross_entropy,
     gather_cols,
     grad_check,
@@ -145,18 +143,84 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0], requires_grad=True).backward()
 
-    def test_shaping_ops_round_trip_gradients(self):
+    @staticmethod
+    def _weighted_sum(out, seed=0):
+        """A scalar whose gradient differs per element of ``out``."""
+        weights = np.random.default_rng(seed).normal(0, 1, out.shape)
+        return (out * Tensor(weights)).sum()
+
+    def test_matmul_shared_weight_gradients(self):
         g = ParamGroup("parser")
-        a = g.add("a", Tensor(np.arange(6.0).reshape(2, 3)))
-        b = g.add("b", Tensor(np.arange(6.0, 12.0).reshape(2, 3)))
+        rng = np.random.default_rng(0)
+        x = g.add("x", Tensor(rng.normal(0, 1, (2, 3, 4))))
+        w = g.add("w", Tensor(rng.normal(0, 1, (4, 5))))
+        out = x @ w
+        np.testing.assert_allclose(out.data, np.einsum("bmk,kn->bmn", x.data, w.data), atol=1e-14)
+        assert grad_check(lambda: self._weighted_sum(x @ w), g, samples_per_tensor=8) < 1e-6
+
+    def test_matmul_batched_gradients(self):
+        g = ParamGroup("parser")
+        rng = np.random.default_rng(1)
+        a = g.add("a", Tensor(rng.normal(0, 1, (2, 2, 3, 4))))
+        b = g.add("b", Tensor(rng.normal(0, 1, (2, 2, 4, 5))))
+        shared = g.add("shared", Tensor(rng.normal(0, 1, (2, 1, 4, 5))))
+        np.testing.assert_allclose((a @ b).data, np.einsum("xymk,xykn->xymn", a.data, b.data),
+                                   atol=1e-14)
 
         def f():
-            rows = concat_rows([a, b])
-            cols = concat_cols([a.T, b.T])
-            stacked = stack_last([a, b])
-            return (rows * rows).sum() + (cols * cols).sum() + (stacked * stacked).sum()
+            # ``shared`` broadcasts over the second axis.
+            return self._weighted_sum(a @ b) + self._weighted_sum(a @ shared, seed=1)
 
-        assert grad_check(f, g, samples_per_tensor=6) < 1e-6
+        assert grad_check(f, g, samples_per_tensor=8) < 1e-6
+
+    def test_nd_inner_dimension_mismatch(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            _ = x @ Tensor(np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeError):
+            _ = x @ Tensor(np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            _ = x @ Tensor(np.zeros(4))
+
+    def test_swapaxes_getitem_stack_last_gradients(self):
+        g = ParamGroup("parser")
+        rng = np.random.default_rng(2)
+        a = g.add("a", Tensor(rng.normal(0, 1, (2, 3, 4))))
+        b = g.add("b", Tensor(rng.normal(0, 1, (2, 3, 4))))
+        np.testing.assert_array_equal(a.swapaxes(0, 1).data, np.swapaxes(a.data, 0, 1))
+        np.testing.assert_array_equal(a.swapaxes(-3, -2).data, np.swapaxes(a.data, 0, 1))
+        np.testing.assert_array_equal(a[..., 1:3, 0].data, a.data[..., 1:3, 0])
+        np.testing.assert_array_equal(stack_last([a, b]).data[..., 1], b.data)
+
+        def f():
+            return (self._weighted_sum(a.swapaxes(-3, -2))
+                    + self._weighted_sum(b.swapaxes(0, 2), seed=3)
+                    + self._weighted_sum(b[1, :, 1:-1], seed=1)
+                    + self._weighted_sum(stack_last([a, b]), seed=2))
+
+        assert grad_check(f, g, samples_per_tensor=8) < 1e-6
+
+    def test_gather_cols_broadcasts_index_over_leading_axes(self):
+        g = ParamGroup("parser")
+        scores = g.add("s", Tensor(np.random.default_rng(4).normal(0, 1, (2, 3, 5))))
+        index = np.array([[[0, 4, 4], [1, 1, 2], [3, 0, 3]]])  # (1, 3, 3), columns repeat
+        out = gather_cols(scores, index)
+        for h in range(2):
+            for i in range(3):
+                np.testing.assert_array_equal(out.data[h, i], scores.data[h, i, index[0, i]])
+        assert grad_check(lambda: self._weighted_sum(gather_cols(scores, index)), g,
+                          samples_per_tensor=30) < 1e-6
+
+    def test_getitem_rejects_advanced_indexing(self):
+        with pytest.raises(ShapeError):
+            _ = Tensor(np.zeros((3, 2)))[np.array([0, 0])]
+
+    def test_T_swaps_the_last_two_axes_of_a_3d_tensor(self):
+        g = ParamGroup("parser")
+        a = g.add("a", Tensor(np.random.default_rng(3).normal(0, 1, (2, 3, 4))))
+        assert a.T.shape == (2, 4, 3)
+        np.testing.assert_array_equal(a.T.data, np.swapaxes(a.data, 1, 2))
+        assert grad_check(lambda: self._weighted_sum(a.T), g, samples_per_tensor=8) < 1e-6
 
     def test_take_rows_and_gather_cols_bounds(self):
         table = Tensor(np.zeros((3, 2)))

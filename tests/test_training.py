@@ -7,9 +7,10 @@ from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
 from aste.model import TripletModel
-from aste.numerics import Tensor
-from aste.parser import ParserConfig
-from aste.structure import RELATIVE, StructureConfig
+from aste.data import Sentence, Vocabulary
+from aste.numerics import Tensor, grad_check
+from aste.parser import ParserConfig, build_gold
+from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
 from aste.training import (
     LR_GRID,
@@ -262,7 +263,6 @@ class TestBatching:
     def test_assemble_batch_masks_padding(self):
         corpus = learnable_corpus(6, seed=12)
         vocab_sentences = corpus.train
-        from aste.data import Vocabulary
         vocab = Vocabulary.build(vocab_sentences)
         config = tiny_encoder_config(vocab=len(vocab))
         model = TripletModel(config, tiny_parser_config(), vocab, seed=0)
@@ -273,6 +273,58 @@ class TestBatching:
         assert pred.relations.shape == (3 * longest * longest, 4)
         assert masks.tokens.sum() == sum(len(s) for s in batch)
         assert masks.cells.sum() == sum(len(s) ** 2 for s in batch)
+
+
+    @staticmethod
+    def dependency_model_and_batch(size):
+        corpus = learnable_corpus(12, seed=13)
+        vocab = Vocabulary.build(corpus.train)
+        model = TripletModel(tiny_encoder_config(DEPENDENCY, vocab=len(vocab)),
+                             tiny_parser_config(), vocab, seed=1)
+        rng = np.random.default_rng(2)
+        for table in model.encoder.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+        by_length = {len(s): s for s in corpus.train}
+        batch = [
+            Sentence(tokens=s.tokens, triplets=s.triplets, heads=random_tree_heads(len(s), rng))
+            for s in list(by_length.values())[:size]
+        ]
+        assert len({len(s) for s in batch}) == size
+        return model, batch
+
+    def test_batch_loss_matches_per_sentence_recomputation(self):
+        """Masked means over the padded batch equal the means of each
+        sentence's own batch-of-one probabilities, recomputed in numpy."""
+        model, batch = self.dependency_model_and_batch(3)
+        tagging, parsing, total = joint_loss(*assemble_batch(model, batch))
+        aspect_nll, opinion_nll, relation_nll = [], [], []
+        for sentence in batch:
+            alone = model.forward([sentence])
+            aspect, opinion, relations = build_gold(sentence)
+            n = len(sentence)
+            aspect_nll += list(-np.log(alone.aspect.data[0][np.arange(n), aspect]))
+            opinion_nll += list(-np.log(alone.opinion.data[0][np.arange(n), opinion]))
+            rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+            relation_nll += list(-np.log(alone.relations.data[0][rows, cols, relations]).ravel())
+        expected_tagging = np.mean(aspect_nll) + np.mean(opinion_nll)
+        assert abs(tagging.item() - expected_tagging) <= 1e-12
+        assert abs(parsing.item() - np.mean(relation_nll)) <= 1e-12
+        assert total.item() == tagging.item() + parsing.item()
+
+    def test_padded_dependency_batch_gradients(self):
+        model, batch = self.dependency_model_and_batch(2)
+        # At init scale the attention and bias-table gradients are ~1e-8,
+        # below what the check can see; larger weights lift them to ~1e-2.
+        for name, tensor in model.encoder.params.items():
+            if ".w" in name:
+                tensor.data *= 25.0
+        for _, tensor in model.parser.params.items():
+            tensor.data *= 10.0
+
+        def f():
+            return joint_loss(*assemble_batch(model, batch))[2]
+
+        assert grad_check(f, model.param_groups(), eps=1e-5, samples_per_tensor=2) < 1e-4
 
 
 class TestTrainConfigValidation:
