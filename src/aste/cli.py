@@ -293,11 +293,13 @@ def _cmd_eval(args) -> int:
 def _cmd_decode(args) -> int:
     model = TripletModel.load(args.weights)
     sentences = _read_for_model(args.input, model)
+    # Everything is predicted before the output opens, so a failing
+    # record leaves no partial file.
+    predicted = model.predict_corpus(sentences)
     with open(args.out, "w", encoding="utf-8") as handle:
-        for sentence in sentences:
-            predicted = sorted(model.predict(sentence))
+        for sentence, triplets in zip(sentences, predicted):
             record = type(sentence)(
-                tokens=sentence.tokens, triplets=predicted, heads=sentence.heads
+                tokens=sentence.tokens, triplets=sorted(triplets), heads=sentence.heads
             )
             handle.write(serialize_record(record) + "\n")
     print(f"decoded\t{len(sentences)}")

@@ -283,6 +283,13 @@ def split_corpus(sentences, seed: int, name: str = "corpus",
     return Corpus(name=name, train=train, dev=dev, test=test)
 
 
+def length_buckets(sentences, batch_size: int) -> list[list[int]]:
+    """Indices of the sentences, sorted by (length, index) and cut into
+    contiguous batches of ``batch_size``, so each batch pads little."""
+    order = sorted(range(len(sentences)), key=lambda i: (len(sentences[i]), i))
+    return [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
+
+
 def _largest_remainder(total: int, ratios) -> list[int]:
     exact = [total * r for r in ratios]
     sizes = [int(e) for e in exact]

@@ -18,15 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sentence, Triplet, Vocabulary
+from .data import Sentence, Triplet, Vocabulary, length_buckets
 from .encoder import Encoder, EncoderConfig
 from .errors import ValidationError
-from .numerics import ParamGroup, Tensor
+from .numerics import ParamGroup, Tensor, no_grad
 from .parser import TAGS, ParserConfig, SentimentRelationMap, TripletParser, decode_bio, decode_grid
 from .structure import NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
 _VERSION = 1
+# Sentences per padded batch in predict_corpus.
+PREDICT_BATCH = 16
 
 
 @dataclass
@@ -37,6 +39,14 @@ class BatchForward:
     aspect: Tensor
     opinion: Tensor
     relations: Tensor
+
+    def decode(self, row: int, n: int) -> set[Triplet]:
+        """The triplets of batch row ``row``, read from its first ``n``
+        tokens, so the padding of longer rows never votes."""
+        aspects = decode_bio([TAGS[i] for i in self.aspect.data[row, :n].argmax(axis=-1)])
+        opinions = decode_bio([TAGS[i] for i in self.opinion.data[row, :n].argmax(axis=-1)])
+        probs = self.relations.data[row, :n, :n]
+        return decode_grid(aspects, opinions, SentimentRelationMap(probs, probs.argmax(axis=-1)))
 
 
 class TripletModel:
@@ -75,15 +85,22 @@ class TripletModel:
             len(sentence), structure, heads=sentence.heads, total_len=total
         )
 
-    def forward(self, sentences) -> BatchForward:
+    def batch_distances(self, sentences) -> np.ndarray | None:
+        """The (B, m, m) distance stack of a batch padded to its longest
+        sentence; None without an adapter."""
+        if self.encoder_config.adapter.kind == NONE:
+            return None
+        longest = max(len(s) for s in sentences)
+        return np.stack([self.sentence_distances(s, pad_to=longest) for s in sentences])
+
+    def forward(self, sentences, distances: np.ndarray | None = None) -> BatchForward:
         """One pass over a batch of sentences, padded to the longest; a
-        single sentence is a batch of one."""
+        single sentence is a batch of one. ``distances`` is the batch's
+        ``batch_distances``, derived here when not given."""
         if not sentences:
             raise ValidationError("forward needs at least one sentence")
-        longest = max(len(s) for s in sentences)
-        distances = None
-        if self.encoder_config.adapter.kind != NONE:
-            distances = np.stack([self.sentence_distances(s, pad_to=longest) for s in sentences])
+        if distances is None:
+            distances = self.batch_distances(sentences)
         ids = [self.vocab.encode(s.tokens) for s in sentences]
         hidden = self.encoder.encode(ids, distances).content
         return BatchForward(
@@ -96,14 +113,19 @@ class TripletModel:
 
     def predict(self, sentence: Sentence) -> set[Triplet]:
         """Decode the model's triplets for one sentence."""
-        forward = self.forward([sentence])
-        aspects = decode_bio([TAGS[i] for i in forward.aspect.data[0].argmax(axis=-1)])
-        opinions = decode_bio([TAGS[i] for i in forward.opinion.data[0].argmax(axis=-1)])
-        probs = forward.relations.data[0]
-        return decode_grid(aspects, opinions, SentimentRelationMap(probs, probs.argmax(axis=-1)))
+        return self.predict_corpus([sentence])[0]
 
     def predict_corpus(self, sentences) -> list[set[Triplet]]:
-        return [self.predict(s) for s in sentences]
+        """Decode every sentence, in input order. Sentences run in
+        length-sorted padded batches of ``PREDICT_BATCH`` and record no
+        tape."""
+        predicted: list = [None] * len(sentences)
+        with no_grad():
+            for batch in length_buckets(sentences, PREDICT_BATCH):
+                forward = self.forward([sentences[i] for i in batch])
+                for row, i in enumerate(batch):
+                    predicted[i] = forward.decode(row, len(sentences[i]))
+        return predicted
 
     # -- serialization ---------------------------------------------------------
 

@@ -8,11 +8,13 @@ beyond these ops.
 
 All data is float64. Every public op validates that its result is finite,
 so a numerical blow-up surfaces at the op that produced it instead of
-corrupting a training run.
+corrupting a training run. Inside ``no_grad()`` ops record no tape, so an
+inference pass keeps nothing alive but its results.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +22,30 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "ParamGroup", "linear", "softmax", "cross_entropy", "layer_norm",
+    "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
     "stack_last", "take_rows", "gather_cols",
     "normal_init", "zeros_init", "grad_check",
 ]
 
 Array = np.ndarray
+
+# Whether new tensors keep their parents and backward closure; see no_grad.
+_record_tape = True
+
+
+@contextmanager
+def no_grad():
+    """Build tensors without a tape inside the block: results keep no
+    parents and no backward closure, so nothing can backpropagate through
+    them. Finiteness is still checked on every op. The previous mode comes
+    back on exit, also when the block raises."""
+    global _record_tape
+    previous = _record_tape
+    _record_tape = False
+    try:
+        yield
+    finally:
+        _record_tape = previous
 
 
 def _as_array(value) -> Array:
@@ -53,7 +73,7 @@ class Tensor:
 
     ``data`` is row-major; gradients accumulate into ``grad`` during
     ``backward()``. Tensors produced by ops keep references to their
-    parents, forming the tape.
+    parents, forming the tape, unless they are built under ``no_grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -61,6 +81,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _op="leaf"):
         self.data = _as_array(data)
         _check_finite(self.data, _op)
+        if not _record_tape:
+            _parents, _backward = (), None
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = tuple(_parents)

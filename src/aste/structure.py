@@ -150,8 +150,10 @@ def augmented_distance_matrix(
     Content-vs-content pairs use the configured derivation; pairs touching
     the start/end markers fall back to the relative rule, since markers do
     not appear in dependency graphs. Padded rows and columns are stored as
-    0 (they are masked out of attention anyway). Returns None when the
-    adapter is disabled.
+    0 (they are masked out of attention anyway). An empty sentence has no
+    content pairs and needs no head array: it gets the markers' relative
+    distances under either derivation. Returns None when the adapter is
+    disabled.
     """
     if config.kind == NONE:
         return None
@@ -159,7 +161,7 @@ def augmented_distance_matrix(
     if m < n + 2:
         raise ValidationError("total_len too small for the augmented sentence")
     full = relative_distance_matrix(m, config.tau)
-    if config.kind == DEPENDENCY:
+    if config.kind == DEPENDENCY and n > 0:
         if heads is None:
             raise ValidationError("dependency structure requires a head array")
         graph = DependencyGraph.from_heads(heads)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Corpus, Sentence, Vocabulary
+from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
@@ -122,11 +122,20 @@ def joint_loss(pred: BatchPredictions, gold: BatchTargets,
     return tagging, parsing, tagging + parsing
 
 
-def assemble_batch(model: TripletModel, sentences):
-    """One padded forward over the batch; predictions, targets and masks
-    flattened to one row per token and per token pair."""
-    forward = model.forward(sentences)
-    longest = forward.aspect.shape[1]
+@dataclass
+class BatchInputs:
+    """What training reads of a batch besides the weights: its distance
+    stack (None without an adapter), padded gold targets and masks, all
+    flattened like the predictions. Fixed for a fixed batch, so training
+    derives them once."""
+
+    distances: np.ndarray | None
+    gold: BatchTargets
+    masks: BatchMasks
+
+
+def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
+    longest = max(len(s) for s in sentences)
     aspect = np.zeros((len(sentences), longest), dtype=np.int64)
     opinion = np.zeros_like(aspect)
     relations = np.zeros((len(sentences), longest, longest), dtype=np.int64)
@@ -135,17 +144,29 @@ def assemble_batch(model: TripletModel, sentences):
         n = len(sentence)
         aspect[b, :n], opinion[b, :n], relations[b, :n, :n] = build_gold(sentence)
         tokens[b, :n] = True
+    return BatchInputs(
+        distances=model.batch_distances(sentences),
+        gold=BatchTargets(aspect.reshape(-1), opinion.reshape(-1), relations.reshape(-1)),
+        masks=BatchMasks(
+            tokens=tokens.reshape(-1),
+            cells=(tokens[:, :, None] & tokens[:, None, :]).reshape(-1),
+        ),
+    )
+
+
+def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
+    """One padded forward over the batch; predictions, targets and masks
+    flattened to one row per token and per token pair. ``inputs`` is the
+    batch's ``prepare_batch``, derived here when not given."""
+    if inputs is None:
+        inputs = prepare_batch(model, sentences)
+    forward = model.forward(sentences, inputs.distances)
     pred = BatchPredictions(
         aspect=forward.aspect.reshape(-1, forward.aspect.shape[-1]),
         opinion=forward.opinion.reshape(-1, forward.opinion.shape[-1]),
         relations=forward.relations.reshape(-1, forward.relations.shape[-1]),
     )
-    gold = BatchTargets(aspect.reshape(-1), opinion.reshape(-1), relations.reshape(-1))
-    masks = BatchMasks(
-        tokens=tokens.reshape(-1),
-        cells=(tokens[:, :, None] & tokens[:, None, :]).reshape(-1),
-    )
-    return pred, gold, masks
+    return pred, inputs.gold, inputs.masks
 
 
 # -- schedule and optimizer ---------------------------------------------------
@@ -227,14 +248,11 @@ def clip_gradients(groups, max_norm: float, freeze=frozenset()) -> float:
 
 
 def bucket_batches(sentences, batch_size: int) -> list[list[Sentence]]:
-    """Length-sorted contiguous batches; batch order is shuffled per
-    epoch, contents stay fixed, so padding waste stays low and runs are
-    reproducible."""
-    order = sorted(range(len(sentences)), key=lambda i: (len(sentences[i]), i))
-    return [
-        [sentences[i] for i in order[start:start + batch_size]]
-        for start in range(0, len(order), batch_size)
-    ]
+    """Length-sorted contiguous training batches; batch order is shuffled
+    per epoch, contents stay fixed, so padding waste stays low and runs
+    are reproducible. Inference buckets through ``length_buckets``
+    directly."""
+    return [[sentences[i] for i in batch] for batch in length_buckets(sentences, batch_size)]
 
 
 def evaluate_model(model: TripletModel, sentences) -> MatchScores:
@@ -265,6 +283,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     optimizer = AdamW(groups)
     rng = np.random.default_rng(config.seed)
     batches = bucket_batches(corpus.train, config.batch_size)
+    inputs = [prepare_batch(model, batch) for batch in batches]
     steps_per_epoch = len(batches)
     history = TrainHistory(metadata={
         "optimizer": optimizer.describe(),
@@ -287,7 +306,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
             base_lr = lr_at(t, config)
             model.zero_grad()
             try:
-                pred, gold, masks = assemble_batch(model, batches[batch_index])
+                pred, gold, masks = assemble_batch(model, batches[batch_index], inputs[batch_index])
                 tagging, parsing, total = joint_loss(pred, gold, masks)
                 total.backward()
             except NumericError as exc:

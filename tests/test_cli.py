@@ -2,11 +2,22 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from aste.cli import main
-from aste.data import parse_record, read_corpus_file, serialize_record, write_corpus_file
+from aste.data import (
+    Sentence,
+    Vocabulary,
+    parse_record,
+    read_corpus_file,
+    serialize_record,
+    write_corpus_file,
+)
+from aste.encoder import EncoderConfig
 from aste.model import TripletModel
+from aste.parser import ParserConfig
+from aste.structure import DEPENDENCY, NONE, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus, random_gold_sentences
 
 
@@ -235,3 +246,53 @@ class TestTrainEvalDecode:
         code, _, err = run(capsys, *args)
         assert code == 1
         assert "unknown config keys" in err
+
+
+class TestDecodeRecords:
+    """Decoding with freshly initialised models, saved and loaded as the
+    CLI loads them."""
+
+    @staticmethod
+    def weights(tmp_path, adapter):
+        corpus = learnable_corpus(10, seed=1)
+        vocab = Vocabulary.build(corpus.train)
+        config = EncoderConfig(vocab_size=len(vocab), dim=8, heads=2, layers=1, ffn_dim=12,
+                               max_len=40, adapter=StructureConfig(tau=4, kind=adapter))
+        path = tmp_path / f"{adapter}.bin"
+        TripletModel(config, ParserConfig(tag_hidden=6, pair_hidden=5), vocab, seed=0).save(path)
+        return path, corpus
+
+    @pytest.mark.parametrize("adapter", [NONE, RELATIVE, DEPENDENCY])
+    def test_empty_sentences_decode_to_no_triplets(self, capsys, tmp_path, adapter):
+        weights, corpus = self.weights(tmp_path, adapter)
+        rng = np.random.default_rng(0)
+        records = [Sentence(tokens=s.tokens, heads=random_tree_heads(len(s), rng))
+                   for s in corpus.train[:2]]
+        records[1:1] = [Sentence(tokens=[], heads=[]), Sentence(tokens=[])]
+        source = tmp_path / "in.jsonl"
+        write_corpus_file(source, records)
+        decoded = tmp_path / "out.jsonl"
+        code, out, _ = run(capsys, "decode", "--weights", str(weights),
+                           "--input", str(source), "--out", str(decoded))
+        assert code == 0 and out == "decoded\t4\n"
+        lines = decoded.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4
+        assert parse_record(lines[1]).triplets == parse_record(lines[2]).triplets == []
+        code, out, _ = run(capsys, "eval", "--weights", str(weights), "--input", str(source))
+        assert code == 0 and out.startswith("matched\t")
+
+    def test_failing_record_leaves_no_output(self, capsys, tmp_path):
+        weights, corpus = self.weights(tmp_path, DEPENDENCY)
+        rng = np.random.default_rng(0)
+        records = [Sentence(tokens=s.tokens, heads=random_tree_heads(len(s), rng))
+                   for s in corpus.train[:4]]
+        # A dependency model cannot decode a record without a head array.
+        records[2] = Sentence(tokens=records[2].tokens)
+        source = tmp_path / "in.jsonl"
+        write_corpus_file(source, records)
+        decoded = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "decode", "--weights", str(weights),
+                             "--input", str(source), "--out", str(decoded))
+        assert code == 1 and out == ""
+        assert "head array" in err
+        assert not decoded.exists()

@@ -252,6 +252,30 @@ class TestEncoderGradients:
             assert table.grad is not None and np.abs(table.grad).max() > 0
 
 
+    def test_grad_check_sees_the_distance_term(self):
+        """At N(0, 0.02) init the distance term's gradients (~1e-8) are
+        below what grad_check resolves; with random bias tables and the
+        weights scaled as in the training batch check, a wrong backward of
+        the term shows."""
+        enc = make_encoder(seed=17, adapter_kind=RELATIVE)
+        rng = np.random.default_rng(5)
+        for table in enc.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+        for name, tensor in enc.params.items():
+            if ".w" in name:
+                tensor.data *= 25.0
+        ids = [[4, 5, 6, 7, 8], [9, 4, 5]]
+        distances = np.zeros((2, 7, 7), dtype=np.int64)
+        distances[0] = relative_distance_matrix(7, 4)
+        distances[1, :5, :5] = relative_distance_matrix(5, 4)
+        weights = rng.normal(0, 1, (2, 7, 8))
+
+        def f():
+            return (enc.encode(ids, distances=distances).hidden * Tensor(weights)).sum()
+
+        assert grad_check(f, enc.param_groups(), samples_per_tensor=6, seed=1) < 1e-4
+
+
 class TestRelationTableSharing:
     def test_perturbing_one_layer_touches_all_its_heads_only(self):
         enc = make_encoder(seed=21, adapter_kind=RELATIVE)

@@ -10,7 +10,7 @@ from aste.cli import main
 from aste.data import Sentence, Vocabulary, write_corpus_file
 from aste.encoder import EncoderConfig
 from aste.errors import ValidationError
-from aste.model import TripletModel
+from aste.model import PREDICT_BATCH, TripletModel
 from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
 from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
@@ -125,6 +125,60 @@ class TestPredict:
             assert predicted == reference_predict(model, sentence)
             produced += len(predicted)
         assert produced > 0
+
+
+def varied_model(adapter_kind, seed):
+    """A model whose decoding is not trivially empty: random bias tables
+    and parser weights scaled up so the argmaxes vary."""
+    model, corpus = build_model(adapter_kind=adapter_kind, seed=seed)
+    rng = np.random.default_rng(seed)
+    if adapter_kind is not None:
+        for table in model.encoder.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+    for _, tensor in model.parser.params.items():
+        tensor.data *= 10.0
+    return model, corpus
+
+
+class TestPredictCorpus:
+    @pytest.mark.parametrize("adapter_kind", [None, RELATIVE, DEPENDENCY])
+    def test_matches_sentence_by_sentence_predict(self, adapter_kind):
+        """Length-bucketed batches decode each sentence as a batch of one
+        does, on more sentences than one batch holds, in input order; a
+        sentence without tokens decodes to no triplets."""
+        model, corpus = varied_model(adapter_kind, seed=3)
+        words = sorted({t for s in corpus.train for t in s.tokens})
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(3, 31, size=PREDICT_BATCH * 2 + 5)
+        sentences = [
+            Sentence(tokens=[words[i] for i in rng.integers(0, len(words), n)],
+                     heads=random_tree_heads(int(n), rng))
+            for n in lengths
+        ]
+        sentences[5:5] = [Sentence(tokens=[], heads=[]), Sentence(tokens=[])]
+        batched = model.predict_corpus(sentences)
+        assert batched == [model.predict(s) for s in sentences]
+        assert batched[5] == batched[6] == set()
+        assert sum(len(t) for t in batched) > 0
+        assert model.predict_corpus([]) == []
+
+    def test_records_no_tape(self):
+        model, corpus = build_model(adapter_kind=RELATIVE)
+        outputs = []
+        forward = model.forward
+
+        def recording(batch):
+            outputs.append(forward(batch))
+            return outputs[-1]
+
+        model.forward = recording
+        model.predict_corpus(corpus.train[:3])
+        assert outputs
+        for out in outputs:
+            for tensor in (out.aspect, out.opinion, out.relations):
+                assert tensor._parents == () and not tensor.requires_grad
+        # The tape is back once inference is done.
+        assert forward(corpus.train[:1]).relations._parents != ()
 
 
 class TestSnapshots:

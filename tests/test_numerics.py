@@ -16,6 +16,7 @@ from aste.numerics import (
     grad_check,
     layer_norm,
     linear,
+    no_grad,
     softmax,
     stack_last,
     take_rows,
@@ -228,6 +229,40 @@ class TestTensorBasics:
             take_rows(table, np.array([3]))
         with pytest.raises(IndexError):
             gather_cols(Tensor(np.zeros((2, 4))), np.array([[4, 0], [1, 1]]))
+
+
+class TestNoGrad:
+    def test_ops_keep_no_tape(self):
+        g = ParamGroup("parser")
+        w = g.add("w", Tensor(np.ones((3, 2))))
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        with no_grad():
+            out = softmax(linear(x, w).relu())
+            loss = out.sum()
+        for tensor in (out, loss):
+            assert tensor._parents == () and tensor._backward is None
+            assert not tensor.requires_grad
+        assert w.requires_grad
+        loss.backward()
+        assert w.grad is None
+        taped = (x @ w).sum()
+        assert taped._parents != () and taped.requires_grad
+
+    def test_finiteness_still_checked_and_mode_restored_after_raise(self):
+        big = Tensor(np.full((2, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            with no_grad():
+                _ = big @ big
+        w = ParamGroup("parser").add("w", Tensor(np.ones((2, 2))))
+        assert (w @ w)._parents == (w, w)
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        w = ParamGroup("parser").add("w", Tensor(np.ones((2, 2))))
+        with no_grad():
+            with no_grad():
+                pass
+            assert (w @ w)._parents == ()
+        assert (w @ w)._parents == (w, w)
 
 
 class TestParamGroup:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import aste.model
+import aste.training
 from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
@@ -25,6 +27,7 @@ from aste.training import (
     default_batch_size,
     joint_loss,
     lr_at,
+    prepare_batch,
     train,
 )
 
@@ -243,6 +246,28 @@ class TestTrainLoop:
         best = max(r.dev_f1 for r in history.records)
         assert evaluate_model(model, corpus.dev).f1 == pytest.approx(best)
 
+    def test_gold_and_distances_derived_once_per_train_sentence(self, monkeypatch):
+        """Batches keep their contents across epochs, so their gold
+        targets and distance stacks are derived before the first one;
+        only dev evaluation derives distances every epoch."""
+        calls = {"gold": 0, "distances": 0}
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(aste.training, "build_gold",
+                            counting("gold", aste.training.build_gold))
+        monkeypatch.setattr(aste.model, "augmented_distance_matrix",
+                            counting("distances", aste.model.augmented_distance_matrix))
+        corpus = learnable_corpus(14, seed=10)
+        _, history = self.run(corpus, adapter_kind=RELATIVE, epochs=3)
+        assert len(history.records) == 3
+        assert calls["gold"] == len(corpus.train)
+        assert calls["distances"] == len(corpus.train) + 3 * len(corpus.dev)
+
     def test_history_metadata_records_optimizer(self):
         corpus = learnable_corpus(10, seed=9)
         _, history = self.run(corpus, epochs=1)
@@ -310,6 +335,33 @@ class TestBatching:
         assert abs(tagging.item() - expected_tagging) <= 1e-12
         assert abs(parsing.item() - np.mean(relation_nll)) <= 1e-12
         assert total.item() == tagging.item() + parsing.item()
+
+    @staticmethod
+    def loss_and_gradients(model, batch, inputs=None):
+        model.zero_grad()
+        total = joint_loss(*assemble_batch(model, batch, inputs))[2]
+        total.backward()
+        grads = [t.grad.copy() for g in model.param_groups() for _, t in g.items()]
+        return total.item(), grads
+
+    def test_prepared_inputs_give_the_same_step(self):
+        model, batch = self.dependency_model_and_batch(3)
+        inputs = prepare_batch(model, batch)
+        fresh_loss, fresh_grads = self.loss_and_gradients(model, batch)
+        for _ in range(2):  # reused, as training reuses them every epoch
+            loss, grads = self.loss_and_gradients(model, batch, inputs)
+            assert loss == fresh_loss
+            for a, b in zip(grads, fresh_grads):
+                np.testing.assert_array_equal(a, b)
+
+    def test_training_step_after_inference_has_the_same_gradients(self):
+        model, batch = self.dependency_model_and_batch(3)
+        before_loss, before = self.loss_and_gradients(model, batch)
+        model.predict_corpus(batch)
+        after_loss, after = self.loss_and_gradients(model, batch)
+        assert after_loss == before_loss
+        for a, b in zip(after, before):
+            np.testing.assert_array_equal(a, b)
 
     def test_padded_dependency_batch_gradients(self):
         model, batch = self.dependency_model_and_batch(2)
