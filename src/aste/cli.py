@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -238,13 +239,15 @@ def _cmd_stats(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = resolve_config(args)
+    # Checked before the corpus is read; the vocabulary sets vocab_size.
+    encoder_config, parser_config = _model_configs(cfg, vocab_size=0)
+    train_sentences = _read_for_model(args.train_path, encoder_config)
+    dev_sentences = _read_for_model(args.dev_path, encoder_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_sentences = read_corpus_file(args.train_path)
-    dev_sentences = read_corpus_file(args.dev_path)
     corpus = Corpus(name="train", train=train_sentences, dev=dev_sentences)
     vocab = Vocabulary.build(corpus.train, min_count=cfg["min_count"])
-    encoder_config, parser_config = _model_configs(cfg, len(vocab))
+    encoder_config = replace(encoder_config, vocab_size=len(vocab))
     resolved = dict(sorted({**cfg, "train": args.train_path, "dev": args.dev_path}.items()))
     (out_dir / "config.resolved").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -260,24 +263,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _read_for_model(path, model: TripletModel) -> list:
-    """The records of a corpus file, each checked to fit the model's
-    encoder, so an over-long sentence fails before anything is written."""
+def _read_for_model(path, config: EncoderConfig) -> list:
+    """The records of a corpus file, each checked to fit an encoder with
+    this config, so a record the model cannot take fails with its line
+    number before anything is written."""
     sentences = read_corpus_file(path)
-    limit = model.encoder_config.max_len - 2
-    too_long = [i for i, sentence in enumerate(sentences) if len(sentence) > limit]
-    if too_long:
+    limit = config.max_len - 2
+    for index, sentence in enumerate(sentences):
+        if len(sentence) > limit:
+            problem = (f"sentence of {len(sentence)} tokens exceeds the model's limit "
+                       f"of {limit} (max_len minus two markers)")
+        elif config.adapter.kind == DEPENDENCY and sentence.heads is None and len(sentence) > 0:
+            problem = "the model's dependency adapter needs a head array, and the record has none"
+        else:
+            continue
         # Reading skips blank lines, so the record's line is counted again.
         with open(path, encoding="utf-8") as handle:
-            line_no = [no for no, line in enumerate(handle, start=1) if line.strip()][too_long[0]]
-        raise ParseError(line_no, f"sentence of {len(sentences[too_long[0]])} tokens exceeds "
-                                  f"the model's limit of {limit} (max_len minus two markers)")
+            line_no = [no for no, line in enumerate(handle, start=1) if line.strip()][index]
+        raise ParseError(line_no, problem)
     return sentences
 
 
 def _cmd_eval(args) -> int:
     model = TripletModel.load(args.weights)
-    sentences = _read_for_model(args.input, model)
+    sentences = _read_for_model(args.input, model.encoder_config)
     scores = score_corpus(model.predict_corpus(sentences), [s.triplet_set() for s in sentences])
     table = (
         "matched\tpredicted\tgold\tprecision\trecall\tf1\n"
@@ -292,7 +301,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_decode(args) -> int:
     model = TripletModel.load(args.weights)
-    sentences = _read_for_model(args.input, model)
+    sentences = _read_for_model(args.input, model.encoder_config)
     # Everything is predicted before the output opens, so a failing
     # record leaves no partial file.
     predicted = model.predict_corpus(sentences)

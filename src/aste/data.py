@@ -74,8 +74,18 @@ class Sentence:
 
     def __post_init__(self):
         n = len(self.tokens)
-        if self.heads is not None and len(self.heads) != n:
-            raise ValidationError("heads length does not match token count")
+        if self.heads is not None:
+            if not isinstance(self.heads, (list, tuple)):
+                raise ValidationError("heads must be a list of integers")
+            if len(self.heads) != n:
+                raise ValidationError("heads length does not match token count")
+            for token, head in enumerate(self.heads):
+                if not isinstance(head, (int, np.integer)) or isinstance(head, bool) \
+                        or not -1 <= head < n:
+                    raise ValidationError(
+                        f"head {head!r} of token {token} is neither -1 nor a token index below {n}")
+                if head == token:
+                    raise ValidationError(f"token {token} is its own head")
         for t in self.triplets:
             if t.aspect.end >= n or t.opinion.end >= n:
                 raise ValidationError(f"triplet span outside sentence of {n} tokens")

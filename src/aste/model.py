@@ -115,14 +115,24 @@ class TripletModel:
         """Decode the model's triplets for one sentence."""
         return self.predict_corpus([sentence])[0]
 
-    def predict_corpus(self, sentences) -> list[set[Triplet]]:
-        """Decode every sentence, in input order. Sentences run in
-        length-sorted padded batches of ``PREDICT_BATCH`` and record no
-        tape."""
+    def inference_batches(self, sentences) -> list[tuple[list[int], np.ndarray | None]]:
+        """The length-sorted padded batches ``predict_corpus`` runs: each is
+        up to ``PREDICT_BATCH`` positions in ``sentences`` with the batch's
+        ``batch_distances``. Fixed for fixed sentences, so a caller that
+        decodes the same sentences again derives them once."""
+        return [(batch, self.batch_distances([sentences[i] for i in batch]))
+                for batch in length_buckets(sentences, PREDICT_BATCH)]
+
+    def predict_corpus(self, sentences, batches=None) -> list[set[Triplet]]:
+        """Decode every sentence, in input order. Sentences run in the
+        batches of ``inference_batches`` (derived here when not given) and
+        record no tape."""
+        if batches is None:
+            batches = self.inference_batches(sentences)
         predicted: list = [None] * len(sentences)
         with no_grad():
-            for batch in length_buckets(sentences, PREDICT_BATCH):
-                forward = self.forward([sentences[i] for i in batch])
+            for batch, distances in batches:
+                forward = self.forward([sentences[i] for i in batch], distances)
                 for row, i in enumerate(batch):
                     predicted[i] = forward.decode(row, len(sentences[i]))
         return predicted

@@ -396,13 +396,23 @@ def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> T
 class ParamGroup:
     """Named parameter collection with a learning-rate multiplier.
 
+    The members' values live in one contiguous float64 ``buffer``, in the
+    order they were added: each member's ``data`` is a view of its slice,
+    so the optimizer and the gradient clip work on a whole group at once.
+    Members are therefore updated in place, never rebound.
+
     The parser group conventionally runs at 10x the base rate of the
     encoder and adapter groups.
     """
 
     name: str
-    tensors: dict[str, Tensor] = field(default_factory=dict)
+    tensors: dict[str, Tensor] = field(default_factory=dict, init=False)
     lr_multiplier: float = 1.0
+    buffer: Array = field(default_factory=lambda: np.zeros(0), init=False, repr=False,
+                          compare=False)
+    # What ``buffer`` is the head of; grown geometrically by ``add``.
+    _storage: Array = field(default_factory=lambda: np.zeros(0), init=False, repr=False,
+                            compare=False)
 
     GROUP_NAMES = ("encoder", "adapter", "parser")
 
@@ -413,11 +423,32 @@ class ParamGroup:
             raise ValueError("lr_multiplier must be positive")
 
     def add(self, key: str, tensor: Tensor) -> Tensor:
+        """Adopt ``tensor``: its values are copied to the end of the buffer
+        and its ``data`` becomes a view of them."""
         if key in self.tensors:
             raise ValueError(f"duplicate parameter name {key!r} in group {self.name!r}")
         tensor.requires_grad = True
+        start, end = self.buffer.size, self.buffer.size + tensor.size
+        if end > self._storage.size:
+            # Doubling keeps building a group linear in its size: members
+            # move O(log n) times, not on every add.
+            self._storage = np.empty(max(end, 2 * self._storage.size))
+            self._storage[:start] = self.buffer
+            offset = 0
+            for t in self.tensors.values():
+                t.data = self._storage[offset:offset + t.size].reshape(t.shape)
+                offset += t.size
+        self._storage[start:end] = tensor.data.reshape(-1)
+        tensor.data = self._storage[start:end].reshape(tensor.shape)
         self.tensors[key] = tensor
+        self.buffer = self._storage[:end]
         return tensor
+
+    def flat_grad(self, out: Array | None = None) -> Array:
+        """The members' gradients laid out like ``buffer``; a member
+        without a gradient contributes zeros."""
+        grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors.values()]
+        return np.concatenate(grads, axis=None, out=out)
 
     def __getitem__(self, key: str) -> Tensor:
         return self.tensors[key]
@@ -433,7 +464,7 @@ class ParamGroup:
             t.zero_grad()
 
     def num_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.buffer.size
 
 
 def normal_init(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> Tensor:

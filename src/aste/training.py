@@ -187,7 +187,9 @@ def lr_at(t: float, config: TrainConfig) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; moments per parameter tensor."""
+    """Adam with decoupled weight decay. Each parameter group has one first-
+    and one second-moment vector laid out like its buffer, and a step is a
+    few in-place operations over whole groups."""
 
     def __init__(self, groups: list[ParamGroup], beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.01):
@@ -195,13 +197,13 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
-        self.v = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
+        self.m = [np.zeros_like(g.buffer) for g in groups]
+        self.v = [np.zeros_like(g.buffer) for g in groups]
+        # Per-group scratch, allocated once: a step makes no parameter-sized
+        # temporaries.
+        self._grad = [np.empty_like(g.buffer) for g in groups]
+        self._work = [np.empty_like(g.buffer) for g in groups]
         self.last_group_lrs: dict[str, float] = {}
-
-    @staticmethod
-    def _key(group: ParamGroup, name: str) -> str:
-        return f"{group.name}/{name}"
 
     def describe(self) -> str:
         return (f"adamw(beta1={self.beta1}, beta2={self.beta2}, eps={self.eps}, "
@@ -210,22 +212,35 @@ class AdamW:
     def step(self, base_lr: float, freeze=frozenset()) -> None:
         self.t += 1
         self.last_group_lrs = {}
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
-        for group in self.groups:
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for group, m, v, g, w in zip(self.groups, self.m, self.v, self._grad, self._work):
             if group.name in freeze:
                 continue
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
-            for name, param in group.items():
-                grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-                key = self._key(group, name)
-                self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-                self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
-                m_hat = self.m[key] / bias1
-                v_hat = self.v[key] / bias2
-                param.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                                    + self.weight_decay * param.data)
+            group.flat_grad(out=g)
+            # Every element goes through the operations of the textbook
+            # update in the same order, so results are bit for bit those of
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # w -= lr * (m/bias1 / (sqrt(v/bias2) + eps) + wd*w).
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=w)
+            np.add(m, w, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=w)
+            np.multiply(w, g, out=w)
+            np.add(v, w, out=v)
+            np.divide(v, bias2, out=w)
+            np.sqrt(w, out=w)
+            np.add(w, self.eps, out=w)
+            np.divide(m, bias1, out=g)
+            np.divide(g, w, out=g)
+            np.multiply(group.buffer, self.weight_decay, out=w)
+            np.add(g, w, out=g)
+            np.multiply(g, lr, out=g)
+            np.subtract(group.buffer, g, out=group.buffer)
 
 
 def clip_gradients(groups, max_norm: float, freeze=frozenset()) -> float:
@@ -235,11 +250,22 @@ def clip_gradients(groups, max_norm: float, freeze=frozenset()) -> float:
         p for g in groups if g.name not in freeze
         for p in g.tensors.values() if p.grad is not None
     ]
-    total = sum(float((p.grad ** 2).sum()) for p in params)
-    norm = float(np.sqrt(total))
+    if not params:
+        return 0.0
+    # One vector of squares, each gradient in its own memory order, summed
+    # per tensor and added in tensor order: bit for bit the per-tensor
+    # sum of squares, whatever the gradients' layout.
+    squares = np.concatenate([p.grad.ravel("K") for p in params])
+    np.square(squares, out=squares)
+    sums, offset = [], 0
+    for p in params:
+        sums.append(float(squares[offset:offset + p.size].sum()))
+        offset += p.size
+    norm = float(np.sqrt(sum(sums)))
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
+            # Not *=: backward can hand one array to two parameters.
             p.grad = p.grad * scale
     return norm
 
@@ -255,8 +281,10 @@ def bucket_batches(sentences, batch_size: int) -> list[list[Sentence]]:
     return [[sentences[i] for i in batch] for batch in length_buckets(sentences, batch_size)]
 
 
-def evaluate_model(model: TripletModel, sentences) -> MatchScores:
-    preds = model.predict_corpus(sentences)
+def evaluate_model(model: TripletModel, sentences, batches=None) -> MatchScores:
+    """Exact-match scores of the model's predictions; ``batches`` is the
+    sentences' ``inference_batches``, derived here when not given."""
+    preds = model.predict_corpus(sentences, batches)
     golds = [s.triplet_set() for s in sentences]
     return score_corpus(preds, golds)
 
@@ -284,6 +312,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     rng = np.random.default_rng(config.seed)
     batches = bucket_batches(corpus.train, config.batch_size)
     inputs = [prepare_batch(model, batch) for batch in batches]
+    dev_batches = model.inference_batches(corpus.dev)
     steps_per_epoch = len(batches)
     history = TrainHistory(metadata={
         "optimizer": optimizer.describe(),
@@ -317,7 +346,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
             optimizer.step(base_lr, freeze)
             tagging_sum += tagging.item()
             parsing_sum += parsing.item()
-        dev = evaluate_model(model, corpus.dev)
+        dev = evaluate_model(model, corpus.dev, dev_batches)
         history.append(
             epoch=epoch,
             tagging_loss=tagging_sum / steps_per_epoch,

@@ -237,6 +237,11 @@ class TestTrainEvalDecode:
         assert code == 1
         assert "line 3" in err and out == ""
         assert not scores.exists()
+        out_dir = tmp_path / "retrained"
+        code, out, err = run(capsys, *self.train_args(corpus, dev, out_dir))
+        assert code == 1
+        assert "line 3" in err and "170 tokens" in err and out == ""
+        assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files
@@ -280,6 +285,44 @@ class TestDecodeRecords:
         assert parse_record(lines[1]).triplets == parse_record(lines[2]).triplets == []
         code, out, _ = run(capsys, "eval", "--weights", str(weights), "--input", str(source))
         assert code == 0 and out.startswith("matched\t")
+
+    BAD_HEADS = {
+        "non-integer": '{"tokens": ["a", "b"], "heads": [-1, "x"]}',
+        "self-loop": '{"tokens": ["a", "b"], "heads": [-1, 1]}',
+        "out-of-range": '{"tokens": ["a", "b"], "heads": [-1, 7]}',
+        "missing": '{"tokens": ["a", "b"]}',
+    }
+
+    @pytest.mark.parametrize("record", BAD_HEADS.values(), ids=BAD_HEADS.keys())
+    def test_bad_heads_named_by_line(self, capsys, tmp_path, record):
+        """A dependency model names the line of a record whose head array
+        is malformed or missing, in decode, eval and train, and writes
+        nothing."""
+        weights, corpus = self.weights(tmp_path, DEPENDENCY)
+        rng = np.random.default_rng(0)
+        good = [serialize_record(Sentence(tokens=s.tokens, triplets=s.triplets,
+                                          heads=random_tree_heads(len(s), rng)))
+                for s in corpus.train[:2]]
+        source = tmp_path / "in.jsonl"
+        source.write_text("\n".join([good[0], "", record, good[1]]) + "\n", encoding="utf-8")
+        decoded = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "decode", "--weights", str(weights),
+                             "--input", str(source), "--out", str(decoded))
+        assert (code, out) == (1, "") and err.startswith("aste: line 3: ")
+        assert not decoded.exists()
+        scores = tmp_path / "scores.tsv"
+        code, out, err = run(capsys, "eval", "--weights", str(weights),
+                             "--input", str(source), "--scores", str(scores))
+        assert (code, out) == (1, "") and err.startswith("aste: line 3: ")
+        assert not scores.exists()
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text(good[0] + "\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--train", str(source), "--dev", str(dev),
+                             "--out", str(out_dir), "--adapter", "dep", "--dim", "8",
+                             "--max-epochs", "1", "--patience", "1")
+        assert (code, out) == (1, "") and err.startswith("aste: line 3: ")
+        assert not out_dir.exists()
 
     def test_failing_record_leaves_no_output(self, capsys, tmp_path):
         weights, corpus = self.weights(tmp_path, DEPENDENCY)

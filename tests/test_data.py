@@ -63,6 +63,24 @@ class TestParseRecord:
         with pytest.raises(ParseError):
             parse_record('{"tokens": ["a", "b"], "heads": [-1]}')
 
+    @pytest.mark.parametrize("heads, message", [
+        ('[-1, "x"]', "neither -1 nor a token index"),
+        ("[-1, 0.0]", "neither -1 nor a token index"),
+        ("[-1, true]", "neither -1 nor a token index"),
+        ("[-1, 7]", "neither -1 nor a token index"),
+        ("[-2, 0]", "neither -1 nor a token index"),
+        ("[-1, 1]", "token 1 is its own head"),
+        ("5", "heads must be a list"),
+        ('"ab"', "heads must be a list"),
+    ])
+    def test_malformed_heads_rejected_with_line_number(self, heads, message):
+        with pytest.raises(ParseError, match=f"line 4: .*{message}"):
+            parse_record(f'{{"tokens": ["a", "b"], "heads": {heads}}}', line_no=4)
+
+    def test_well_formed_heads_accepted(self):
+        assert parse_record('{"tokens": ["a", "b", "c"], "heads": [1, -1, 1]}').heads == [1, -1, 1]
+        assert parse_record('{"tokens": [], "heads": []}').heads == []
+
     def test_error_names_line_number(self):
         with pytest.raises(ParseError, match="line 42"):
             parse_record("not json", line_no=42)

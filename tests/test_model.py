@@ -167,8 +167,8 @@ class TestPredictCorpus:
         outputs = []
         forward = model.forward
 
-        def recording(batch):
-            outputs.append(forward(batch))
+        def recording(batch, *args):
+            outputs.append(forward(batch, *args))
             return outputs[-1]
 
         model.forward = recording

@@ -282,6 +282,29 @@ class TestParamGroup:
         g.add("b", Tensor(np.zeros(4)))
         assert g.num_params() == 10
 
+    def test_members_are_views_of_one_buffer(self):
+        g = ParamGroup("encoder")
+        a = g.add("a", Tensor(np.arange(6.0).reshape(2, 3)))
+        b = g.add("b", Tensor(np.asfortranarray([[6.0, 7.0], [8.0, 9.0]])))
+        c = g.add("c", Tensor(10.0))
+        np.testing.assert_array_equal(g.buffer, np.arange(11.0))
+        for tensor, shape in ((a, (2, 3)), (b, (2, 2)), (c, ())):
+            assert tensor.shape == shape and np.shares_memory(tensor.data, g.buffer)
+        np.testing.assert_array_equal(b.data, [[6.0, 7.0], [8.0, 9.0]])
+        g.buffer -= 1.0
+        np.testing.assert_array_equal(a.data, np.arange(-1.0, 5.0).reshape(2, 3))
+        assert c.item() == 9.0
+
+    def test_flat_grad_follows_the_buffer_layout(self):
+        g = ParamGroup("parser")
+        a = g.add("a", Tensor(np.zeros((2, 3))))
+        g.add("b", Tensor(np.zeros(2)))
+        a.grad = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(g.flat_grad(), [0, 1, 2, 3, 4, 5, 0, 0])
+        out = np.full(8, np.nan)
+        assert g.flat_grad(out=out) is out
+        np.testing.assert_array_equal(out, [0, 1, 2, 3, 4, 5, 0, 0])
+
 
 class TestGradCheck:
     def test_square_at_three(self):
@@ -324,6 +347,22 @@ class TestGradCheck:
             return (h * h).sum()
 
         assert grad_check(f, g, samples_per_tensor=8) < 1e-4
+
+    def test_perturbations_write_through_to_the_buffer(self):
+        g = ParamGroup("parser")
+        w = g.add("w", Tensor([[3.0, -1.0]]))
+        g.add("b", Tensor([0.5]))
+        before = g.buffer.copy()
+        seen = []
+
+        def f():
+            seen.append(g.buffer.copy())
+            return (w * w).sum()
+
+        grad_check(f, g)
+        assert np.shares_memory(w.data, g.buffer)
+        assert any(not np.array_equal(values, before) for values in seen)
+        np.testing.assert_array_equal(g.buffer, before)
 
     def test_non_finite_objective_rejected(self):
         g = ParamGroup("parser")

@@ -192,6 +192,158 @@ class TestAdamW:
         np.testing.assert_allclose(w.data, np.full(2, 10.0) - 0.1)
 
 
+class ReferenceAdamW:
+    """Per-tensor AdamW, one moment pair and ten numpy calls per tensor:
+    the update as written before parameters shared a buffer per group.
+    The oracle the whole-group optimizer must match bit for bit."""
+
+    def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+        self.groups = groups
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
+        self.v = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
+        self.last_group_lrs = {}
+
+    @staticmethod
+    def _key(group, name):
+        return f"{group.name}/{name}"
+
+    def describe(self):
+        return "reference"
+
+    def step(self, base_lr, freeze=frozenset()):
+        self.t += 1
+        self.last_group_lrs = {}
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        for group in self.groups:
+            if group.name in freeze:
+                continue
+            lr = base_lr * group.lr_multiplier
+            self.last_group_lrs[group.name] = lr
+            for name, param in group.items():
+                grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+                key = self._key(group, name)
+                self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
+                self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
+                m_hat = self.m[key] / bias1
+                v_hat = self.v[key] / bias2
+                param.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                                    + self.weight_decay * param.data)
+
+
+def reference_clip_gradients(groups, max_norm, freeze=frozenset()):
+    """Per-tensor global-norm clip, the oracle for ``clip_gradients``."""
+    params = [
+        p for g in groups if g.name not in freeze
+        for p in g.tensors.values() if p.grad is not None
+    ]
+    total = sum(float((p.grad ** 2).sum()) for p in params)
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        scale = max_norm / norm
+        for p in params:
+            p.grad = p.grad * scale
+    return norm
+
+
+class TestWholeGroupOptimizer:
+    SHAPES = {"encoder": [(7, 4), (4,), (3, 5, 2)], "adapter": [(9, 3), (9, 3)],
+              "parser": [(4, 6), (6,), (2,)]}
+
+    def groups(self):
+        from aste.numerics import ParamGroup
+        rng = np.random.default_rng(0)
+        groups = []
+        for name, shapes in self.SHAPES.items():
+            group = ParamGroup(name, lr_multiplier=10.0 if name == "parser" else 1.0)
+            for i, shape in enumerate(shapes):
+                group.add(f"p{i}", Tensor(rng.normal(0, 1, shape)))
+            groups.append(group)
+        return groups
+
+    @pytest.mark.parametrize("freeze", [frozenset(), frozenset({"adapter"})])
+    def test_matches_per_tensor_reference(self, freeze):
+        groups, reference = self.groups(), self.groups()
+        optimizer, oracle = AdamW(groups), ReferenceAdamW(reference)
+        rng = np.random.default_rng(1)
+        clipped = []
+        for step in range(6):
+            # Large gradients on odd steps, so the clip acts on every other one.
+            scale = 3.0 if step % 2 else 0.05
+            for group, twin in zip(groups, reference):
+                for (name, param), (_, other) in zip(group.items(), twin.items()):
+                    if (group.name, name) == ("parser", "p2"):
+                        param.grad = other.grad = None  # never reached by backward
+                        continue
+                    grad = rng.normal(0, scale, param.shape)
+                    if grad.ndim == 2 and step % 3 == 0:
+                        grad = np.asfortranarray(grad)  # as backward hands the bias tables
+                    param.grad, other.grad = grad.copy(order="K"), grad.copy(order="K")
+            norm = clip_gradients(groups, 1.0, freeze)
+            assert norm == reference_clip_gradients(reference, 1.0, freeze)
+            clipped.append(norm > 1.0)
+            optimizer.step(1e-2, freeze)
+            oracle.step(1e-2, freeze)
+            assert optimizer.last_group_lrs == oracle.last_group_lrs
+            for group, twin in zip(groups, reference):
+                for (_, param), (_, other) in zip(group.items(), twin.items()):
+                    np.testing.assert_array_equal(param.data, other.data)
+                    if param.grad is not None:
+                        np.testing.assert_array_equal(param.grad, other.grad)
+        assert True in clipped and False in clipped
+
+    def test_two_step_train_matches_reference(self, monkeypatch):
+        corpus = learnable_corpus(12, seed=14)
+        config = TrainConfig(base_lr=1e-2, batch_size=len(corpus.train) // 2 + 1,
+                             max_epochs=1, patience=1, seed=3)
+
+        def fit():
+            return train(corpus, tiny_encoder_config(RELATIVE), tiny_parser_config(), config)
+
+        model, history = fit()
+        monkeypatch.setattr(aste.training, "AdamW", ReferenceAdamW)
+        monkeypatch.setattr(aste.training, "clip_gradients", reference_clip_gradients)
+        reference, reference_history = fit()
+        assert len(bucket_batches(corpus.train, config.batch_size)) == 2
+        assert history.records == reference_history.records
+        expected = reference.state_snapshot()
+        for key, values in model.state_snapshot().items():
+            np.testing.assert_array_equal(values, expected[key])
+
+    def test_parameters_stay_views_of_their_group_buffer(self, tmp_path):
+        model, batch = TestBatching.dependency_model_and_batch(2)
+
+        def assert_packed(m):
+            for group in m.param_groups():
+                for _, tensor in group.items():
+                    assert np.shares_memory(tensor.data, group.buffer)
+
+        assert_packed(model)
+        model.save(tmp_path / "w.bin")
+        assert_packed(TripletModel.load(tmp_path / "w.bin"))
+        model.load_snapshot({k: v + 0.5 for k, v in model.state_snapshot().items()})
+        assert_packed(model)
+
+        def f():
+            return joint_loss(*assemble_batch(model, batch))[2]
+
+        grad_check(f, model.param_groups(), samples_per_tensor=1)
+        assert_packed(model)
+        before = model.state_snapshot()
+        model.zero_grad()
+        f().backward()
+        AdamW(model.param_groups()).step(1e-2)
+        after = model.state_snapshot()
+        assert any(not np.array_equal(after[k], before[k]) for k in before)
+        for group in model.param_groups():
+            packed = np.concatenate([after[f"{group.name}/{name}"] for name in group.tensors],
+                                    axis=None)
+            np.testing.assert_array_equal(packed, group.buffer)
+
+
 class TestTrainLoop:
     def run(self, corpus, adapter_kind=None, freeze=frozenset(), seed=0, epochs=3,
             batch_size=4, lr=1e-4, patience=None):
@@ -248,8 +400,8 @@ class TestTrainLoop:
 
     def test_gold_and_distances_derived_once_per_train_sentence(self, monkeypatch):
         """Batches keep their contents across epochs, so their gold
-        targets and distance stacks are derived before the first one;
-        only dev evaluation derives distances every epoch."""
+        targets and distance stacks, and the dev set's distance stacks,
+        are derived before the first one."""
         calls = {"gold": 0, "distances": 0}
 
         def counting(key, func):
@@ -266,7 +418,7 @@ class TestTrainLoop:
         _, history = self.run(corpus, adapter_kind=RELATIVE, epochs=3)
         assert len(history.records) == 3
         assert calls["gold"] == len(corpus.train)
-        assert calls["distances"] == len(corpus.train) + 3 * len(corpus.dev)
+        assert calls["distances"] == len(corpus.train) + len(corpus.dev)
 
     def test_history_metadata_records_optimizer(self):
         corpus = learnable_corpus(10, seed=9)
