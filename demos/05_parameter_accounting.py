@@ -27,7 +27,7 @@ def main():
 
     config = EncoderConfig(vocab_size=30_000, dim=DIM, heads=HEADS, layers=LAYERS,
                            ffn_dim=FFN, max_len=512)
-    bare = count_params(config, "bare", ParserConfig(tag_hidden=256, pair_hidden=256))
+    bare = count_params(config, ParserConfig(tag_hidden=256, pair_hidden=256))
 
     print("incremental parameters on top of the base model + parser")
     print("-" * 58)

@@ -62,11 +62,29 @@ CONFIG_DEFAULTS = {
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown config keys {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _config_value_fits(key, value):
+            raise ValidationError(f"config file {path}: {key}={value!r} has the wrong type")
     return raw
+
+
+def _config_value_fits(key: str, value) -> bool:
+    """A value has its default's type: a string, any number for a float
+    key, an integer otherwise (bools are none of these); null only where
+    the default is null."""
+    default = CONFIG_DEFAULTS[key]
+    if value is None or isinstance(value, bool):
+        return value is None and default is None
+    return isinstance(value, {str: str, float: (int, float)}.get(type(default), int))
 
 
 def resolve_config(args) -> dict:
@@ -241,6 +259,7 @@ def _cmd_train(args) -> int:
     cfg = resolve_config(args)
     # Checked before the corpus is read; the vocabulary sets vocab_size.
     encoder_config, parser_config = _model_configs(cfg, vocab_size=0)
+    train_config = _train_config(cfg)
     train_sentences = _read_for_model(args.train_path, encoder_config)
     dev_sentences = _read_for_model(args.dev_path, encoder_config)
     out_dir = Path(args.out)
@@ -252,7 +271,7 @@ def _cmd_train(args) -> int:
     (out_dir / "config.resolved").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    model, history = train(corpus, encoder_config, parser_config, _train_config(cfg), vocab=vocab)
+    model, history = train(corpus, encoder_config, parser_config, train_config, vocab=vocab)
     (out_dir / "history.tsv").write_text(history.to_tsv(), encoding="utf-8")
     model.save(out_dir / "weights.bin")
     best = history.best_epoch()
@@ -330,7 +349,7 @@ def _cmd_params(args) -> int:
             max_len=args.max_len,
         )
         parser_config = ParserConfig(tag_hidden=args.tag_hidden, pair_hidden=args.pair_hidden)
-        count = count_params(encoder_config, "bare", parser_config)
+        count = count_params(encoder_config, parser_config)
     print(f"{count:,}")
     return 0
 

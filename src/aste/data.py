@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 SENTIMENTS = ("POS", "NEG", "NEU")
+# train/dev/test shares of split_corpus.
+SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 # Reserved vocabulary ids; content tokens start after these.
 PAD_ID = 0
@@ -273,8 +275,7 @@ def preprocess(sentences) -> tuple[list[Sentence], PreprocessReport]:
     return kept, report
 
 
-def split_corpus(sentences, seed: int, name: str = "corpus",
-                 ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> Corpus:
+def split_corpus(sentences, seed: int, name: str = "corpus") -> Corpus:
     """Seeded uniform shuffle, then contiguous 70/10/20 cut.
 
     Split sizes use largest-remainder rounding so they always sum to the
@@ -286,7 +287,7 @@ def split_corpus(sentences, seed: int, name: str = "corpus",
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(sentences))
     shuffled = [sentences[i] for i in order]
-    sizes = _largest_remainder(len(sentences), ratios)
+    sizes = _largest_remainder(len(sentences), SPLIT_RATIOS)
     train = shuffled[:sizes[0]]
     dev = shuffled[sizes[0]:sizes[0] + sizes[1]]
     test = shuffled[sizes[0] + sizes[1]:]

@@ -48,6 +48,8 @@ class EncoderConfig:
     adapter: StructureConfig = field(default_factory=StructureConfig)
 
     def __post_init__(self):
+        if self.dim < 1 or self.heads < 1 or self.ffn_dim < 1:
+            raise ValidationError("dim, heads and ffn_dim must be positive")
         if self.dim % self.heads != 0:
             raise ValidationError("dim must be divisible by heads")
         if self.layers < 1:
@@ -252,31 +254,27 @@ def transformer_block_params(dim: int, ffn_dim: int) -> int:
 
 def adapter_increment(layers: int, tau: int, head_dim: int) -> int:
     """Incremental parameters of the distance-bias tables."""
+    if layers < 1 or tau < 1 or head_dim < 1:
+        raise ValidationError("layers, tau and head_dim must be positive")
     return layers * (2 * tau + 1) * head_dim
 
 
 def structural_layer_increment(dim: int, ffn_dim: int, k: int) -> int:
     """Incremental parameters of ``k`` extra transformer layers."""
+    if dim < 1 or ffn_dim < 1:
+        raise ValidationError("dim and ffn_dim must be positive")
     if k < 0:
         raise ValidationError("layer count must be non-negative")
     return k * transformer_block_params(dim, ffn_dim)
 
 
-def count_params(config: EncoderConfig, variant: str = "bare",
-                 parser_config=None, k: int = 2) -> int:
-    """Parameter accounting for a configuration.
-
-    ``bare`` counts the full encoder plus parser; ``struct-adapter`` and
-    ``struct-layer`` count only the increment each alternative adds.
-    """
-    if variant == "struct-adapter":
-        return adapter_increment(config.layers, config.adapter.tau, config.head_dim)
-    if variant == "struct-layer":
-        return structural_layer_increment(config.dim, config.ffn_dim, k)
-    if variant != "bare":
-        raise ValidationError(f"unknown variant {variant!r}")
+def count_params(config: EncoderConfig, parser_config=None) -> int:
+    """Parameters of the bare model: the full encoder plus the parser,
+    without the distance-bias tables."""
     from .parser import ParserConfig, parser_param_count
 
+    if config.vocab_size < 1:
+        raise ValidationError("vocab_size must be positive")
     encoder_total = (
         config.vocab_size * config.dim
         + config.max_len * config.dim

@@ -113,37 +113,29 @@ class BenchReport:
     def tokens_per_ms(self) -> float:
         return self.tokens_processed / self.elapsed_ms
 
-    def table(self) -> str:
-        return bench_table([self])
 
-
-def bench_table(reports) -> str:
-    """Tab-separated header plus one row per report."""
+def bench_summary(reports) -> str:
+    """A tab-separated header and one row per report, then comment lines:
+    the relative/dependency throughput ratio when both methods ran, the
+    hardware, and the caveat."""
     lines = ["method\ttokens\telapsed_ms\ttokens_per_ms"]
     lines += [
         f"{r.method}\t{r.tokens_processed}\t{r.elapsed_ms:.3f}\t{r.tokens_per_ms:.1f}"
         for r in reports
     ]
+    if len(reports) == 2:
+        ratio = reports[0].tokens_per_ms / reports[1].tokens_per_ms
+        lines.append(f"# ratio (relative/dependency): {ratio:.1f}x")
+    lines += [f"# hardware: {reports[0].hardware}", f"# {RATIO_CAVEAT}"]
     return "\n".join(lines) + "\n"
 
 
-def bench_summary(reports) -> str:
-    """``bench_table`` followed by comment lines: the relative/dependency
-    throughput ratio when both methods ran, the hardware, and the caveat."""
-    notes = []
-    if len(reports) == 2:
-        ratio = reports[0].tokens_per_ms / reports[1].tokens_per_ms
-        notes.append(f"ratio (relative/dependency): {ratio:.1f}x")
-    notes += [f"hardware: {reports[0].hardware}", RATIO_CAVEAT]
-    return bench_table(reports) + "".join(f"# {note}\n" for note in notes)
-
-
 def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
-                   tau: int = 8, warmup: int = 3) -> BenchReport:
+                   tau: int = 8) -> BenchReport:
     """Single-threaded throughput of one derivation method.
 
     Inputs (including the random dependency trees) are generated before
-    the timed region; warm-up repetitions are excluded.
+    the timed region; three untimed warm-up repetitions run first.
     """
     if n < 2:
         raise ValidationError("need at least two tokens")
@@ -160,7 +152,7 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
         ]
     else:
         raise ValidationError(f"unknown benchmark method {method!r}")
-    for job in jobs[:warmup]:
+    for job in jobs[:3]:
         job()
     start = time.perf_counter()
     for job in jobs:
@@ -171,16 +163,3 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
         tokens_processed=repetitions * n,
         elapsed_ms=elapsed * 1000.0,
     )
-
-
-def bench_comparison(n: int = 128, repetitions: int = 100, seed: int = 0,
-                     relative_repetitions: int | None = None) -> str:
-    """Side-by-side report of both methods with the ratio caveat.
-
-    The relative derivation is microseconds per call, so it defaults to
-    10x the repetitions for a steadier timing region; throughput is
-    per-token either way.
-    """
-    rel = bench_distance("relative", n, relative_repetitions or 10 * repetitions, seed=seed)
-    dep = bench_distance("dependency", n, repetitions, seed=seed)
-    return bench_summary([rel, dep])

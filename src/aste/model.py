@@ -76,22 +76,17 @@ class TripletModel:
 
     # -- forward -----------------------------------------------------------
 
-    def sentence_distances(self, sentence: Sentence, pad_to: int | None = None):
-        structure = self.encoder_config.adapter
-        if structure.kind == NONE:
-            return None
-        total = None if pad_to is None else pad_to + 2
-        return augmented_distance_matrix(
-            len(sentence), structure, heads=sentence.heads, total_len=total
-        )
-
     def batch_distances(self, sentences) -> np.ndarray | None:
         """The (B, m, m) distance stack of a batch padded to its longest
         sentence; None without an adapter."""
-        if self.encoder_config.adapter.kind == NONE:
+        structure = self.encoder_config.adapter
+        if structure.kind == NONE:
             return None
-        longest = max(len(s) for s in sentences)
-        return np.stack([self.sentence_distances(s, pad_to=longest) for s in sentences])
+        m = max(len(s) for s in sentences) + 2
+        return np.stack([
+            augmented_distance_matrix(len(s), structure, heads=s.heads, total_len=m)
+            for s in sentences
+        ])
 
     def forward(self, sentences, distances: np.ndarray | None = None) -> BatchForward:
         """One pass over a batch of sentences, padded to the longest; a

@@ -330,14 +330,15 @@ def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
     return Tensor(probs, _parents=(x,), _backward=back, _op="softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance, then scale."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the trailing axis to zero mean, unit variance (1e-5 added
+    to the variance), then scale."""
     k = x.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError("layer_norm gain/bias must match the trailing axis")
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv
 
     def back(g):
@@ -453,9 +454,6 @@ class ParamGroup:
     def __getitem__(self, key: str) -> Tensor:
         return self.tensors[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.tensors
-
     def items(self):
         return self.tensors.items()
 
@@ -467,9 +465,9 @@ class ParamGroup:
         return self.buffer.size
 
 
-def normal_init(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> Tensor:
-    """Zero-mean normal weights; the conventional transformer init."""
-    return Tensor(rng.normal(0.0, std, size=shape))
+def normal_init(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+    """N(0, 0.02) weights; the conventional transformer init."""
+    return Tensor(rng.normal(0.0, 0.02, size=shape))
 
 
 def zeros_init(shape: tuple[int, ...]) -> Tensor:

@@ -42,15 +42,15 @@ def _filler(rng: np.random.Generator) -> str:
     return FILLERS[rng.integers(0, len(FILLERS))]
 
 
-def random_gold_sentences(count: int, seed: int = 0, max_triplets: int = 3) -> list[Sentence]:
-    """Sentences with valid, mutually disjoint gold spans and random
-    sentiments; no learnable structure intended."""
+def random_gold_sentences(count: int, seed: int = 0) -> list[Sentence]:
+    """Sentences with one to three triplets of valid, mutually disjoint
+    gold spans and random sentiments; no learnable structure intended."""
     rng = np.random.default_rng(seed)
     sentences = []
     for _ in range(count):
         n = int(rng.integers(6, 16))
         tokens = [_filler(rng) for _ in range(n)]
-        spans = _disjoint_spans(rng, n, wanted=2 * int(rng.integers(1, max_triplets + 1)))
+        spans = _disjoint_spans(rng, n, wanted=2 * int(rng.integers(1, 4)))
         triplets = []
         for a, o in zip(spans[0::2], spans[1::2]):
             sentiment = ("POS", "NEG", "NEU")[rng.integers(0, 3)]

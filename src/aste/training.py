@@ -29,7 +29,6 @@ LR_GRID = (1e-5, 2e-5, 3e-5, 5e-5)
 @dataclass(frozen=True)
 class TrainConfig:
     base_lr: float = 5e-5
-    parser_rate_multiplier: float = 10.0
     batch_size: int = 8
     max_epochs: int = 20
     patience: int = 5
@@ -38,12 +37,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("base_lr", "parser_rate_multiplier", "batch_size",
-                     "max_epochs", "patience", "grad_clip_norm"):
+        for name in ("base_lr", "batch_size", "max_epochs", "patience", "grad_clip_norm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.warmup_epochs < 0:
-            raise ValidationError("warmup_epochs must be non-negative")
+        if self.warmup_epochs < 0 or self.seed < 0:
+            raise ValidationError("warmup_epochs and seed must be non-negative")
         if self.patience > self.max_epochs:
             raise ValidationError("patience cannot exceed max_epochs")
 
@@ -174,8 +172,8 @@ def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = 
 
 def lr_at(t: float, config: TrainConfig) -> float:
     """Base rate at fractional epoch ``t``: linear ramp over the warmup
-    epochs, then linear decay to zero at max_epochs. The parser group
-    multiplies this by its rate multiplier."""
+    epochs, then linear decay to zero at max_epochs. Each parameter
+    group multiplies this by its ``lr_multiplier``."""
     if t < 0 or t > config.max_epochs:
         raise ValidationError("t outside the training schedule")
     w = config.warmup_epochs
@@ -191,11 +189,10 @@ class AdamW:
     and one second-moment vector laid out like its buffer, and a step is a
     few in-place operations over whole groups."""
 
-    def __init__(self, groups: list[ParamGroup], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
+
+    def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(g.buffer) for g in groups]
         self.v = [np.zeros_like(g.buffer) for g in groups]
@@ -209,15 +206,13 @@ class AdamW:
         return (f"adamw(beta1={self.beta1}, beta2={self.beta2}, eps={self.eps}, "
                 f"weight_decay={self.weight_decay})")
 
-    def step(self, base_lr: float, freeze=frozenset()) -> None:
+    def step(self, base_lr: float) -> None:
         self.t += 1
         self.last_group_lrs = {}
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for group, m, v, g, w in zip(self.groups, self.m, self.v, self._grad, self._work):
-            if group.name in freeze:
-                continue
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
             group.flat_grad(out=g)
@@ -243,13 +238,10 @@ class AdamW:
             np.subtract(group.buffer, g, out=group.buffer)
 
 
-def clip_gradients(groups, max_norm: float, freeze=frozenset()) -> float:
-    """Scale unfrozen gradients so their global norm is at most
-    ``max_norm``; returns the pre-clip norm."""
-    params = [
-        p for g in groups if g.name not in freeze
-        for p in g.tensors.values() if p.grad is not None
-    ]
+def clip_gradients(groups, max_norm: float) -> float:
+    """Scale the gradients so their global norm is at most ``max_norm``;
+    returns the pre-clip norm."""
+    params = [p for g in groups for p in g.tensors.values() if p.grad is not None]
     if not params:
         return 0.0
     # One vector of squares, each gradient in its own memory order, summed
@@ -290,13 +282,12 @@ def evaluate_model(model: TripletModel, sentences, batches=None) -> MatchScores:
 
 
 def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserConfig,
-          config: TrainConfig, vocab: Vocabulary | None = None, freeze=frozenset(),
+          config: TrainConfig, vocab: Vocabulary | None = None,
           log=None) -> tuple[TripletModel, TrainHistory]:
     """Fit a model on the corpus, early-stopping on dev exact-match F1.
 
     Returns the best-dev weights and the per-epoch history. Fully
-    deterministic given ``config.seed``; ``freeze`` names parameter
-    groups excluded from clipping and updates.
+    deterministic given ``config.seed``.
     """
     if not corpus.train or not corpus.dev:
         raise ValidationError("train and dev splits must be non-empty")
@@ -304,9 +295,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         vocab = Vocabulary.build(corpus.train)
     if encoder_config.vocab_size != len(vocab):
         encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    freeze = frozenset(freeze)
     model = TripletModel(encoder_config, parser_config, vocab, seed=config.seed)
-    model.parser.params.lr_multiplier = config.parser_rate_multiplier
     groups = model.param_groups()
     optimizer = AdamW(groups)
     rng = np.random.default_rng(config.seed)
@@ -317,10 +306,9 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     history = TrainHistory(metadata={
         "optimizer": optimizer.describe(),
         "base_lr": config.base_lr,
-        "parser_rate_multiplier": config.parser_rate_multiplier,
+        "parser_rate_multiplier": model.parser.params.lr_multiplier,
         "batch_size": config.batch_size,
         "seed": config.seed,
-        "frozen_groups": ",".join(sorted(freeze)) or "-",
         "selection": "dev exact-match F1",
     })
     best_f1 = -1.0
@@ -342,8 +330,8 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step}: {exc}"
                 ) from exc
-            clip_gradients(groups, config.grad_clip_norm, freeze)
-            optimizer.step(base_lr, freeze)
+            clip_gradients(groups, config.grad_clip_norm)
+            optimizer.step(base_lr)
             tagging_sum += tagging.item()
             parsing_sum += parsing.item()
         dev = evaluate_model(model, corpus.dev, dev_batches)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aste.cli import main
+from aste.cli import _load_config_file, main
 from aste.data import (
     Sentence,
     Vocabulary,
@@ -56,6 +56,22 @@ class TestParams:
                            "--ffn", "128", "--vocab-size", "100", "--max-len", "64")
         assert code == 0
         assert int(out.strip().replace(",", "")) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--variant", "adapter", "--layers", "-1"],
+        ["--variant", "adapter", "--tau", "0"],
+        ["--variant", "adapter", "--head-dim", "0"],
+        ["--variant", "layer2", "--dim", "-5"],
+        ["--variant", "layer2", "--ffn", "0"],
+        ["--variant", "bare", "--dim", "0"],
+        ["--variant", "bare", "--heads", "0"],
+        ["--variant", "bare", "--vocab-size", "-100"],
+    ])
+    def test_non_positive_size_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, "params", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("aste: ") and "positive" in err
 
 
 class TestUsageErrors:
@@ -242,6 +258,52 @@ class TestTrainEvalDecode:
         assert code == 1
         assert "line 3" in err and "170 tokens" in err and out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 32,', "is not valid JSON"),
+        ('["dim"]', "must hold a JSON object"),
+        ('{"dim": "x"}', "dim='x' has the wrong type"),
+        ('{"dim": true}', "dim=True has the wrong type"),
+        ('{"dim": 8.0}', "dim=8.0 has the wrong type"),
+        ('{"lr": "fast"}', "lr='fast' has the wrong type"),
+        ('{"adapter": 1}', "adapter=1 has the wrong type"),
+        ('{"heads": 0}', "must be positive"),
+        ('{"dim": -2}', "must be positive"),
+    ], ids=["truncated", "array", "str-for-int", "bool-for-int", "float-for-int",
+            "str-for-float", "int-for-str", "zero-heads", "negative-dim"])
+    def test_malformed_config_file_fails_before_any_output(self, capsys, corpus_files,
+                                                           tmp_path, text, message):
+        train, dev = corpus_files
+        config_file = tmp_path / "c.json"
+        config_file.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--train", str(train), "--dev", str(dev),
+                             "--out", str(out_dir), "--config", str(config_file))
+        assert code == 1
+        assert err.startswith("aste: ") and message in err
+        if "JSON" in message or "type" in message:
+            assert str(config_file) in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--heads", "0"], ["--dim", "0"], ["--dim", "-2"], ["--ffn-dim", "-1"],
+        ["--seed", "-1"], ["--max-epochs", "0"], ["--patience", "3"],
+    ], ids=" ".join)
+    def test_bad_size_flag_fails_before_any_output(self, capsys, corpus_files, tmp_path, flags):
+        train, dev = corpus_files
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *self.train_args(train, dev, out_dir), *flags)
+        assert code == 1
+        assert err.startswith("aste: ")
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_config_numbers_of_either_kind_for_float_keys(self, tmp_path):
+        config_file = tmp_path / "c.json"
+        raw = {"lr": 1, "warmup_epochs": 0, "clip_norm": 2.5, "batch_size": None, "tau": 3}
+        config_file.write_text(json.dumps(raw), encoding="utf-8")
+        assert _load_config_file(str(config_file)) == raw
 
     def test_unknown_config_key_rejected(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files

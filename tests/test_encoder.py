@@ -310,11 +310,7 @@ class TestParameterAccounting:
         encoder = Encoder(config, rng)
         parser = TripletParser(config.dim, parser_config, rng)
         live = encoder.params.num_params() + parser.params.num_params()
-        assert count_params(config, "bare", parser_config) == live
-
-    def test_adapter_variant_uses_config(self):
-        config = tiny_config(adapter_kind=RELATIVE, tau=4)
-        assert count_params(config, "struct-adapter") == 2 * (2 * 4 + 1) * 4
+        assert count_params(config, parser_config) == live
 
     def test_parser_count_matches_live_tensors(self):
         parser_config = ParserConfig(tag_hidden=7, pair_hidden=9)
@@ -325,15 +321,29 @@ class TestParameterAccounting:
         d, f = 16, 40
         assert transformer_block_params(d, f) == 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
 
-    def test_unknown_variant(self):
+    @pytest.mark.parametrize("layers, tau, head_dim", [(0, 8, 64), (-1, 8, 64), (12, 0, 64),
+                                                        (12, 8, 0)])
+    def test_adapter_increment_rejects_non_positive_sizes(self, layers, tau, head_dim):
         with pytest.raises(ValidationError):
-            count_params(tiny_config(), "bogus")
+            adapter_increment(layers, tau, head_dim)
+
+    @pytest.mark.parametrize("dim, ffn_dim, k", [(0, 3072, 2), (-5, 3072, 2), (768, 0, 2),
+                                                 (768, 3072, -1)])
+    def test_layer_increment_rejects_bad_sizes(self, dim, ffn_dim, k):
+        with pytest.raises(ValidationError):
+            structural_layer_increment(dim, ffn_dim, k)
 
 
 class TestConfigValidation:
     def test_dim_divisible_by_heads(self):
         with pytest.raises(ValidationError):
             EncoderConfig(vocab_size=4, dim=9, heads=2)
+
+    @pytest.mark.parametrize("sizes", [dict(dim=0), dict(dim=-2), dict(heads=0),
+                                       dict(heads=-2), dict(ffn_dim=0), dict(ffn_dim=-1)])
+    def test_non_positive_sizes_rejected(self, sizes):
+        with pytest.raises(ValidationError, match="must be positive"):
+            EncoderConfig(vocab_size=4, **sizes)
 
     def test_reserved_ids_fit(self):
         assert NUM_RESERVED == 4

@@ -9,8 +9,8 @@ from aste.evaluation import (
     RATIO_CAVEAT,
     MatchScores,
     aggregate,
-    bench_comparison,
     bench_distance,
+    bench_summary,
     exact_match,
     score_corpus,
 )
@@ -129,12 +129,13 @@ class TestBench:
             bench_distance("quantum", 16, 5)
 
     def test_report_table_format(self):
-        report = bench_distance("relative", 16, 5)
-        table = report.table()
+        table = bench_summary([bench_distance("relative", 16, 5)])
         assert table.startswith("method\t")
         assert "relative" in table
+        assert "# ratio" not in table
 
     def test_comparison_report_carries_caveat(self):
-        text = bench_comparison(n=32, repetitions=10)
+        text = bench_summary([bench_distance("relative", 32, 100),
+                              bench_distance("dependency", 32, 10)])
         assert RATIO_CAVEAT in text
-        assert "ratio" in text
+        assert "# ratio (relative/dependency)" in text

@@ -12,7 +12,13 @@ from aste.encoder import EncoderConfig
 from aste.errors import ValidationError
 from aste.model import PREDICT_BATCH, TripletModel
 from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
-from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
+from aste.structure import (
+    DEPENDENCY,
+    RELATIVE,
+    StructureConfig,
+    augmented_distance_matrix,
+    random_tree_heads,
+)
 from aste.synth import learnable_corpus
 
 
@@ -96,7 +102,9 @@ class TestForward:
 def reference_predict(model, sentence):
     """Triplets from separate encoder, tagger and scorer calls."""
     ids = model.vocab.encode(sentence.tokens)
-    hidden = model.encoder.encode(ids, distances=model.sentence_distances(sentence)).content
+    distances = augmented_distance_matrix(len(sentence), model.encoder_config.adapter,
+                                          heads=sentence.heads)
+    hidden = model.encoder.encode(ids, distances=distances).content
     spans = [
         decode_bio([TAGS[i] for i in model.parser.tag_probs(hidden, which).data.argmax(axis=-1)])
         for which in ("aspect", "opinion")

@@ -157,13 +157,6 @@ class TestClipping:
         clip_gradients([g], 1.0)
         np.testing.assert_array_equal(g["p0"].grad, grad)
 
-    def test_frozen_groups_excluded(self):
-        g1 = self.make_group([np.array([30.0, 40.0])])
-        g2 = self.make_group([np.array([0.1, 0.1])])
-        g2.name = "adapter"
-        pre = clip_gradients([g1, g2], 1.0, freeze={"encoder"})
-        assert pre == pytest.approx(np.sqrt(0.02))
-
 
 class TestAdamW:
     def test_group_rate_multiplier(self):
@@ -176,19 +169,11 @@ class TestAdamW:
         opt.step(2e-5)
         assert opt.last_group_lrs["parser"] == pytest.approx(10 * opt.last_group_lrs["encoder"])
 
-    def test_frozen_group_not_updated(self):
-        from aste.numerics import ParamGroup
-        g = ParamGroup("adapter")
-        w = g.add("w", Tensor(np.ones(2)))
-        w.grad = np.ones(2)
-        AdamW([g]).step(1e-3, freeze={"adapter"})
-        np.testing.assert_array_equal(w.data, np.ones(2))
-
     def test_missing_grad_still_decays(self):
         from aste.numerics import ParamGroup
         g = ParamGroup("encoder")
         w = g.add("w", Tensor(np.full(2, 10.0)))
-        AdamW([g], weight_decay=0.01).step(1.0)
+        AdamW([g]).step(1.0)
         np.testing.assert_allclose(w.data, np.full(2, 10.0) - 0.1)
 
 
@@ -197,10 +182,10 @@ class ReferenceAdamW:
     the update as written before parameters shared a buffer per group.
     The oracle the whole-group optimizer must match bit for bit."""
 
-    def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
+
+    def __init__(self, groups):
         self.groups = groups
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
         self.v = {self._key(g, n): np.zeros_like(p.data) for g in groups for n, p in g.items()}
@@ -213,14 +198,12 @@ class ReferenceAdamW:
     def describe(self):
         return "reference"
 
-    def step(self, base_lr, freeze=frozenset()):
+    def step(self, base_lr):
         self.t += 1
         self.last_group_lrs = {}
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
         for group in self.groups:
-            if group.name in freeze:
-                continue
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
             for name, param in group.items():
@@ -234,12 +217,9 @@ class ReferenceAdamW:
                                     + self.weight_decay * param.data)
 
 
-def reference_clip_gradients(groups, max_norm, freeze=frozenset()):
+def reference_clip_gradients(groups, max_norm):
     """Per-tensor global-norm clip, the oracle for ``clip_gradients``."""
-    params = [
-        p for g in groups if g.name not in freeze
-        for p in g.tensors.values() if p.grad is not None
-    ]
+    params = [p for g in groups for p in g.tensors.values() if p.grad is not None]
     total = sum(float((p.grad ** 2).sum()) for p in params)
     norm = float(np.sqrt(total))
     if norm > max_norm:
@@ -264,8 +244,7 @@ class TestWholeGroupOptimizer:
             groups.append(group)
         return groups
 
-    @pytest.mark.parametrize("freeze", [frozenset(), frozenset({"adapter"})])
-    def test_matches_per_tensor_reference(self, freeze):
+    def test_matches_per_tensor_reference(self):
         groups, reference = self.groups(), self.groups()
         optimizer, oracle = AdamW(groups), ReferenceAdamW(reference)
         rng = np.random.default_rng(1)
@@ -282,11 +261,11 @@ class TestWholeGroupOptimizer:
                     if grad.ndim == 2 and step % 3 == 0:
                         grad = np.asfortranarray(grad)  # as backward hands the bias tables
                     param.grad, other.grad = grad.copy(order="K"), grad.copy(order="K")
-            norm = clip_gradients(groups, 1.0, freeze)
-            assert norm == reference_clip_gradients(reference, 1.0, freeze)
+            norm = clip_gradients(groups, 1.0)
+            assert norm == reference_clip_gradients(reference, 1.0)
             clipped.append(norm > 1.0)
-            optimizer.step(1e-2, freeze)
-            oracle.step(1e-2, freeze)
+            optimizer.step(1e-2)
+            oracle.step(1e-2)
             assert optimizer.last_group_lrs == oracle.last_group_lrs
             for group, twin in zip(groups, reference):
                 for (_, param), (_, other) in zip(group.items(), twin.items()):
@@ -345,13 +324,13 @@ class TestWholeGroupOptimizer:
 
 
 class TestTrainLoop:
-    def run(self, corpus, adapter_kind=None, freeze=frozenset(), seed=0, epochs=3,
+    def run(self, corpus, adapter_kind=None, seed=0, epochs=3,
             batch_size=4, lr=1e-4, patience=None):
         config = TrainConfig(base_lr=lr, batch_size=batch_size, max_epochs=epochs,
                              patience=patience if patience is not None else epochs,
                              seed=seed)
         return train(corpus, tiny_encoder_config(adapter_kind), tiny_parser_config(),
-                     config, freeze=freeze)
+                     config)
 
     def test_same_seed_identical_losses_and_tsv(self):
         corpus = learnable_corpus(12, seed=3)
@@ -371,14 +350,6 @@ class TestTrainLoop:
         # microscopic rate: dev F1 never improves past its first value
         _, history = self.run(corpus, epochs=20, lr=1e-12, patience=3)
         assert len(history.records) == 1 + 3
-
-    def test_frozen_zero_adapter_matches_bare_model(self):
-        corpus = learnable_corpus(12, seed=4)
-        _, with_adapter = self.run(corpus, adapter_kind=RELATIVE, freeze={"adapter"}, seed=6)
-        _, bare = self.run(corpus, adapter_kind=None, seed=6)
-        for r1, r2 in zip(with_adapter.records, bare.records):
-            assert abs(r1.total_loss - r2.total_loss) <= 1e-10
-            assert r1.dev_f1 == r2.dev_f1
 
     def test_divergence_aborts_with_diagnostic(self):
         corpus = learnable_corpus(10, seed=7)
@@ -514,6 +485,41 @@ class TestBatching:
         assert after_loss == before_loss
         for a, b in zip(after, before):
             np.testing.assert_array_equal(a, b)
+
+    def test_zero_adapter_matches_bare_model(self):
+        """A zero relative adapter changes nothing above the encoder: on a
+        padded mixed-length batch the loss and the gradient of every
+        encoder and parser tensor equal the bare model's, and so do the
+        predictions."""
+        corpus = learnable_corpus(12, seed=4)
+        vocab = Vocabulary.build(corpus.train)
+        models = [
+            TripletModel(tiny_encoder_config(kind, vocab=len(vocab)), tiny_parser_config(),
+                         vocab, seed=6)
+            for kind in (RELATIVE, None)
+        ]
+        by_length = {len(s): s for s in corpus.train}
+        batch = list(by_length.values())[:3]
+        assert len({len(s) for s in batch}) == 3
+        results = []
+        for model in models:
+            # Larger parser weights make the argmaxes vary, so triplets come out.
+            for _, tensor in model.parser.params.items():
+                tensor.data *= 10.0
+            model.zero_grad()
+            total = joint_loss(*assemble_batch(model, batch))[2]
+            total.backward()
+            grads = {f"{group.name}/{name}": tensor.grad
+                     for group in (model.encoder.params, model.parser.params)
+                     for name, tensor in group.items()}
+            results.append((total.item(), grads, model.predict_corpus(corpus.train + corpus.dev)))
+        (adapted_loss, adapted_grads, adapted_pred), (bare_loss, bare_grads, bare_pred) = results
+        assert abs(adapted_loss - bare_loss) <= 1e-12
+        assert adapted_grads.keys() == bare_grads.keys()
+        for key, grad in bare_grads.items():
+            np.testing.assert_allclose(adapted_grads[key], grad, rtol=0, atol=1e-12, err_msg=key)
+        assert adapted_pred == bare_pred
+        assert any(adapted_pred)
 
     def test_padded_dependency_batch_gradients(self):
         model, batch = self.dependency_model_and_batch(2)
