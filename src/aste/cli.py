@@ -38,25 +38,31 @@ from .training import TrainConfig, default_batch_size, train
 
 ADAPTER_KINDS = {"none": NONE, "rel": RELATIVE, "dep": DEPENDENCY}
 
-CONFIG_DEFAULTS = {
-    "dim": 32,
-    "heads": 2,
-    "layers": 2,
-    "ffn_dim": 64,
-    "max_len": 160,
+# Every config key, in flag order. A key that a config class owns names its
+# (class, field) and takes that field's default and type; the other three
+# are not config fields and carry their defaults here.
+SETTINGS = {
+    "dim": (EncoderConfig, "dim"),
+    "heads": (EncoderConfig, "heads"),
+    "layers": (EncoderConfig, "layers"),
+    "ffn_dim": (EncoderConfig, "ffn_dim"),
+    "max_len": (EncoderConfig, "max_len"),
     "adapter": "none",
-    "tau": 8,
-    "tag_hidden": 64,
-    "pair_hidden": 64,
-    "lr": 5e-5,
+    "tau": (StructureConfig, "tau"),
+    "tag_hidden": (ParserConfig, "tag_hidden"),
+    "pair_hidden": (ParserConfig, "pair_hidden"),
+    "lr": (TrainConfig, "base_lr"),
     "batch_size": None,
-    "max_epochs": 20,
-    "patience": 5,
-    "warmup_epochs": 2.0,
-    "clip_norm": 1.0,
-    "seed": 0,
+    "max_epochs": (TrainConfig, "max_epochs"),
+    "patience": (TrainConfig, "patience"),
+    "warmup_epochs": (TrainConfig, "warmup_epochs"),
+    "clip_norm": (TrainConfig, "grad_clip_norm"),
+    "seed": (TrainConfig, "seed"),
     "min_count": 1,
 }
+# A dataclass keeps a field's plain default as its class attribute.
+CONFIG_DEFAULTS = {key: getattr(*spec) if isinstance(spec, tuple) else spec
+                   for key, spec in SETTINGS.items()}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -102,52 +108,21 @@ def resolve_config(args) -> dict:
     return merged
 
 
-def _model_configs(cfg: dict, vocab_size: int) -> tuple[EncoderConfig, ParserConfig]:
-    structure = StructureConfig(tau=cfg["tau"], kind=ADAPTER_KINDS[cfg["adapter"]])
-    encoder = EncoderConfig(
-        vocab_size=vocab_size,
-        dim=cfg["dim"],
-        heads=cfg["heads"],
-        layers=cfg["layers"],
-        ffn_dim=cfg["ffn_dim"],
-        max_len=cfg["max_len"],
-        adapter=structure,
-    )
-    parser_config = ParserConfig(tag_hidden=cfg["tag_hidden"], pair_hidden=cfg["pair_hidden"])
-    return encoder, parser_config
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        base_lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        warmup_epochs=cfg["warmup_epochs"],
-        grad_clip_norm=cfg["clip_norm"],
-        seed=cfg["seed"],
-    )
+def _build(cls, cfg: dict, **extra):
+    """A ``cls`` made of ``extra`` and of every setting that ``SETTINGS``
+    maps to one of its fields."""
+    return cls(**extra, **{spec[1]: cfg[key] for key, spec in SETTINGS.items()
+                           if isinstance(spec, tuple) and spec[0] is cls})
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON config file")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--heads", type=int)
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--ffn-dim", dest="ffn_dim", type=int)
-    sub.add_argument("--max-len", dest="max_len", type=int)
-    sub.add_argument("--adapter", choices=sorted(ADAPTER_KINDS))
-    sub.add_argument("--tau", type=int)
-    sub.add_argument("--tag-hidden", dest="tag_hidden", type=int)
-    sub.add_argument("--pair-hidden", dest="pair_hidden", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--warmup-epochs", dest="warmup_epochs", type=float)
-    sub.add_argument("--clip-norm", dest="clip_norm", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--min-count", dest="min_count", type=int)
+    for key, default in CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "adapter":
+            sub.add_argument(flag, choices=sorted(ADAPTER_KINDS))
+        else:
+            sub.add_argument(flag, type=float if isinstance(default, float) else int)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -258,8 +233,10 @@ def _cmd_stats(args) -> int:
 def _cmd_train(args) -> int:
     cfg = resolve_config(args)
     # Checked before the corpus is read; the vocabulary sets vocab_size.
-    encoder_config, parser_config = _model_configs(cfg, vocab_size=0)
-    train_config = _train_config(cfg)
+    structure = _build(StructureConfig, cfg, kind=ADAPTER_KINDS[cfg["adapter"]])
+    encoder_config = _build(EncoderConfig, cfg, vocab_size=0, adapter=structure)
+    parser_config = _build(ParserConfig, cfg)
+    train_config = _build(TrainConfig, cfg, batch_size=cfg["batch_size"])
     train_sentences = _read_for_model(args.train_path, encoder_config)
     dev_sentences = _read_for_model(args.dev_path, encoder_config)
     out_dir = Path(args.out)
@@ -383,7 +360,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, TrainingDivergedError, FileNotFoundError) as exc:
+    except (ValidationError, ParseError, TrainingDivergedError, OSError) as exc:
         print(f"aste: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -229,15 +229,7 @@ class PreprocessReport:
     removed_emptied: int = 0
 
     def rows(self):
-        return [
-            ("kept", self.kept),
-            ("removed_no_annotations", self.removed_no_annotations),
-            ("removed_too_short", self.removed_too_short),
-            ("removed_too_long", self.removed_too_long),
-            ("triplets_dropped_long_aspect", self.triplets_dropped_long_aspect),
-            ("triplets_dropped_long_opinion", self.triplets_dropped_long_opinion),
-            ("removed_emptied", self.removed_emptied),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def preprocess(sentences) -> tuple[list[Sentence], PreprocessReport]:

@@ -22,7 +22,8 @@ from .data import Sentence, Triplet, Vocabulary, length_buckets
 from .encoder import Encoder, EncoderConfig
 from .errors import ValidationError
 from .numerics import ParamGroup, Tensor, no_grad
-from .parser import TAGS, ParserConfig, SentimentRelationMap, TripletParser, decode_bio, decode_grid
+from .parser import (REL_LABELS, TAGS, ParserConfig, SentimentRelationMap, TripletParser,
+                     decode_bio, decode_grid)
 from .structure import NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
@@ -153,7 +154,7 @@ class TripletModel:
 
     def save(self, path) -> None:
         header = {
-            "encoder": _encoder_config_dict(self.encoder_config),
+            "encoder": asdict(self.encoder_config),
             "parser": asdict(self.parser_config),
             "vocab": self.vocab.id_list(),
         }
@@ -193,6 +194,10 @@ class TripletModel:
             for group in model.param_groups()
             for name, tensor in group.items()
         }
+        # Files written before the per-label bilinear forms were stacked into
+        # ``pair_bil`` hold them as four (p, p) entries.
+        p = model.parser_config.pair_hidden
+        legacy = {f"parser/pair_bil_{label.lower()}": (p, p) for label in REL_LABELS}
         count, = _unpack(handle, "<I")
         snapshot: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -200,12 +205,18 @@ class TripletModel:
             ndim, = _unpack(handle, "<I")
             shape = tuple(_unpack(handle, "<I")[0] for _ in range(ndim))
             # Checked before reading, so a corrupt shape cannot size a read.
-            if shapes.get(key) != shape:
+            if shapes.get(key, legacy.get(key)) != shape:
                 raise ValidationError(f"weight file tensor {key} has unexpected shape {shape}")
             data = np.frombuffer(_read_exact(handle, 8 * math.prod(shape)), dtype="<f8")
             if not np.isfinite(data).all():
                 raise ValidationError(f"weight file tensor {key} holds non-finite values")
             snapshot[key] = data.reshape(shape).astype(np.float64)
+        found = [key for key in legacy if key in snapshot]
+        if found:
+            if len(found) != len(legacy):
+                raise ValidationError(f"weight file holds {len(found)} of the {len(legacy)} "
+                                      "per-label pair_bil_* tensors")
+            snapshot["parser/pair_bil"] = np.stack([snapshot.pop(key) for key in found])
         model.load_snapshot(snapshot)
         return model
 
@@ -219,12 +230,6 @@ class TripletModel:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"unreadable weight file header: {exc}") from exc
         return cls(encoder_config, parser_config, vocab, seed=0)
-
-
-def _encoder_config_dict(config: EncoderConfig) -> dict:
-    out = asdict(config)
-    out["adapter"] = {"tau": config.adapter.tau, "kind": config.adapter.kind}
-    return out
 
 
 def _encoder_config_from_dict(raw: dict) -> EncoderConfig:

@@ -23,7 +23,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
-    "stack_last", "take_rows", "gather_cols",
+    "take_rows", "gather_cols",
     "normal_init", "zeros_init", "grad_check",
 ]
 
@@ -243,16 +243,6 @@ class Tensor:
         return Tensor(self.data.sum(), _parents=(self,), _backward=back, _op="sum")
 
 
-def stack_last(parts: list[Tensor]) -> Tensor:
-    """Stack equally shaped tensors along a new trailing axis."""
-
-    def back(g):
-        return tuple((p, g[..., i]) for i, p in enumerate(parts))
-
-    data = np.stack([p.data for p in parts], axis=-1)
-    return Tensor(data, _parents=tuple(parts), _backward=back, _op="stack_last")
-
-
 def take_rows(table: Tensor, ids: Array) -> Tensor:
     """Embedding lookup: ``out[..., :] = table[ids[...]]`` for ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -359,33 +349,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> Tensor:
     """Mean negative log likelihood of ``targets`` under ``probs``.
 
-    ``probs`` is (N, k) of row distributions, ``targets`` length-N class
-    indices, ``mask`` an optional boolean keep-vector. With everything
-    masked the loss is defined as 0.
+    ``probs`` is (..., k) of distributions over the trailing axis,
+    ``targets`` the (...) class indices, ``mask`` an optional (...) boolean
+    keep-array; all three are read as one row per leading index. With
+    everything masked the loss is defined as 0.
     """
-    if probs.data.ndim != 2:
-        raise ShapeError("cross_entropy expects (N, k) probabilities")
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (probs.shape[0],):
-        raise ShapeError("targets length does not match probability rows")
-    k = probs.shape[1]
+    keep = np.ones(targets.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if probs.data.ndim < 1 or not probs.shape[:-1] == targets.shape == keep.shape:
+        raise ShapeError(f"probabilities {probs.shape}, targets {targets.shape} and mask "
+                         f"{keep.shape} do not line up")
+    k = probs.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= k):
         raise IndexError("target class out of range")
-    keep = np.ones(probs.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    targets, keep = targets.reshape(-1), keep.reshape(-1)
     count = int(keep.sum())
     if count == 0:
         return Tensor(0.0)
-    rows = np.arange(probs.shape[0])
-    picked = probs.data[rows, targets]
+    rows = np.arange(targets.size)
+    picked = probs.data.reshape(-1, k)[rows, targets]
     picked_kept = np.where(keep, picked, 1.0)
     with np.errstate(divide="ignore"):
         value = -np.log(picked_kept).sum() / count
 
     def back(g):
-        full = np.zeros_like(probs.data)
+        full = np.zeros((targets.size, k))
         scale = -float(g) / count
         full[rows[keep], targets[keep]] = scale / picked[keep]
-        return ((probs, full),)
+        return ((probs, full.reshape(probs.shape)),)
 
     return Tensor(value, _parents=(probs,), _backward=back, _op="cross_entropy")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Sentence, Span, Triplet, warn_data
 from .errors import ShapeError, ValidationError
-from .numerics import ParamGroup, Tensor, linear, normal_init, softmax, stack_last, zeros_init
+from .numerics import ParamGroup, Tensor, linear, normal_init, softmax, zeros_init
 
 TAGS = ("B", "I", "O")
 TAG_B, TAG_I, TAG_O = 0, 1, 2
@@ -78,8 +78,8 @@ class TripletParser:
             self.params.add(f"pair_{side}_w1", normal_init((dim, p), rng))
             self.params.add(f"pair_{side}_b1", zeros_init((p,)))
             self.params.add(f"pair_{side}_w2", normal_init((p, len(REL_LABELS)), rng))
-        for label in REL_LABELS:
-            self.params.add(f"pair_bil_{label.lower()}", normal_init((p, p), rng))
+        # One (p, p) bilinear form per label, in REL_LABELS order.
+        self.params.add("pair_bil", normal_init((len(REL_LABELS), p, p), rng))
         self.params.add("pair_b2", zeros_init((len(REL_LABELS),)))
 
     # -- tagging -----------------------------------------------------------
@@ -102,8 +102,10 @@ class TripletParser:
         k = len(REL_LABELS)
         head = linear(hidden, p["pair_head_w1"], p["pair_head_b1"]).relu()
         dep = linear(hidden, p["pair_dep_w1"], p["pair_dep_b1"]).relu()
-        dep_t = dep.T
-        logits = stack_last([(head @ p[f"pair_bil_{label.lower()}"]) @ dep_t for label in REL_LABELS])
+        # Each side as (..., 1, n, p) broadcasts against the (4, p, p) forms:
+        # one product per side gives (..., 4, n, n); the label axis moves last.
+        bilinear = (head[..., None, :, :] @ p["pair_bil"]) @ dep[..., None, :, :].T
+        logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1)
         logits = logits + (head @ p["pair_head_w2"]).reshape(*lead, n, 1, k)
         logits = logits + (dep @ p["pair_dep_w2"]).reshape(*lead, 1, n, k)
         logits = logits + p["pair_b2"]

@@ -10,6 +10,7 @@ the history metadata rather than assumed elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
-from .model import TripletModel
+from .model import BatchForward, TripletModel
 from .numerics import ParamGroup, Tensor, cross_entropy
 from .parser import ParserConfig, build_gold
 from .structure import NONE
@@ -37,6 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("base_lr", "warmup_epochs", "grad_clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         for name in ("base_lr", "batch_size", "max_epochs", "patience", "grad_clip_norm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -92,13 +96,6 @@ class TrainHistory:
 
 
 @dataclass
-class BatchPredictions:
-    aspect: Tensor
-    opinion: Tensor
-    relations: Tensor
-
-
-@dataclass
 class BatchTargets:
     aspect: np.ndarray
     opinion: np.ndarray
@@ -111,9 +108,11 @@ class BatchMasks:
     cells: np.ndarray
 
 
-def joint_loss(pred: BatchPredictions, gold: BatchTargets,
+def joint_loss(pred: BatchForward, gold: BatchTargets,
                masks: BatchMasks) -> tuple[Tensor, Tensor, Tensor]:
-    """Tagging loss, parsing loss, and their sum, padding masked out."""
+    """Tagging loss, parsing loss, and their sum, padding masked out. The
+    targets and masks are shaped like the predictions without their
+    trailing class axis."""
     tagging = cross_entropy(pred.aspect, gold.aspect, masks.tokens) \
         + cross_entropy(pred.opinion, gold.opinion, masks.tokens)
     parsing = cross_entropy(pred.relations, gold.relations, masks.cells)
@@ -123,9 +122,9 @@ def joint_loss(pred: BatchPredictions, gold: BatchTargets,
 @dataclass
 class BatchInputs:
     """What training reads of a batch besides the weights: its distance
-    stack (None without an adapter), padded gold targets and masks, all
-    flattened like the predictions. Fixed for a fixed batch, so training
-    derives them once."""
+    stack (None without an adapter), and (B, n) token and (B, n, n) pair
+    gold targets and masks, padded like the predictions. Fixed for a fixed
+    batch, so training derives them once."""
 
     distances: np.ndarray | None
     gold: BatchTargets
@@ -144,27 +143,18 @@ def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
         tokens[b, :n] = True
     return BatchInputs(
         distances=model.batch_distances(sentences),
-        gold=BatchTargets(aspect.reshape(-1), opinion.reshape(-1), relations.reshape(-1)),
-        masks=BatchMasks(
-            tokens=tokens.reshape(-1),
-            cells=(tokens[:, :, None] & tokens[:, None, :]).reshape(-1),
-        ),
+        gold=BatchTargets(aspect, opinion, relations),
+        masks=BatchMasks(tokens=tokens, cells=tokens[:, :, None] & tokens[:, None, :]),
     )
 
 
 def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
-    """One padded forward over the batch; predictions, targets and masks
-    flattened to one row per token and per token pair. ``inputs`` is the
-    batch's ``prepare_batch``, derived here when not given."""
+    """One padded forward over the batch, with its gold targets and masks.
+    ``inputs`` is the batch's ``prepare_batch``, derived here when not
+    given."""
     if inputs is None:
         inputs = prepare_batch(model, sentences)
-    forward = model.forward(sentences, inputs.distances)
-    pred = BatchPredictions(
-        aspect=forward.aspect.reshape(-1, forward.aspect.shape[-1]),
-        opinion=forward.opinion.reshape(-1, forward.opinion.shape[-1]),
-        relations=forward.relations.reshape(-1, forward.relations.shape[-1]),
-    )
-    return pred, inputs.gold, inputs.masks
+    return model.forward(sentences, inputs.distances), inputs.gold, inputs.masks
 
 
 # -- schedule and optimizer ---------------------------------------------------

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from aste.cli import _load_config_file, main
+import aste.cli
+from aste.cli import CONFIG_DEFAULTS, _load_config_file, main
 from aste.data import (
     Sentence,
     Vocabulary,
@@ -15,10 +16,12 @@ from aste.data import (
     write_corpus_file,
 )
 from aste.encoder import EncoderConfig
+from aste.errors import ValidationError
 from aste.model import TripletModel
 from aste.parser import ParserConfig
 from aste.structure import DEPENDENCY, NONE, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus, random_gold_sentences
+from aste.training import TrainConfig
 
 
 @pytest.fixture
@@ -269,8 +272,13 @@ class TestTrainEvalDecode:
         ('{"adapter": 1}', "adapter=1 has the wrong type"),
         ('{"heads": 0}', "must be positive"),
         ('{"dim": -2}', "must be positive"),
+        ('{"lr": NaN}', "base_lr must be finite"),
+        ('{"lr": Infinity}', "base_lr must be finite"),
+        ('{"clip_norm": NaN}', "grad_clip_norm must be finite"),
+        ('{"warmup_epochs": -Infinity}', "warmup_epochs must be finite"),
     ], ids=["truncated", "array", "str-for-int", "bool-for-int", "float-for-int",
-            "str-for-float", "int-for-str", "zero-heads", "negative-dim"])
+            "str-for-float", "int-for-str", "zero-heads", "negative-dim", "nan-lr", "inf-lr",
+            "nan-clip-norm", "minus-inf-warmup"])
     def test_malformed_config_file_fails_before_any_output(self, capsys, corpus_files,
                                                            tmp_path, text, message):
         train, dev = corpus_files
@@ -289,6 +297,8 @@ class TestTrainEvalDecode:
     @pytest.mark.parametrize("flags", [
         ["--heads", "0"], ["--dim", "0"], ["--dim", "-2"], ["--ffn-dim", "-1"],
         ["--seed", "-1"], ["--max-epochs", "0"], ["--patience", "3"],
+        ["--lr", "nan"], ["--lr", "inf"], ["--clip-norm", "nan"], ["--clip-norm", "inf"],
+        ["--warmup-epochs", "nan"], ["--warmup-epochs", "inf"],
     ], ids=" ".join)
     def test_bad_size_flag_fails_before_any_output(self, capsys, corpus_files, tmp_path, flags):
         train, dev = corpus_files
@@ -304,6 +314,68 @@ class TestTrainEvalDecode:
         raw = {"lr": 1, "warmup_epochs": 0, "clip_norm": 2.5, "batch_size": None, "tau": 3}
         config_file.write_text(json.dumps(raw), encoding="utf-8")
         assert _load_config_file(str(config_file)) == raw
+
+    # A value other than the default for every config key, valid together.
+    NON_DEFAULT = {
+        "dim": 12, "heads": 3, "layers": 1, "ffn_dim": 10, "max_len": 40, "adapter": "rel",
+        "tau": 3, "tag_hidden": 5, "pair_hidden": 6, "lr": 0.002, "batch_size": 3,
+        "max_epochs": 4, "patience": 2, "warmup_epochs": 0.5, "clip_norm": 2.5, "seed": 7,
+        "min_count": 2,
+    }
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_every_config_key_reaches_resolved_config_and_configs(self, capsys, monkeypatch,
+                                                                  corpus_files, tmp_path, source):
+        assert set(self.NON_DEFAULT) == set(CONFIG_DEFAULTS)
+        assert all(self.NON_DEFAULT[k] != v for k, v in CONFIG_DEFAULTS.items())
+        train, dev = corpus_files
+        out_dir = tmp_path / "run"
+        argv = ["train", "--train", str(train), "--dev", str(dev), "--out", str(out_dir)]
+        if source == "flags":
+            for key, value in self.NON_DEFAULT.items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config_file = tmp_path / "c.json"
+            config_file.write_text(json.dumps(self.NON_DEFAULT), encoding="utf-8")
+            argv += ["--config", str(config_file)]
+        seen = {}
+
+        def stop(corpus, encoder_config, parser_config, train_config, vocab):
+            seen.update(encoder=encoder_config, parser=parser_config, train=train_config,
+                        vocab=vocab)
+            raise ValidationError("stopped before training")
+
+        monkeypatch.setattr(aste.cli, "train", stop)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "stopped before training" in err
+        resolved = json.loads((out_dir / "config.resolved").read_text(encoding="utf-8"))
+        assert resolved == {**self.NON_DEFAULT, "train": str(train), "dev": str(dev)}
+        encoder, parser, train_config = seen["encoder"], seen["parser"], seen["train"]
+        assert (encoder.dim, encoder.heads, encoder.layers, encoder.ffn_dim,
+                encoder.max_len) == (12, 3, 1, 10, 40)
+        assert encoder.adapter == StructureConfig(tau=3, kind=RELATIVE)
+        assert (parser.tag_hidden, parser.pair_hidden) == (5, 6)
+        assert train_config == TrainConfig(base_lr=0.002, batch_size=3, max_epochs=4, patience=2,
+                                           warmup_epochs=0.5, grad_clip_norm=2.5, seed=7)
+        expected_vocab = Vocabulary.build(read_corpus_file(train), min_count=2)
+        assert seen["vocab"].id_list() == expected_vocab.id_list()
+        assert encoder.vocab_size == len(expected_vocab) < len(Vocabulary.build(
+            read_corpus_file(train)))
+
+    def test_directory_paths_exit_1(self, capsys, corpus_files, tmp_path):
+        train, dev = corpus_files
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for argv in (
+            self.train_args(train, dev, tmp_path / "a") + ["--config", str(folder)],
+            self.train_args(folder, dev, tmp_path / "b"),
+            ["decode", "--weights", str(folder), "--input", str(dev),
+             "--out", str(tmp_path / "c.jsonl")],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("aste: ") and str(folder) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.jsonl", "folder", "train.jsonl"]
 
     def test_unknown_config_key_rejected(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files

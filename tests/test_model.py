@@ -1,6 +1,7 @@
 """Model assembly and weight-file round trips."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from aste.data import Sentence, Vocabulary, write_corpus_file
 from aste.encoder import EncoderConfig
 from aste.errors import ValidationError
 from aste.model import PREDICT_BATCH, TripletModel
-from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
+from aste.parser import REL_LABELS, TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
 from aste.structure import (
     DEPENDENCY,
     RELATIVE,
@@ -247,6 +248,77 @@ class TestWeightFile:
         loaded = TripletModel.load(path)
         for sentence in corpus.dev[:4]:
             assert loaded.predict(sentence) == model.predict(sentence)
+
+
+def read_entries(data: bytes):
+    """A weight file split into its bytes up to the tensor count and its
+    (group, name, values) entries."""
+    header_len, = struct.unpack("<I", data[8:12])
+    offset = 12 + header_len
+    count, = struct.unpack("<I", data[offset:offset + 4])
+    offset += 4
+    entries = []
+    for _ in range(count):
+        names = []
+        for _ in range(2):
+            length, = struct.unpack("<H", data[offset:offset + 2])
+            names.append(data[offset + 2:offset + 2 + length].decode("utf-8"))
+            offset += 2 + length
+        ndim, = struct.unpack("<I", data[offset:offset + 4])
+        shape = struct.unpack(f"<{ndim}I", data[offset + 4:offset + 4 + 4 * ndim])
+        offset += 4 + 4 * ndim
+        size = 8 * math.prod(shape)
+        entries.append((*names, np.frombuffer(data[offset:offset + size], "<f8").reshape(shape)))
+        offset += size
+    return data[:12 + header_len], entries
+
+
+def write_entries(path, head: bytes, entries) -> None:
+    parts = [head, struct.pack("<I", len(entries))]
+    for group, name, values in entries:
+        for text in (group, name):
+            parts += [struct.pack("<H", len(text.encode("utf-8"))), text.encode("utf-8")]
+        parts.append(struct.pack(f"<{1 + values.ndim}I", values.ndim, *values.shape))
+        parts.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    path.write_bytes(b"".join(parts))
+
+
+class TestPerLabelBilinearFile:
+    """Files written before the four per-label bilinear forms became the one
+    (4, p, p) ``pair_bil`` tensor hold a (p, p) ``pair_bil_<label>`` entry
+    per label in its place."""
+
+    def per_label_file(self, tmp_path, labels=REL_LABELS):
+        model, corpus = varied_model(DEPENDENCY, seed=5)
+        path = tmp_path / "w.bin"
+        model.save(path)
+        head, entries = read_entries(path.read_bytes())
+        write_entries(tmp_path / "same.bin", head, entries)
+        assert (tmp_path / "same.bin").read_bytes() == path.read_bytes()
+        at = [name for _, name, _ in entries].index("pair_bil")
+        stacked = entries[at][2]
+        entries[at:at + 1] = [("parser", f"pair_bil_{label.lower()}", stacked[c])
+                              for c, label in enumerate(REL_LABELS) if label in labels]
+        write_entries(path, head, entries)
+        return model, corpus, path
+
+    def test_loads_and_decodes_like_the_model_that_wrote_it(self, tmp_path):
+        model, corpus, path = self.per_label_file(tmp_path)
+        loaded = TripletModel.load(path)
+        expected = model.state_snapshot()
+        got = loaded.state_snapshot()
+        assert list(got) == list(expected)
+        for key in expected:
+            np.testing.assert_array_equal(got[key], expected[key])
+        sentences = mixed_length_batch(corpus, np.random.default_rng(0))
+        predicted = model.predict_corpus(sentences)
+        assert any(predicted)
+        assert loaded.predict_corpus(sentences) == predicted
+
+    def test_some_per_label_entries_rejected(self, tmp_path):
+        _, _, path = self.per_label_file(tmp_path, labels=("NONE", "POS", "NEU"))
+        with pytest.raises(ValidationError, match="3 of the 4"):
+            TripletModel.load(path)
 
 
 class TestDamagedWeightFile:

@@ -8,7 +8,7 @@ import aste.training
 from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
-from aste.model import TripletModel
+from aste.model import BatchForward, TripletModel
 from aste.data import Sentence, Vocabulary
 from aste.numerics import Tensor, grad_check
 from aste.parser import ParserConfig, build_gold
@@ -18,7 +18,6 @@ from aste.training import (
     LR_GRID,
     AdamW,
     BatchMasks,
-    BatchPredictions,
     BatchTargets,
     TrainConfig,
     assemble_batch,
@@ -54,7 +53,7 @@ class TestJointLoss:
     def test_perfect_predictions_zero_loss(self):
         a = np.array([0, 1, 2])
         r = np.array([0, 0, 1, 3])
-        pred = BatchPredictions(self.one_hot(a, 3), self.one_hot(a, 3), self.one_hot(r, 4))
+        pred = BatchForward(self.one_hot(a, 3), self.one_hot(a, 3), self.one_hot(r, 4))
         gold = BatchTargets(a, a, r)
         masks = BatchMasks(np.ones(3, bool), np.ones(4, bool))
         tagging, parsing, total = joint_loss(pred, gold, masks)
@@ -63,7 +62,7 @@ class TestJointLoss:
     def test_uniform_predictions(self):
         a = np.array([0, 1])
         r = np.array([2, 3, 0])
-        pred = BatchPredictions(
+        pred = BatchForward(
             Tensor(np.full((2, 3), 1 / 3)), Tensor(np.full((2, 3), 1 / 3)),
             Tensor(np.full((3, 4), 0.25)),
         )
@@ -80,7 +79,7 @@ class TestJointLoss:
             tags = Tensor(raw / raw.sum(axis=1, keepdims=True))
             raw_r = rng.random((7, 4)) + 1e-3
             rels = Tensor(raw_r / raw_r.sum(axis=1, keepdims=True))
-            pred = BatchPredictions(tags, tags, rels)
+            pred = BatchForward(tags, tags, rels)
             gold = BatchTargets(
                 rng.integers(0, 3, 5), rng.integers(0, 3, 5), rng.integers(0, 4, 7)
             )
@@ -93,7 +92,7 @@ class TestJointLoss:
     def test_masked_positions_contribute_nothing(self):
         tags = Tensor(np.array([[1.0, 0.0, 0.0], [1e-12, 1.0, 0.0]]))
         rels = Tensor(np.full((1, 4), 0.25))
-        pred = BatchPredictions(tags, tags, rels)
+        pred = BatchForward(tags, tags, rels)
         gold = BatchTargets(np.array([0, 2]), np.array([0, 2]), np.array([1]))
         masks = BatchMasks(np.array([True, False]), np.array([True]))
         tagging, _, _ = joint_loss(pred, gold, masks)
@@ -417,8 +416,10 @@ class TestBatching:
         batch = sorted(vocab_sentences, key=len)[:3]
         pred, gold, masks = assemble_batch(model, batch)
         longest = max(len(s) for s in batch)
-        assert pred.aspect.shape == (3 * longest, 3)
-        assert pred.relations.shape == (3 * longest * longest, 4)
+        assert pred.aspect.shape == (3, longest, 3)
+        assert pred.relations.shape == (3, longest, longest, 4)
+        assert gold.aspect.shape == masks.tokens.shape == (3, longest)
+        assert gold.relations.shape == masks.cells.shape == (3, longest, longest)
         assert masks.tokens.sum() == sum(len(s) for s in batch)
         assert masks.cells.sum() == sum(len(s) ** 2 for s in batch)
 
@@ -547,3 +548,9 @@ class TestTrainConfigValidation:
             TrainConfig(base_lr=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["base_lr", "warmup_epochs", "grad_clip_norm"])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
