@@ -29,7 +29,7 @@ from .data import (
     write_corpus_file,
 )
 from .encoder import EncoderConfig, adapter_increment, count_params, structural_layer_increment
-from .errors import ParseError, TrainingDivergedError, ValidationError
+from .errors import NumericError, ParseError, TrainingDivergedError, ValidationError
 from .evaluation import bench_distance, bench_summary, score_corpus
 from .model import TripletModel
 from .parser import ParserConfig
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, TrainingDivergedError, OSError) as exc:
+    except (ValidationError, ParseError, TrainingDivergedError, NumericError, OSError) as exc:
         print(f"aste: {exc}", file=sys.stderr)
         return 1
 

@@ -25,4 +25,4 @@ class ParseError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training hit a non-finite loss and was aborted."""
+    """Training hit a non-finite loss or gradient and was aborted."""

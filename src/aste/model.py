@@ -21,7 +21,7 @@ import numpy as np
 from .data import Sentence, Triplet, Vocabulary, length_buckets
 from .encoder import Encoder, EncoderConfig
 from .errors import ValidationError
-from .numerics import ParamGroup, Tensor, no_grad
+from .numerics import ParamGroup, Tensor, checked_once, no_grad
 from .parser import (REL_LABELS, TAGS, ParserConfig, SentimentRelationMap, TripletParser,
                      decode_bio, decode_grid)
 from .structure import NONE, StructureConfig, augmented_distance_matrix
@@ -122,13 +122,15 @@ class TripletModel:
     def predict_corpus(self, sentences, batches=None) -> list[set[Triplet]]:
         """Decode every sentence, in input order. Sentences run in the
         batches of ``inference_batches`` (derived here when not given) and
-        record no tape."""
+        record no tape; finiteness is checked once per batch, on its three
+        output arrays."""
         if batches is None:
             batches = self.inference_batches(sentences)
         predicted: list = [None] * len(sentences)
         with no_grad():
             for batch, distances in batches:
-                forward = self.forward([sentences[i] for i in batch], distances)
+                rows = [sentences[i] for i in batch]
+                forward = checked_once(lambda: self.forward(rows, distances), _outputs)
                 for row, i in enumerate(batch):
                     predicted[i] = forward.decode(row, len(sentences[i]))
         return predicted
@@ -230,6 +232,12 @@ class TripletModel:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"unreadable weight file header: {exc}") from exc
         return cls(encoder_config, parser_config, vocab, seed=0)
+
+
+def _outputs(forward: BatchForward):
+    """The arrays of a batch pass that must be finite, for checked_once."""
+    return (("aspect tagger", forward.aspect.data), ("opinion tagger", forward.opinion.data),
+            ("relation scorer", forward.relations.data))
 
 
 def _encoder_config_from_dict(raw: dict) -> EncoderConfig:

@@ -6,10 +6,24 @@ handful of reshaping ops. Each op records a backward closure; ``backward()``
 on a scalar walks the tape. There is deliberately no general autodiff
 beyond these ops.
 
-All data is float64. Every public op validates that its result is finite,
-so a numerical blow-up surfaces at the op that produced it instead of
-corrupting a training run. Inside ``no_grad()`` ops record no tape, so an
-inference pass keeps nothing alive but its results.
+All data is float64. By default every public op validates that its result
+is finite, so a numerical blow-up surfaces at the op that produced it
+instead of corrupting a training run. The training step and the inference
+batch run through ``checked_once`` instead: their ops skip the check, the
+step or batch checks its few results at its end, and only when one is
+non-finite does it run again with every op checked, so the error still
+names the op. Inside ``no_grad()`` ops record no tape, so an inference pass
+keeps nothing alive but its results.
+
+An unchecked run must not lose a non-finite value on its way to those
+results. So ``relu`` and ``softmax`` turn a non-finite operand value into
+NaN in their result instead of a zero, and an op that leaves operand
+values out of its result (``getitem``, ``gather_cols``) makes its whole
+result NaN when one of its operand values is non-finite. On finite
+operands all of them return what they always did, bit for bit. Values
+that ``cross_entropy`` leaves out (other classes, masked cells) come back
+through the backward pass: ``softmax``'s backward multiplies every
+probability into the gradient, so a NaN there makes the gradient norm NaN.
 """
 
 from __future__ import annotations
@@ -24,21 +38,24 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
     "take_rows", "gather_cols",
-    "normal_init", "zeros_init", "grad_check",
+    "normal_init", "zeros_init", "grad_check", "checked_once",
 ]
 
 Array = np.ndarray
 
 # Whether new tensors keep their parents and backward closure; see no_grad.
 _record_tape = True
+# Whether new tensors check their values are finite; see checked_once.
+_check_ops = True
 
 
 @contextmanager
 def no_grad():
     """Build tensors without a tape inside the block: results keep no
     parents and no backward closure, so nothing can backpropagate through
-    them. Finiteness is still checked on every op. The previous mode comes
-    back on exit, also when the block raises."""
+    them. Finiteness checks go on as outside the block: per op, or once at
+    the end of a ``checked_once`` run. The previous mode comes back on
+    exit, also when the block raises."""
     global _record_tape
     previous = _record_tape
     _record_tape = False
@@ -46,6 +63,43 @@ def no_grad():
         yield
     finally:
         _record_tape = previous
+
+
+@contextmanager
+def _op_checks(enabled: bool):
+    """Switch the per-op finiteness check on or off inside the block."""
+    global _check_ops
+    previous = _check_ops
+    _check_ops = enabled
+    try:
+        yield
+    finally:
+        _check_ops = previous
+
+
+def checked_once(compute, boundary):
+    """``compute()``, with finiteness checked on a few of its results
+    instead of on every op.
+
+    ``compute`` runs with the per-op check off and numpy's floating-point
+    warnings silenced. ``boundary(result)`` gives ``(name, array)`` pairs
+    that must be finite, in the order to check them. When one is not,
+    ``compute`` runs again with every op checked, under the caller's numpy
+    error state, so the error and the warnings are those of a per-op run:
+    NumericError names the op that first produced a non-finite value. When
+    no op does (a non-finite gradient is no op's result), it names the
+    boundary value.
+    """
+    with _op_checks(False), np.errstate(all="ignore"):
+        result = compute()
+    try:
+        for name, array in boundary(result):
+            _check_finite(array, name)
+    except NumericError:
+        with _op_checks(True):
+            compute()
+        raise
+    return result
 
 
 def _as_array(value) -> Array:
@@ -56,6 +110,16 @@ def _as_array(value) -> Array:
 def _check_finite(data: Array, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NumericError(f"{op} produced non-finite values")
+
+
+def _carry(result: Array, operand: Array) -> Array:
+    """``result`` of an op that leaves some ``operand`` values out of it:
+    unchanged while ops are checked or every operand value is finite, all
+    NaN otherwise. ``0.0 * max|operand|`` is +0.0 or NaN, and subtracting
+    +0.0 changes no float, -0.0 included."""
+    if _check_ops:
+        return result
+    return result - 0.0 * np.abs(operand).max(initial=0.0)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -80,7 +144,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _op="leaf"):
         self.data = _as_array(data)
-        _check_finite(self.data, _op)
+        if _check_ops:
+            _check_finite(self.data, _op)
         if not _record_tape:
             _parents, _backward = (), None
         self.grad: Array | None = None
@@ -224,7 +289,8 @@ class Tensor:
             full[key] = g
             return ((self, full),)
 
-        return Tensor(self.data[key], _parents=(self,), _backward=back, _op="getitem")
+        return Tensor(_carry(self.data[key], self.data), _parents=(self,), _backward=back,
+                      _op="getitem")
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -234,7 +300,9 @@ class Tensor:
         def back(g):
             return ((self, g * mask),)
 
-        return Tensor(np.where(mask, self.data, 0.0), _parents=(self,), _backward=back, _op="relu")
+        # x * 1 + 0 is x and x * 0 + 0 is +0.0 for finite x, as in
+        # where(mask, x, 0); NaN and -inf give NaN instead of 0.
+        return Tensor(self.data * mask + 0.0, _parents=(self,), _backward=back, _op="relu")
 
     def sum(self) -> "Tensor":
         def back(g):
@@ -280,8 +348,8 @@ def gather_cols(scores: Tensor, index: Array) -> Tensor:
         full = np.bincount(flat, weights=g.ravel(), minlength=scores.size)
         return ((scores, full.reshape(scores.shape)),)
 
-    return Tensor(np.take(scores.data, flat).reshape(index.shape), _parents=(scores,),
-                  _backward=back, _op="gather_cols")
+    picked = _carry(np.take(scores.data, flat).reshape(index.shape), scores.data)
+    return Tensor(picked, _parents=(scores,), _backward=back, _op="gather_cols")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -310,7 +378,10 @@ def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
     else:
         shifted = data
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
+    # data * 0.0 is a zero where data is finite, so exp is unchanged (e**-0
+    # is e**0), and NaN where it is not: a non-finite logit, masked or -inf,
+    # turns its row NaN instead of getting zero weight.
+    exp = np.exp(shifted + data * 0.0)
     probs = exp / exp.sum(axis=-1, keepdims=True)
 
     def back(g):
@@ -471,7 +542,9 @@ def grad_check(f, params, eps: float = 1e-5, samples_per_tensor: int = 4, seed: 
     ``f`` re-evaluates the forward pass from the live parameter tensors in
     ``params`` (one group or an iterable of groups) and returns a scalar
     Tensor. Returns the max over sampled coordinates of
-    ``|analytic - numeric| / max(1, |numeric|)``.
+    ``|analytic - numeric| / max(1, |numeric|)``. A non-finite analytic
+    gradient or perturbed objective raises NumericError: no error bound
+    can hold for it.
     """
     groups = [params] if isinstance(params, ParamGroup) else list(params)
     rng = np.random.default_rng(seed)
@@ -485,6 +558,8 @@ def grad_check(f, params, eps: float = 1e-5, samples_per_tensor: int = 4, seed: 
     for group in groups:
         for name, tensor in group.items():
             analytic = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad
+            if not np.isfinite(analytic).all():
+                raise NumericError(f"grad_check: analytic gradient of {name} is non-finite")
             flat = tensor.data.reshape(-1)
             n = flat.size
             picks = range(n) if n <= samples_per_tensor else rng.choice(n, size=samples_per_tensor, replace=False)
@@ -495,6 +570,9 @@ def grad_check(f, params, eps: float = 1e-5, samples_per_tensor: int = 4, seed: 
                 flat[idx] = original - eps
                 lo = f().item()
                 flat[idx] = original
+                if not (np.isfinite(hi) and np.isfinite(lo)):
+                    raise NumericError(f"grad_check: objective is non-finite with {name} "
+                                       f"element {idx} perturbed")
                 numeric = (hi - lo) / (2.0 * eps)
                 err = abs(analytic.reshape(-1)[idx] - numeric) / max(1.0, abs(numeric))
                 worst = max(worst, err)

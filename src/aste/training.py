@@ -20,7 +20,7 @@ from .encoder import EncoderConfig
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
 from .model import BatchForward, TripletModel
-from .numerics import ParamGroup, Tensor, cross_entropy
+from .numerics import ParamGroup, Tensor, checked_once, cross_entropy
 from .parser import ParserConfig, build_gold
 from .structure import NONE
 
@@ -271,6 +271,28 @@ def evaluate_model(model: TripletModel, sentences, batches=None) -> MatchScores:
     return score_corpus(preds, golds)
 
 
+def _step(model: TripletModel, groups, sentences, inputs: BatchInputs,
+          clip_norm: float) -> tuple[float, float, float, float]:
+    """Forward, loss, backward and gradient clip of one batch: the tagging,
+    parsing and total losses and the pre-clip gradient norm. A non-finite
+    loss is not backpropagated, and its norm reads 0. Only numbers come
+    back, so the batch's tape is freed before the next one is built."""
+    model.zero_grad()
+    pred, gold, masks = assemble_batch(model, sentences, inputs)
+    tagging, parsing, total = joint_loss(pred, gold, masks)
+    if not np.isfinite(total.data):
+        return tagging.item(), parsing.item(), total.item(), 0.0
+    total.backward()
+    return tagging.item(), parsing.item(), total.item(), clip_gradients(groups, clip_norm)
+
+
+def _step_results(result):
+    """What must be finite after a step, for checked_once: the loss, then
+    the gradient norm, which is finite only if every gradient is."""
+    _, _, total, norm = result
+    return (("joint_loss", total), ("backward", norm))
+
+
 def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserConfig,
           config: TrainConfig, vocab: Vocabulary | None = None,
           log=None) -> tuple[TripletModel, TrainHistory]:
@@ -311,19 +333,18 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         for step, batch_index in enumerate(order):
             t = min(epoch + (step + 1) / steps_per_epoch, config.max_epochs)
             base_lr = lr_at(t, config)
-            model.zero_grad()
             try:
-                pred, gold, masks = assemble_batch(model, batches[batch_index], inputs[batch_index])
-                tagging, parsing, total = joint_loss(pred, gold, masks)
-                total.backward()
+                tagging, parsing, _, _ = checked_once(
+                    lambda: _step(model, groups, batches[batch_index], inputs[batch_index],
+                                  config.grad_clip_norm),
+                    _step_results)
             except NumericError as exc:
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, step {step}: {exc}"
+                    f"non-finite value at epoch {epoch}, step {step}: {exc}"
                 ) from exc
-            clip_gradients(groups, config.grad_clip_norm)
             optimizer.step(base_lr)
-            tagging_sum += tagging.item()
-            parsing_sum += parsing.item()
+            tagging_sum += tagging
+            parsing_sum += parsing
         dev = evaluate_model(model, corpus.dev, dev_batches)
         history.append(
             epoch=epoch,

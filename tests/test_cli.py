@@ -473,3 +473,25 @@ class TestDecodeRecords:
         assert code == 1 and out == ""
         assert "head array" in err
         assert not decoded.exists()
+
+    def test_numeric_overflow_exits_1_naming_the_op(self, capsys, tmp_path):
+        """A finite weight file whose forward pass overflows fails decode
+        and eval with exit 1 and a message naming the op, and decode
+        writes nothing."""
+        weights, corpus = self.weights(tmp_path, RELATIVE)
+        model = TripletModel.load(weights)
+        model.parser.params.buffer *= 1e160
+        model.save(weights)
+        source = tmp_path / "in.jsonl"
+        write_corpus_file(source, corpus.train[:3])
+        decoded = tmp_path / "out.jsonl"
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "decode", "--weights", str(weights),
+                                 "--input", str(source), "--out", str(decoded))
+            assert (code, out) == (1, "")
+            assert err == "aste: matmul produced non-finite values\n"
+            assert not decoded.exists()
+            code, out, err = run(capsys, "eval", "--weights", str(weights),
+                                 "--input", str(source))
+            assert (code, out) == (1, "")
+            assert err == "aste: matmul produced non-finite values\n"

@@ -1,16 +1,19 @@
 """Core tensor ops: frozen oracles, invariants, and gradient checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aste.numerics
 from aste.errors import NumericError, ShapeError
 from aste.numerics import (
     ParamGroup,
     Tensor,
+    checked_once,
     cross_entropy,
     gather_cols,
     grad_check,
@@ -289,6 +292,98 @@ class TestNoGrad:
         assert (w @ w)._parents == (w, w)
 
 
+class TestCheckedOnce:
+    @staticmethod
+    def overflowing():
+        big = Tensor(np.full((2, 2), 1e308))
+        runs = []
+
+        def compute():
+            runs.append(aste.numerics._check_ops)
+            return (big @ big).relu()
+
+        return compute, runs
+
+    def test_ops_unchecked_inside_and_result_returned(self):
+        runs = []
+
+        def compute():
+            runs.append(aste.numerics._check_ops)
+            return Tensor([1.0]) + Tensor([2.0])
+
+        out = checked_once(compute, lambda t: (("sum", t.data),))
+        assert out.data.tolist() == [3.0]
+        assert runs == [False]
+        assert aste.numerics._check_ops
+
+    def test_non_finite_result_replays_and_names_the_op(self):
+        compute, runs = self.overflowing()
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^matmul produced"):
+            checked_once(compute, lambda t: (("relu", t.data),))
+        assert runs == [False, True]
+        assert aste.numerics._check_ops
+
+    def test_error_names_the_boundary_value_when_no_op_raises(self):
+        with pytest.raises(NumericError, match="^gradient produced"):
+            checked_once(lambda: np.array([np.nan]), lambda a: (("gradient", a),))
+
+    def test_warnings_are_those_of_a_per_op_run(self):
+        def messages(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericError):
+                    run()
+            return [str(w.message) for w in caught]
+
+        compute, _ = self.overflowing()
+        per_op = messages(compute)
+        assert per_op == ["overflow encountered in matmul"]
+        assert messages(lambda: checked_once(compute, lambda t: (("relu", t.data),))) == per_op
+
+
+class TestUncheckedOpsKeepNonFiniteValues:
+    """With the per-op check off, an op whose result could hide a
+    non-finite operand value shows it as NaN; on finite operands it gives
+    what it always did, bit for bit."""
+
+    @staticmethod
+    def unchecked(op, *values):
+        with aste.numerics._op_checks(False), np.errstate(all="ignore"):
+            return op(*[Tensor(np.asarray(v, dtype=float)) for v in values]).data
+
+    def test_relu(self):
+        finite = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0])
+        assert Tensor(finite).relu().data.tobytes() == np.where(finite > 0, finite, 0.0).tobytes()
+        out = self.unchecked(Tensor.relu, [np.nan, -np.inf, np.inf, -1.0, 2.0])
+        np.testing.assert_array_equal(out, [np.nan, np.nan, np.inf, 0.0, 2.0])
+
+    def test_softmax(self):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(3, 5))
+        mask = rng.random((3, 5)) > 0.3
+        mask[:, 0] = True
+        shifted = np.where(mask, data, -np.inf)
+        exp = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        expected = exp / exp.sum(axis=-1, keepdims=True)
+        assert softmax(Tensor(data), mask=mask).data.tobytes() == expected.tobytes()
+        data[0, 1], data[1, 2] = -np.inf, np.nan
+        mask[1, 2] = False
+        out = self.unchecked(lambda x: softmax(x, mask=mask), data)
+        assert np.isnan(out[:2]).all() and np.isfinite(out[2]).all()
+
+    def test_getitem_and_gather_cols(self):
+        data = np.arange(12.0).reshape(3, 4)
+        index = np.array([[0, 0], [1, 2], [3, 3]])
+        picked = self.unchecked(lambda x: gather_cols(x, index), data)
+        np.testing.assert_array_equal(picked, [[0.0, 0.0], [5.0, 6.0], [11.0, 11.0]])
+        np.testing.assert_array_equal(self.unchecked(lambda x: x[1:, :2], data), data[1:, :2])
+        data[0, 1] = np.inf
+        assert np.isnan(self.unchecked(lambda x: gather_cols(x, index), data)).all()
+        assert np.isnan(self.unchecked(lambda x: x[1:, :2], data)).all()
+        # Checked ops see only finite operands and leave results alone.
+        assert Tensor(np.ones((2, 2)))[0].data.tolist() == [1.0, 1.0]
+
+
 class TestParamGroup:
     def test_duplicate_names_rejected(self):
         g = ParamGroup("encoder")
@@ -393,3 +488,27 @@ class TestGradCheck:
         w = g.add("w", Tensor([[1e308]]))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             grad_check(lambda: (w * w).sum(), g)
+
+    def test_nan_analytic_gradient_rejected(self):
+        g = ParamGroup("parser")
+        w = g.add("w", Tensor(np.ones((2, 2))))
+
+        def f():
+            return Tensor((w.data ** 2).sum(), _parents=(w,), _op="planted",
+                          _backward=lambda grad: ((w, np.full(w.shape, np.nan)),))
+
+        with pytest.raises(NumericError, match="analytic gradient of w"):
+            grad_check(f, g)
+
+    def test_nan_perturbed_objective_rejected(self):
+        g = ParamGroup("parser")
+        w = g.add("w", Tensor(np.ones((2, 2))))
+
+        def f():
+            value = (w.data ** 2).sum() if (w.data == 1.0).all() else np.nan
+            with aste.numerics._op_checks(False):
+                return Tensor(value, _parents=(w,), _op="planted",
+                              _backward=lambda grad: ((w, 2.0 * grad * w.data),))
+
+        with pytest.raises(NumericError, match="perturbed"):
+            grad_check(f, g)

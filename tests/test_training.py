@@ -1,5 +1,7 @@
 """Loss, schedule, optimizer, and training-loop contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,18 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 self.run(corpus, epochs=3, lr=1e160)
+
+    def test_divergence_emits_no_runtime_warning(self):
+        """The diverging case above, with numpy's warnings as errors: the
+        step runs with warnings off and is not backpropagated once its
+        loss is non-finite, and its replay stops at the op that
+        overflowed, as a per-op run does."""
+        corpus = learnable_corpus(10, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDivergedError, match="epoch"):
+                    self.run(corpus, epochs=3, lr=1e160)
 
     def test_empty_split_rejected(self):
         corpus = Corpus(name="x", train=[], dev=[])
