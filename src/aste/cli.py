@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     Corpus,
     Vocabulary,
@@ -359,7 +361,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Every numeric failure is reported below naming the op that made
+        # it; numpy's own warnings would only repeat it, with a source line.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (ValidationError, ParseError, TrainingDivergedError, NumericError, OSError) as exc:
         print(f"aste: {exc}", file=sys.stderr)
         return 1

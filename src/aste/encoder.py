@@ -12,6 +12,11 @@ where ``r_ij`` is a learned embedding of the clipped signed distance
 between positions i and j. The distance table is shared by all heads of a
 layer and independent across layers, and is zero-initialized so an
 untrained model behaves exactly like the unbiased one.
+
+Each layer's attention, from its input states to the merged heads, is one
+tape node with a hand-written backward pass. ``attention_scores`` and
+``structured_attention_map`` read the logits from the same numpy forward
+(``Encoder._scores``), so there is one attention code path.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from .errors import ShapeError, ValidationError
 from .numerics import (
     ParamGroup,
     Tensor,
-    gather_cols,
+    carry_non_finite,
     layer_norm,
     linear,
     normal_init,
-    softmax,
+    softmax_backward,
+    softmax_forward,
     take_rows,
     zeros_init,
 )
@@ -153,66 +159,125 @@ class Encoder:
 
     # -- attention -------------------------------------------------------
 
-    def _heads(self, x: Tensor, layer: int, names: str) -> list[Tensor]:
-        """The named projections (``q``, ``k``, ``v``) of (..., m, dim)
-        states, each split into (..., H, m, d) heads."""
-        c = self.config
-        out = []
-        for name in names:
-            proj = linear(x, self.params[f"l{layer}.w{name}"], self.params[f"l{layer}.b{name}"])
-            out.append(proj.reshape(*x.shape[:-1], c.heads, c.head_dim).swapaxes(-3, -2))
-        return out
-
     def _distance_index(self, distances, rows: tuple[int, ...]) -> np.ndarray:
-        """Bias-table rows for the (..., m, m) distances of (..., m) token
-        rows, validated once and broadcast over heads as (..., 1, m, m)."""
+        """Where the distance term reads the (..., H, m, R) products
+        ``q @ rel.T`` of (..., m) token rows: flat positions, in logit
+        order, of column ``index(d_ij)`` in row (..., h, i). The distances
+        are validated once and serve every layer."""
         if self.adapter is None:
             raise ValidationError("distance matrix supplied but structure is disabled")
         distances = np.asarray(distances, dtype=np.int64)
         if distances.shape != rows + rows[-1:]:
             raise ShapeError(f"distance matrix {distances.shape} does not match length {rows[-1]}")
-        return distances_to_indices(distances, self.config.adapter.tau)[..., None, :, :]
+        c = self.config
+        index = distances_to_indices(distances, c.adapter.tau)[..., None, :, :]
+        lead, m = rows[:-1], rows[-1]
+        products = np.arange(math.prod(lead) * c.heads * m).reshape(*lead, c.heads, m, 1)
+        return (products * c.adapter.table_rows + index).ravel()
 
-    def _logits(self, q: Tensor, k: Tensor | None, layer: int,
-                index: np.ndarray | None) -> Tensor:
-        """All heads' (..., H, m, m) pre-softmax logits: the content term
-        ``(q_i . k_j) / sqrt(d)`` when ``k`` is given, plus the distance
-        term ``(q_i . r_ij) / sqrt(d)`` when ``index`` is given. The
-        distance term is one product with the layer's table and one
-        gather (Shaw et al. 2018, section 3.3)."""
-        scale = math.sqrt(self.config.head_dim)
-        bias = None
+    def _split(self, x2d: np.ndarray, rows: tuple[int, ...], layer: int, name: str) -> np.ndarray:
+        """The ``name`` projection (``q``, ``k`` or ``v``) of the (N, dim)
+        states of (..., m) token rows, split into (..., H, m, d) heads."""
+        c, p = self.config, self.params
+        proj = x2d @ p[f"l{layer}.w{name}"].data
+        proj += p[f"l{layer}.b{name}"].data
+        return proj.reshape(*rows, c.heads, c.head_dim).swapaxes(-3, -2)
+
+    def _scores(self, x: np.ndarray, layer: int, index: np.ndarray | None,
+                content: bool = True):
+        """The numpy forward of a layer's pre-softmax logits, shared by the
+        blocks, ``attention_scores`` and ``structured_attention_map``.
+
+        Returns the flattened states, q and k split into heads (k None
+        without ``content``), and all heads' (..., H, m, m) logits: the
+        content term ``(q_i . k_j) / sqrt(d)`` when ``content`` is set,
+        plus the distance term ``(q_i . r_ij) / sqrt(d)`` when ``index``
+        (a ``_distance_index``) is given. The distance term is one product
+        with the layer's table and one gather (Shaw et al. 2018, section
+        3.3)."""
+        c = self.config
+        if x.ndim < 2 or x.shape[-1] != c.dim:
+            raise ShapeError(f"attention expects (..., m, {c.dim}) states, got {x.shape}")
+        rows, x2d = x.shape[:-1], x.reshape(-1, c.dim)
+        scale = 1.0 / math.sqrt(c.head_dim)
+        q = self._split(x2d, rows, layer, "q")
+        k = self._split(x2d, rows, layer, "k") if content else None
+        logits = None if k is None else (q @ np.swapaxes(k, -1, -2)) * scale
         if index is not None:
-            bias = gather_cols(q @ self.adapter[f"l{layer}.rel"].T, index) / scale
-        if k is None:
-            return bias
-        scores = (q @ k.T) / scale
-        return scores if bias is None else scores + bias
+            products = q @ self.adapter[f"l{layer}.rel"].data.T
+            # The gather leaves out the table rows no distance picks; a
+            # non-finite value there turns the logits NaN.
+            picked = carry_non_finite(np.take(products, index), products)
+            bias = picked.reshape(q.shape[:-1] + rows[-1:]) * scale
+            logits = bias if logits is None else logits + bias
+        return x2d, q, k, logits
+
+    def _attention(self, x: Tensor, layer: int, index: np.ndarray | None,
+                   key_mask: np.ndarray | None) -> Tensor:
+        """One layer's multi-head attention as one node: (..., m, dim)
+        states to the merged heads that ``wo`` projects. Q/K/V, the head
+        split, the logits of ``_scores``, the key mask, softmax, the
+        weighted sum of values and the merge run in numpy, and the backward
+        pass is written out by hand."""
+        c, p = self.config, self.params
+        rows = x.shape[:-1]
+        x2d, q, k, logits = self._scores(x.data, layer, index)
+        v = self._split(x2d, rows, layer, "v")
+        probs = softmax_forward(logits, key_mask)
+        merged = np.swapaxes(probs @ v, -3, -2).reshape(x.shape)
+        scale = 1.0 / math.sqrt(c.head_dim)
+        projections = [(p[f"l{layer}.w{name}"], p[f"l{layer}.b{name}"]) for name in "qkv"]
+        rel = None if index is None else self.adapter[f"l{layer}.rel"]
+
+        def back(g):
+            g = np.swapaxes(g.reshape(*rows, c.heads, c.head_dim), -3, -2)
+            d_v = np.swapaxes(probs, -1, -2) @ g
+            d_logits = softmax_backward(probs, g @ np.swapaxes(v, -1, -2)) * scale
+            d_q = d_logits @ k
+            d_k = np.swapaxes(d_logits, -1, -2) @ q
+            parts = []
+            if rel is not None:
+                table_rows = rel.shape[0]
+                d_products = np.bincount(index, weights=d_logits.ravel(),
+                                         minlength=q.size // c.head_dim * table_rows)
+                d_products = d_products.reshape(*q.shape[:-1], table_rows)
+                d_q = d_q + d_products @ rel.data
+                parts.append((rel, d_products.reshape(-1, table_rows).T
+                              @ q.reshape(-1, c.head_dim)))
+            d_x = None
+            for (weight, bias), d in zip(projections, (d_q, d_k, d_v)):
+                d = np.swapaxes(d, -3, -2).reshape(-1, c.dim)
+                d_x = d @ weight.data.T if d_x is None else d_x + d @ weight.data.T
+                parts += [(weight, x2d.T @ d), (bias, d.sum(axis=0))]
+            parts.append((x, d_x.reshape(x.shape)))
+            return parts
+
+        parents = (x, *(t for pair in projections for t in pair)) + (() if rel is None else (rel,))
+        return Tensor(merged, _parents=parents, _backward=back, _op="attention")
 
     def structured_attention_map(self, x: Tensor, layer: int, head: int,
                                  distances: np.ndarray) -> Tensor:
-        """The distance-bias term of a head's logits, on its own."""
-        q, = self._heads(x, layer, "q")
+        """The distance-bias term of a head's logits, on its own, as a
+        tensor without a tape."""
         index = self._distance_index(distances, x.shape[:-1])
-        return self._logits(q, None, layer, index)[..., head, :, :]
+        logits = self._scores(x.data, layer, index, content=False)[-1]
+        return Tensor(logits[..., head, :, :], _op="structured_attention_map")
 
     def attention_scores(self, x: Tensor, layer: int, head: int,
                          distances: np.ndarray | None = None) -> Tensor:
         """Pre-softmax logits for one head, exactly as the encoder's blocks
-        compute them; the bias term is added only when a distance matrix
-        is supplied."""
-        q, k = self._heads(x, layer, "qk")
+        compute them, as a tensor without a tape; the bias term is added
+        only when a distance matrix is supplied."""
         index = None if distances is None else self._distance_index(distances, x.shape[:-1])
-        return self._logits(q, k, layer, index)[..., head, :, :]
+        return Tensor(self._scores(x.data, layer, index)[-1][..., head, :, :],
+                      _op="attention_scores")
 
     # -- blocks ----------------------------------------------------------
 
     def _block(self, x: Tensor, layer: int, index, key_mask) -> Tensor:
         p = self.params
-        q, k, v = self._heads(x, layer, "qkv")
-        heads = softmax(self._logits(q, k, layer, index), mask=key_mask) @ v
-        merged = heads.swapaxes(-3, -2).reshape(*x.shape)
-        att = linear(merged, p[f"l{layer}.wo"], p[f"l{layer}.bo"])
+        att = linear(self._attention(x, layer, index, key_mask), p[f"l{layer}.wo"],
+                     p[f"l{layer}.bo"])
         x = layer_norm(x + att, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
         hidden = linear(x, p[f"l{layer}.ffn_w1"], p[f"l{layer}.ffn_b1"]).relu()
         out = linear(hidden, p[f"l{layer}.ffn_w2"], p[f"l{layer}.ffn_b2"])

@@ -4,7 +4,12 @@ Everything the model needs is built from the small op set below: affine
 maps, stable softmax, cross entropy, embedding lookups, layer norm, and a
 handful of reshaping ops. Each op records a backward closure; ``backward()``
 on a scalar walks the tape. There is deliberately no general autodiff
-beyond these ops.
+beyond these ops. Per-node cost in Python, not arithmetic, dominates at
+this model's sizes, so the hot paths are few large nodes: ``linear`` is
+one node, and the encoder's attention (``encoder.Encoder._attention``)
+and the parser's pair logits (``parser.pair_logits``) are one node each
+with a hand-written backward, built on ``softmax_forward``,
+``softmax_backward`` and ``carry_non_finite`` from here.
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -16,11 +21,14 @@ names the op. Inside ``no_grad()`` ops record no tape, so an inference pass
 keeps nothing alive but its results.
 
 An unchecked run must not lose a non-finite value on its way to those
-results. So ``relu`` and ``softmax`` turn a non-finite operand value into
-NaN in their result instead of a zero, and an op that leaves operand
-values out of its result (``getitem``, ``gather_cols``) makes its whole
-result NaN when one of its operand values is non-finite. On finite
-operands all of them return what they always did, bit for bit. Values
+results, and a per-op check sees only a node's result, not what a fused
+node computes on the way. So ``relu`` and ``softmax`` turn a non-finite
+operand value into NaN in their result instead of a zero, ``layer_norm``
+turns a row whose variance overflows NaN instead of a copy of its bias,
+and a node that leaves values out of its result (``getitem``; attention's
+distance products over the table rows no distance picks) makes its whole
+result NaN when one of them is non-finite (``carry_non_finite``). On
+finite values all of them return what they always did, bit for bit. Values
 that ``cross_entropy`` leaves out (other classes, masked cells) come back
 through the backward pass: ``softmax``'s backward multiplies every
 probability into the gradient, so a NaN there makes the gradient norm NaN.
@@ -37,7 +45,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
-    "take_rows", "gather_cols",
+    "take_rows", "softmax_forward", "softmax_backward", "carry_non_finite",
     "normal_init", "zeros_init", "grad_check", "checked_once",
 ]
 
@@ -112,13 +120,11 @@ def _check_finite(data: Array, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
-def _carry(result: Array, operand: Array) -> Array:
+def carry_non_finite(result: Array, operand: Array) -> Array:
     """``result`` of an op that leaves some ``operand`` values out of it:
-    unchanged while ops are checked or every operand value is finite, all
-    NaN otherwise. ``0.0 * max|operand|`` is +0.0 or NaN, and subtracting
-    +0.0 changes no float, -0.0 included."""
-    if _check_ops:
-        return result
+    unchanged while every operand value is finite, all NaN otherwise.
+    ``0.0 * max|operand|`` is +0.0 or NaN, and subtracting +0.0 changes no
+    float, -0.0 included."""
     return result - 0.0 * np.abs(operand).max(initial=0.0)
 
 
@@ -234,9 +240,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: float) -> "Tensor":
-        return self * (1.0 / float(scalar))
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         """``(..., m, k) @ (..., k, n)``, leading axes broadcast; a 2-D
         right operand is a weight shared by every leading index."""
@@ -289,8 +292,8 @@ class Tensor:
             full[key] = g
             return ((self, full),)
 
-        return Tensor(_carry(self.data[key], self.data), _parents=(self,), _backward=back,
-                      _op="getitem")
+        return Tensor(carry_non_finite(self.data[key], self.data), _parents=(self,),
+                      _backward=back, _op="getitem")
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -325,51 +328,37 @@ def take_rows(table: Tensor, ids: Array) -> Tensor:
     return Tensor(table.data[ids], _parents=(table,), _backward=back, _op="take_rows")
 
 
-def gather_cols(scores: Tensor, index: Array) -> Tensor:
-    """Per-row column gather: ``out[..., i, j] = scores[..., i, index[..., i, j]]``.
-
-    ``index`` has one row per row of ``scores`` and broadcasts over its
-    leading axes; columns may repeat, and the backward pass scatter-adds
-    accordingly.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    width = scores.shape[-1]
-    if index.shape[-2:-1] != scores.shape[-2:-1]:
-        raise ShapeError("gather_cols row counts differ")
-    if index.size and (index.min() < 0 or index.max() >= width):
-        raise IndexError("gather index out of range")
-    index = np.broadcast_to(index, scores.shape[:-1] + index.shape[-1:])
-    # Flat positions into ``scores``: the gather is one take, and its
-    # backward one bincount scatter-add.
-    rows = np.arange(scores.size // width).reshape(scores.shape[:-1] + (1,))
-    flat = (rows * width + index).ravel()
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight (+ bias)`` of an (..., k) input, as one node:
+    one 2-D product over all leading rows, and in the backward pass one
+    product per operand."""
+    if x.data.ndim < 2 or weight.data.ndim != 2:
+        raise ShapeError(f"linear expects an input of at least 2 dimensions and a 2-D weight, "
+                         f"got {x.shape} and {weight.shape}")
+    k, n = weight.shape
+    if x.shape[-1] != k:
+        raise ShapeError(f"linear inner dims differ: {x.shape} @ {weight.shape}")
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"bias shape {bias.shape} does not match output width {n}")
+    rows = x.data.reshape(-1, k)
+    out = rows @ weight.data
+    if bias is not None:
+        out += bias.data
 
     def back(g):
-        full = np.bincount(flat, weights=g.ravel(), minlength=scores.size)
-        return ((scores, full.reshape(scores.shape)),)
+        g = g.reshape(-1, n)
+        parts = [(x, (g @ weight.data.T).reshape(x.shape)), (weight, rows.T @ g)]
+        if bias is not None:
+            parts.append((bias, g.sum(axis=0)))
+        return parts
 
-    picked = _carry(np.take(scores.data, flat).reshape(index.shape), scores.data)
-    return Tensor(picked, _parents=(scores,), _backward=back, _op="gather_cols")
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight (+ bias)`` with shape validation."""
-    out = x @ weight
-    if bias is not None:
-        if bias.shape != (weight.shape[1],):
-            raise ShapeError(f"bias shape {bias.shape} does not match output width {weight.shape[1]}")
-        out = out + bias
-    return out
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out.reshape(*x.shape[:-1], n), _parents=parents, _backward=back, _op="linear")
 
 
-def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
-    """Stable softmax over the trailing axis.
-
-    ``mask`` (optional, boolean, broadcastable to ``x``) marks valid
-    entries; masked entries get exactly zero weight. Every trailing-axis
-    slice must keep at least one valid entry.
-    """
-    data = x.data
+def softmax_forward(data: Array, mask: Array | None = None) -> Array:
+    """The array ``softmax`` computes, for ops that fuse it into their own
+    node."""
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
         if not mask.any(axis=-1).all():
@@ -382,11 +371,26 @@ def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
     # is e**0), and NaN where it is not: a non-finite logit, masked or -inf,
     # turns its row NaN instead of getting zero weight.
     exp = np.exp(shifted + data * 0.0)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(probs: Array, g: Array) -> Array:
+    """The gradient of the logits of ``probs = softmax_forward(logits)``
+    for the gradient ``g`` of ``probs``."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
+def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
+    """Stable softmax over the trailing axis.
+
+    ``mask`` (optional, boolean, broadcastable to ``x``) marks valid
+    entries; masked entries get exactly zero weight. Every trailing-axis
+    slice must keep at least one valid entry.
+    """
+    probs = softmax_forward(x.data, mask)
 
     def back(g):
-        inner = (g * probs).sum(axis=-1, keepdims=True)
-        return ((x, probs * (g - inner)),)
+        return ((x, softmax_backward(probs, g)),)
 
     return Tensor(probs, _parents=(x,), _backward=back, _op="softmax")
 
@@ -399,7 +403,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm gain/bias must match the trailing axis")
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
+    # var * 0.0 is +0.0 for a finite variance, leaving inv bit for bit as
+    # it was, and NaN for an overflowed one, which would otherwise make inv
+    # 0 and the row a finite copy of ``bias``.
+    inv = 1.0 / np.sqrt(var + 1e-5) + var * 0.0
     xhat = (x.data - mean) * inv
 
     def back(g):

@@ -98,18 +98,44 @@ class TripletParser:
         """(..., n, n, 4) distributions over ordered token pairs, i = j
         included, for (..., n, dim) hidden states."""
         p = self.params
-        *lead, n = hidden.shape[:-1]
-        k = len(REL_LABELS)
         head = linear(hidden, p["pair_head_w1"], p["pair_head_b1"]).relu()
         dep = linear(hidden, p["pair_dep_w1"], p["pair_dep_b1"]).relu()
-        # Each side as (..., 1, n, p) broadcasts against the (4, p, p) forms:
-        # one product per side gives (..., 4, n, n); the label axis moves last.
-        bilinear = (head[..., None, :, :] @ p["pair_bil"]) @ dep[..., None, :, :].T
-        logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1)
-        logits = logits + (head @ p["pair_head_w2"]).reshape(*lead, n, 1, k)
-        logits = logits + (dep @ p["pair_dep_w2"]).reshape(*lead, 1, n, k)
-        logits = logits + p["pair_b2"]
-        return softmax(logits)
+        return softmax(pair_logits(head, dep, p["pair_bil"], p["pair_head_w2"],
+                                   p["pair_dep_w2"], p["pair_b2"]))
+
+
+def pair_logits(head: Tensor, dep: Tensor, bil: Tensor, head_w: Tensor, dep_w: Tensor,
+                bias: Tensor) -> Tensor:
+    """(..., n, n, k) logits of ordered token pairs as one node:
+    ``head_i . bil[c] . dep_j + head_i . head_w[:, c] + dep_j . dep_w[:, c]
+    + bias[c]`` for (..., n, p) sides, (k, p, p) bilinear forms, (p, k)
+    weights and a (k,) bias. Every intermediate lands in the result, so
+    nothing non-finite can drop out."""
+    h, d = head.data, dep.data
+    *lead, n, _ = h.shape
+    k = bias.shape[0]
+    # Each side as (..., 1, n, p) broadcasts against the (k, p, p) forms:
+    # one product per side gives (..., k, n, n); the label axis moves last.
+    with_forms = h[..., None, :, :] @ bil.data
+    bilinear = with_forms @ d[..., None, :, :].swapaxes(-1, -2)
+    logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1) + (h @ head_w.data).reshape(*lead, n, 1, k)
+    logits += (d @ dep_w.data).reshape(*lead, 1, n, k)
+    logits += bias.data
+
+    def back(g):
+        g_forms = np.moveaxis(g, -1, -3)
+        d_with_forms = g_forms @ d[..., None, :, :]
+        d_head_w, d_dep_w = g.sum(axis=-2), g.sum(axis=-3)
+        d_h = (d_with_forms @ np.swapaxes(bil.data, -1, -2)).sum(axis=-3) + d_head_w @ head_w.data.T
+        d_d = (np.swapaxes(g_forms, -1, -2) @ with_forms).sum(axis=-3) + d_dep_w @ dep_w.data.T
+        h2d, d2d = h.reshape(-1, h.shape[-1]), d.reshape(-1, d.shape[-1])
+        per_form = np.moveaxis(d_with_forms, -3, 0).reshape(k, -1, h.shape[-1])
+        return ((head, d_h), (dep, d_d), (bil, h2d.T @ per_form),
+                (head_w, h2d.T @ d_head_w.reshape(-1, k)), (dep_w, d2d.T @ d_dep_w.reshape(-1, k)),
+                (bias, g.reshape(-1, k).sum(axis=0)))
+
+    return Tensor(logits, _parents=(head, dep, bil, head_w, dep_w, bias), _backward=back,
+                  _op="pair_logits")
 
 
 # -- decoding ------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 import aste.model
 import aste.numerics
 import aste.training
-from aste.data import PAD_ID, Corpus, Sentence, Vocabulary
+from aste.data import PAD_ID, START_ID, Corpus, Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.errors import NumericError, TrainingDivergedError
 from aste.model import PREDICT_BATCH, BatchForward, TripletModel
@@ -140,6 +140,9 @@ PLANTS = {
     "-inf logit into softmax": set_values("parser", "pair_b2", 3, -np.inf),
     "padding embedding NaN": set_values("encoder", "tok_emb", PAD_ID, np.nan),
     "unused distance bucket inf": set_values("adapter", "l0.rel", 2 * TAU, np.inf),
+    # A finite start-marker row whose variance overflows in the embedding norm.
+    "layer_norm variance overflow": set_values("encoder", "tok_emb", (START_ID, slice(0, 2)),
+                                               [1e200, -1e200]),
 }
 
 
@@ -216,21 +219,29 @@ def test_diverging_run_warns_no_more_than_per_op_checks():
 
 def test_one_predict_checks_only_its_outputs(monkeypatch):
     """Guard: a single-sentence predict makes one finiteness check per
-    output array, not one per tensor."""
+    output array, not one per tensor; with per-op checks it makes exactly
+    one per tensor it builds."""
     corpus = corpus_with_heads()
     vocab = Vocabulary.build(corpus.train)
     model = TripletModel(encoder_config(RELATIVE, len(vocab)),
                          ParserConfig(tag_hidden=6, pair_hidden=5), vocab, seed=2)
     check, calls = aste.numerics._check_finite, []
+    init, built = Tensor.__init__, []
 
     def counting(data, op):
         calls.append(op)
         return check(data, op)
 
+    def building(tensor, *args, **kwargs):
+        built.append(tensor)
+        init(tensor, *args, **kwargs)
+
     monkeypatch.setattr(aste.numerics, "_check_finite", counting)
+    monkeypatch.setattr(Tensor, "__init__", building)
     model.predict(corpus.dev[0])
     assert calls == ["aspect tagger", "opinion tagger", "relation scorer"]
     calls.clear()
+    built.clear()
     with per_op_checks():
         model.predict(corpus.dev[0])
-    assert len(calls) > 50
+    assert len(calls) == len(built)

@@ -1,0 +1,243 @@
+"""The fused tape nodes against the chains of small nodes they replace.
+
+``linear``, each layer's attention and the parser's pair logits are one
+node each with a hand-written backward. ``reference_forward`` below
+rebuilds the model's forward pass the way it was composed before, from
+the general ops (matmul, reshape, swapaxes, getitem, add, mul) and a
+column-gather node kept here for it. The fused path must give the same
+losses bit for bit and the same gradients to within 1e-12 of each
+tensor's scale, and each new backward must pass a finite-difference
+check at weights well above init scale, where a broken backward shows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from aste.data import Sentence, Vocabulary
+from aste.encoder import EncoderConfig
+from aste.model import BatchForward, TripletModel
+from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm, softmax
+from aste.parser import ParserConfig, pair_logits
+from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
+                            augmented_distance_matrix, distances_to_indices, random_tree_heads)
+from aste.synth import learnable_corpus
+from aste.training import assemble_batch, joint_loss, prepare_batch
+
+TAU = 4
+KINDS = [NONE, RELATIVE, DEPENDENCY]
+
+
+def gather_cols(scores: Tensor, index: np.ndarray) -> Tensor:
+    """``out[..., i, j] = scores[..., i, index[..., i, j]]``, ``index``
+    broadcast over the leading axes: the gather the distance term used
+    before attention became one node."""
+    width = scores.shape[-1]
+    index = np.broadcast_to(index, scores.shape[:-1] + index.shape[-1:])
+    rows = np.arange(scores.size // width).reshape(scores.shape[:-1] + (1,))
+    flat = (rows * width + index).ravel()
+
+    def back(g):
+        full = np.bincount(flat, weights=g.ravel(), minlength=scores.size)
+        return ((scores, full.reshape(scores.shape)),)
+
+    return Tensor(np.take(scores.data, flat).reshape(index.shape), _parents=(scores,),
+                  _backward=back, _op="gather_cols")
+
+
+def chain_linear(x, w, b):
+    return x @ w + b
+
+
+def reference_forward(model: TripletModel, sentences, distances) -> BatchForward:
+    """``model.forward`` as a chain of small nodes."""
+    enc, c = model.encoder, model.encoder.config
+    p = enc.params
+    x = layer_norm(enc.embed([model.vocab.encode(s.tokens) for s in sentences]),
+                   p["emb_ln_g"], p["emb_ln_b"])
+    *lead, m, _ = x.shape
+    lengths = np.array([len(s) + 2 for s in sentences])
+    mask = (np.arange(m) < lengths[:, None])[:, None, None, :]
+    scale = 1.0 / math.sqrt(c.head_dim)
+    for l in range(c.layers):
+        def heads(name):
+            proj = chain_linear(x, p[f"l{l}.w{name}"], p[f"l{l}.b{name}"])
+            return proj.reshape(*lead, m, c.heads, c.head_dim).swapaxes(-3, -2)
+
+        q, k, v = heads("q"), heads("k"), heads("v")
+        logits = (q @ k.T) * scale
+        if distances is not None:
+            index = distances_to_indices(distances, c.adapter.tau)[..., None, :, :]
+            logits = logits + gather_cols(q @ enc.adapter[f"l{l}.rel"].T, index) * scale
+        merged = (softmax(logits, mask=mask) @ v).swapaxes(-3, -2).reshape(*x.shape)
+        att = chain_linear(merged, p[f"l{l}.wo"], p[f"l{l}.bo"])
+        x = layer_norm(x + att, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
+        hidden = chain_linear(x, p[f"l{l}.ffn_w1"], p[f"l{l}.ffn_b1"]).relu()
+        out = chain_linear(hidden, p[f"l{l}.ffn_w2"], p[f"l{l}.ffn_b2"])
+        x = layer_norm(x + out, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
+    hidden = x[..., 1:-1, :]
+    q = model.parser.params
+
+    def tags(which):
+        inner = chain_linear(hidden, q[f"{which}_w1"], q[f"{which}_b1"]).relu()
+        return softmax(chain_linear(inner, q[f"{which}_w2"], q[f"{which}_b2"]))
+
+    n = hidden.shape[-2]
+    head = chain_linear(hidden, q["pair_head_w1"], q["pair_head_b1"]).relu()
+    dep = chain_linear(hidden, q["pair_dep_w1"], q["pair_dep_b1"]).relu()
+    bilinear = (head[..., None, :, :] @ q["pair_bil"]) @ dep[..., None, :, :].T
+    logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1)
+    logits = logits + (head @ q["pair_head_w2"]).reshape(*lead, n, 1, 4)
+    logits = logits + (dep @ q["pair_dep_w2"]).reshape(*lead, 1, n, 4)
+    logits = logits + q["pair_b2"]
+    return BatchForward(tags("aspect"), tags("opinion"), softmax(logits))
+
+
+def sentences_with_heads(seed=3):
+    corpus = learnable_corpus(16, seed=seed)
+    rng = np.random.default_rng(seed)
+    return [Sentence(tokens=s.tokens, triplets=s.triplets, heads=random_tree_heads(len(s), rng))
+            for s in corpus.train]
+
+
+def scaled_model(kind, vocab, seed=5):
+    """A model whose weights sit well above init scale: encoder matrices
+    x5, parser matrices x10, random biases and bias tables, so every
+    gradient is large enough for a wrong backward to show."""
+    config = EncoderConfig(vocab_size=len(vocab), dim=12, heads=3, layers=2, ffn_dim=16,
+                           max_len=64, adapter=StructureConfig(tau=TAU, kind=kind))
+    model = TripletModel(config, ParserConfig(tag_hidden=7, pair_hidden=6), vocab, seed=seed)
+    rng = np.random.default_rng(seed)
+    for group in model.param_groups():
+        for name, tensor in group.items():
+            if name.endswith(".rel"):
+                tensor.data[...] = rng.normal(0, 0.5, tensor.shape)
+            elif tensor.data.ndim >= 2 and not name.endswith("_emb"):
+                tensor.data *= 5.0 if group.name == "encoder" else 10.0
+            elif tensor.data.ndim == 1 and "_g" not in name:
+                tensor.data[...] = rng.normal(0, 0.1, tensor.shape)
+    return model
+
+
+def loss_and_gradients(model, batch, forward):
+    inputs = prepare_batch(model, batch)
+    model.zero_grad()
+    pred = forward(model, batch, inputs.distances)
+    losses = joint_loss(pred, inputs.gold, inputs.masks)
+    losses[2].backward()
+    grads = {f"{group.name}/{name}": np.zeros(t.shape) if t.grad is None else t.grad
+             for group in model.param_groups() for name, t in group.items()}
+    return [loss.item() for loss in losses], grads
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_losses_and_gradients_match_the_chain_of_small_nodes(kind):
+    """On padded batches of mixed lengths the fused path's losses are the
+    chain's bit for bit, and each gradient is within 1e-12 of its tensor's
+    scale: its largest reference entry, but at least a thousandth of the
+    largest gradient of the model. The floor is for ``bk``, whose true
+    gradient is 0 (each query's logits shift by the same ``q_i . bk``,
+    which softmax ignores), so both paths give only rounding noise."""
+    sentences = sentences_with_heads()
+    vocab = Vocabulary.build(sentences)
+    model = scaled_model(kind, vocab)
+    for batch in (sentences[:5], sentences[5:11], sentences[11:12]):
+        assert len({len(s) for s in batch}) > 1 or len(batch) == 1
+        losses, grads = loss_and_gradients(model, batch, lambda m, b, d: m.forward(b, d))
+        expected, reference = loss_and_gradients(model, batch, reference_forward)
+        assert losses == expected
+        largest = max(np.abs(g).max() for g in reference.values())
+        for key, grad in reference.items():
+            scale = max(np.abs(grad).max(), 1e-3 * largest)
+            assert np.abs(grads[key] - grad).max() <= 1e-12 * scale, key
+
+
+def padded_batch(enc, kind, rng):
+    """Three token rows of 5, 3 and 2 tokens, the distance stack of the
+    adapter (None without), and the attention key mask."""
+    lengths = [5, 3, 2]
+    m = max(lengths) + 2
+    ids, key_mask = enc._layout([list(rng.integers(4, 9, n)) for n in lengths])
+    distances = None
+    if kind != NONE:
+        distances = np.stack([
+            augmented_distance_matrix(n, enc.config.adapter, heads=random_tree_heads(n, rng),
+                                      total_len=m)
+            for n in lengths])
+    return ids, distances, key_mask[:, None, None, :]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_attention_gradients_on_a_padded_batch(kind):
+    """The attention node's gradients with respect to its input states,
+    every projection and the bias table, on a padded batch with a key
+    mask, at weights of scale 1 (50x init) and a random table."""
+    sentences = sentences_with_heads()
+    model = scaled_model(kind, Vocabulary.build(sentences))
+    enc = model.encoder
+    rng = np.random.default_rng(11)
+    for name, tensor in enc.params.items():
+        if name.startswith("l0.w"):
+            tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
+    ids, distances, key_mask = padded_batch(enc, kind, rng)
+    index = None if distances is None else enc._distance_index(distances, ids.shape)
+    states = ParamGroup("encoder")
+    x = states.add("x", Tensor(rng.normal(0, 1, ids.shape + (enc.config.dim,))))
+    weights = Tensor(rng.normal(0, 1, x.shape))
+
+    def f():
+        return (enc._attention(x, 0, index, key_mask) * weights).sum()
+
+    groups = [states] + enc.param_groups()
+    assert f()._parents[0]._parents[0]._op == "attention"
+    assert grad_check(f, groups, samples_per_tensor=60, seed=2) < 1e-6
+    if kind != NONE:
+        f().backward()
+        assert np.abs(enc.adapter["l0.rel"].grad).max() > 1e-2
+
+
+def test_pair_logits_gradients():
+    """The pair-logits node on (2, 4) leading axes, against a
+    finite-difference check of every operand at values of scale 1."""
+    rng = np.random.default_rng(3)
+    g = ParamGroup("parser")
+    head = g.add("head", Tensor(rng.normal(0, 1, (2, 4, 5))))
+    dep = g.add("dep", Tensor(rng.normal(0, 1, (2, 4, 5))))
+    bil = g.add("bil", Tensor(rng.normal(0, 1, (4, 5, 5))))
+    head_w = g.add("head_w", Tensor(rng.normal(0, 1, (5, 4))))
+    dep_w = g.add("dep_w", Tensor(rng.normal(0, 1, (5, 4))))
+    bias = g.add("bias", Tensor(rng.normal(0, 1, 4)))
+    weights = Tensor(rng.normal(0, 1, (2, 4, 4, 4)))
+    out = pair_logits(head, dep, bil, head_w, dep_w, bias)
+    expected = (np.einsum("bip,cpq,bjq->bijc", head.data, bil.data, dep.data)
+                + (head.data @ head_w.data)[:, :, None, :]
+                + (dep.data @ dep_w.data)[:, None, :, :] + bias.data)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-13, atol=1e-13)
+    assert grad_check(lambda: (pair_logits(head, dep, bil, head_w, dep_w, bias)
+                               * weights).sum(), g, samples_per_tensor=200) < 1e-6
+
+
+def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
+    """Guard against small tape nodes coming back: one training forward,
+    loss and backward on a fixed batch builds 4 tensors for the
+    embedding, 9 per layer (attention, its output projection, two
+    residual adds, two norms, and the feed-forward pair with its relu), 1
+    for the content view, 4 per tagger, 6 for the pair scorer and 5 for
+    the loss; the backward pass builds none."""
+    sentences = sentences_with_heads()
+    model = scaled_model(RELATIVE, Vocabulary.build(sentences))
+    init, built = Tensor.__init__, []
+
+    def building(tensor, *args, **kwargs):
+        built.append(kwargs.get("_op", "leaf"))
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", building)
+    total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
+    forward_and_loss = len(built)
+    total.backward()
+    assert forward_and_loss == 4 + 9 * model.encoder_config.layers + 1 + 2 * 4 + 6 + 5 == 42
+    assert len(built) == forward_and_loss
+    assert built.count("attention") == model.encoder_config.layers
+    assert "matmul" not in built

@@ -15,7 +15,6 @@ from aste.numerics import (
     Tensor,
     checked_once,
     cross_entropy,
-    gather_cols,
     grad_check,
     layer_norm,
     linear,
@@ -50,6 +49,29 @@ class TestLinear:
     def test_bad_bias_shape(self):
         with pytest.raises(ShapeError):
             linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([1.0, 2.0]))
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4), (2, 3, 5, 4)], ids=["2d", "3d", "4d"])
+    def test_one_node_with_gradients(self, shape, with_bias):
+        """One tape node whose value is the chain ``x @ w (+ b)``, and
+        whose gradients pass a finite-difference check at weights of scale
+        3, where a wrong product or bias reduction shows."""
+        rng = np.random.default_rng(len(shape))
+        g = ParamGroup("parser")
+        x = g.add("x", Tensor(rng.normal(0, 1, shape)))
+        w = g.add("w", Tensor(rng.normal(0, 3, (4, 6))))
+        b = g.add("b", Tensor(rng.normal(0, 3, 6))) if with_bias else None
+        out = linear(x, w, b)
+        assert out._op == "linear" and out._parents == ((x, w) if b is None else (x, w, b))
+        chain = x @ w if b is None else x @ w + b
+        np.testing.assert_allclose(out.data, chain.data, rtol=1e-14, atol=0)
+        weights = Tensor(rng.normal(0, 1, out.shape))
+        assert grad_check(lambda: (linear(x, w, b) * weights).sum(), g,
+                          samples_per_tensor=200) < 1e-6
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            linear(Tensor([1.0, 2.0]), Tensor([[1.0], [1.0]]))
 
 
 class TestSoftmax:
@@ -228,17 +250,6 @@ class TestTensorBasics:
 
         assert grad_check(f, g, samples_per_tensor=8) < 1e-6
 
-    def test_gather_cols_broadcasts_index_over_leading_axes(self):
-        g = ParamGroup("parser")
-        scores = g.add("s", Tensor(np.random.default_rng(4).normal(0, 1, (2, 3, 5))))
-        index = np.array([[[0, 4, 4], [1, 1, 2], [3, 0, 3]]])  # (1, 3, 3), columns repeat
-        out = gather_cols(scores, index)
-        for h in range(2):
-            for i in range(3):
-                np.testing.assert_array_equal(out.data[h, i], scores.data[h, i, index[0, i]])
-        assert grad_check(lambda: self._weighted_sum(gather_cols(scores, index)), g,
-                          samples_per_tensor=30) < 1e-6
-
     def test_getitem_rejects_advanced_indexing(self):
         with pytest.raises(ShapeError):
             _ = Tensor(np.zeros((3, 2)))[np.array([0, 0])]
@@ -250,12 +261,12 @@ class TestTensorBasics:
         np.testing.assert_array_equal(a.T.data, np.swapaxes(a.data, 1, 2))
         assert grad_check(lambda: self._weighted_sum(a.T), g, samples_per_tensor=8) < 1e-6
 
-    def test_take_rows_and_gather_cols_bounds(self):
+    def test_take_rows_bounds(self):
         table = Tensor(np.zeros((3, 2)))
         with pytest.raises(IndexError):
             take_rows(table, np.array([3]))
         with pytest.raises(IndexError):
-            gather_cols(Tensor(np.zeros((2, 4))), np.array([[4, 0], [1, 1]]))
+            take_rows(table, np.array([-1]))
 
 
 class TestNoGrad:
@@ -371,17 +382,28 @@ class TestUncheckedOpsKeepNonFiniteValues:
         out = self.unchecked(lambda x: softmax(x, mask=mask), data)
         assert np.isnan(out[:2]).all() and np.isfinite(out[2]).all()
 
-    def test_getitem_and_gather_cols(self):
+    def test_getitem(self):
         data = np.arange(12.0).reshape(3, 4)
-        index = np.array([[0, 0], [1, 2], [3, 3]])
-        picked = self.unchecked(lambda x: gather_cols(x, index), data)
-        np.testing.assert_array_equal(picked, [[0.0, 0.0], [5.0, 6.0], [11.0, 11.0]])
         np.testing.assert_array_equal(self.unchecked(lambda x: x[1:, :2], data), data[1:, :2])
         data[0, 1] = np.inf
-        assert np.isnan(self.unchecked(lambda x: gather_cols(x, index), data)).all()
         assert np.isnan(self.unchecked(lambda x: x[1:, :2], data)).all()
-        # Checked ops see only finite operands and leave results alone.
         assert Tensor(np.ones((2, 2)))[0].data.tolist() == [1.0, 1.0]
+
+    def test_layer_norm_row_whose_variance_overflows(self):
+        """The variance of [1e200, -1e200, 0] overflows; its row turns NaN
+        instead of a finite copy of the bias, and finite rows come out bit
+        for bit as the textbook formula gives them."""
+        rng = np.random.default_rng(0)
+        data = np.concatenate([[[1e200, -1e200, 0.0]], rng.normal(0, 3, (4, 3))])
+        gain, bias = rng.normal(size=3), rng.normal(size=3)
+        out = self.unchecked(layer_norm, data, gain, bias)
+        assert np.isnan(out[0]).all()
+        finite = data[1:]
+        centred = finite - finite.mean(axis=-1, keepdims=True)
+        expected = centred * (1.0 / np.sqrt(finite.var(axis=-1, keepdims=True) + 1e-5))
+        assert out[1:].tobytes() == (expected * gain + bias).tobytes()
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^layer_norm produced"):
+            layer_norm(Tensor(data), Tensor(gain), Tensor(bias))
 
 
 class TestParamGroup:
