@@ -241,6 +241,8 @@ def _cmd_train(args) -> int:
     train_config = _build(TrainConfig, cfg, batch_size=cfg["batch_size"])
     train_sentences = _read_for_model(args.train_path, encoder_config)
     dev_sentences = _read_for_model(args.dev_path, encoder_config)
+    if not train_sentences or not dev_sentences:
+        raise ValidationError("train and dev splits must be non-empty")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = Corpus(name="train", train=train_sentences, dev=dev_sentences)

@@ -13,9 +13,13 @@ between positions i and j. The distance table is shared by all heads of a
 layer and independent across layers, and is zero-initialized so an
 untrained model behaves exactly like the unbiased one.
 
-Each layer's attention, from its input states to the merged heads, is one
-tape node with a hand-written backward pass. ``attention_scores`` and
-``structured_attention_map`` read the logits from the same numpy forward
+Each sub-layer is one tape node with a hand-written backward pass: the
+embedding (both lookups, their sum and the embedding norm), and in each
+block the attention sub-layer (from its input states through the output
+projection, the residual add and ``ln1``) and the feed-forward sub-layer
+(through the residual add and ``ln2``), so an encode builds 1 + 2 *
+layers tensors. ``attention_scores`` and ``structured_attention_map``
+read the logits from the attention node's numpy forward
 (``Encoder._scores``), so there is one attention code path.
 """
 
@@ -31,13 +35,15 @@ from .errors import ShapeError, ValidationError
 from .numerics import (
     ParamGroup,
     Tensor,
+    affine_backward,
+    affine_forward,
     carry_non_finite,
-    layer_norm,
-    linear,
+    layer_norm_backward,
+    layer_norm_forward,
     normal_init,
+    relu_forward,
     softmax_backward,
     softmax_forward,
-    take_rows,
     zeros_init,
 )
 from .structure import NONE, StructureConfig, distances_to_indices
@@ -147,15 +153,31 @@ class Encoder:
             return full[0], None
         return full, None if (lengths == m - 2).all() else np.arange(m) < lengths[:, None] + 2
 
-    def _embed_rows(self, ids: np.ndarray) -> Tensor:
-        tok = take_rows(self.params["tok_emb"], ids)
-        return tok + take_rows(self.params["pos_emb"], np.arange(ids.shape[-1]))
+    def _embedding_rows(self, ids: np.ndarray) -> np.ndarray:
+        return self.params["tok_emb"].data[ids] + self.params["pos_emb"].data[:ids.shape[-1]]
 
     def embed(self, token_ids) -> Tensor:
-        """Marker-augmented token + position embeddings: (m, dim) for one
-        id sequence, (B, m, dim) for a list of them, padded as ``encode``
-        pads."""
-        return self._embed_rows(self._layout(token_ids)[0])
+        """Marker-augmented token + position embeddings, as a tensor
+        without a tape: (m, dim) for one id sequence, (B, m, dim) for a
+        list of them, padded as ``encode`` pads."""
+        return Tensor(self._embedding_rows(self._layout(token_ids)[0]), _op="embed")
+
+    def _embedding(self, ids: np.ndarray) -> Tensor:
+        """The normalized embedding rows of ``ids`` as one node: the token
+        and position lookups, their sum and the embedding norm."""
+        p = self.params
+        tok, pos, gain, bias = p["tok_emb"], p["pos_emb"], p["emb_ln_g"], p["emb_ln_b"]
+        out, xhat, inv = layer_norm_forward(self._embedding_rows(ids), gain.data, bias.data)
+
+        def back(g):
+            d_rows, d_gain, d_bias = layer_norm_backward(g, xhat, inv, gain.data)
+            d_tok, d_pos = np.zeros_like(tok.data), np.zeros_like(pos.data)
+            np.add.at(d_tok, ids, d_rows)
+            m = ids.shape[-1]
+            d_pos[:m] += d_rows.reshape(-1, m, d_rows.shape[-1]).sum(axis=0)
+            return ((tok, d_tok), (pos, d_pos), (gain, d_gain), (bias, d_bias))
+
+        return Tensor(out, _parents=(tok, pos, gain, bias), _backward=back, _op="embedding")
 
     # -- attention -------------------------------------------------------
 
@@ -214,28 +236,30 @@ class Encoder:
 
     def _attention(self, x: Tensor, layer: int, index: np.ndarray | None,
                    key_mask: np.ndarray | None) -> Tensor:
-        """One layer's multi-head attention as one node: (..., m, dim)
-        states to the merged heads that ``wo`` projects. Q/K/V, the head
-        split, the logits of ``_scores``, the key mask, softmax, the
-        weighted sum of values and the merge run in numpy, and the backward
+        """A block's attention sub-layer as one node: (..., m, dim) states
+        to ``ln1(x + wo(attention(x)))``. Q/K/V, the head split, the logits
+        of ``_scores``, the key mask, softmax, the weighted sum of values,
+        the merge and the output projection run in numpy, and the backward
         pass is written out by hand."""
         c, p = self.config, self.params
         rows = x.shape[:-1]
         x2d, q, k, logits = self._scores(x.data, layer, index)
         v = self._split(x2d, rows, layer, "v")
         probs = softmax_forward(logits, key_mask)
-        merged = np.swapaxes(probs @ v, -3, -2).reshape(x.shape)
+        merged = np.swapaxes(probs @ v, -3, -2).reshape(-1, c.dim)
+        wo, bo = p[f"l{layer}.wo"], p[f"l{layer}.bo"]
         scale = 1.0 / math.sqrt(c.head_dim)
         projections = [(p[f"l{layer}.w{name}"], p[f"l{layer}.b{name}"]) for name in "qkv"]
         rel = None if index is None else self.adapter[f"l{layer}.rel"]
 
-        def back(g):
-            g = np.swapaxes(g.reshape(*rows, c.heads, c.head_dim), -3, -2)
+        def inner_back(g):
+            d_merged, d_wo, d_bo = affine_backward(g.reshape(-1, c.dim), merged, wo.data)
+            g = np.swapaxes(d_merged.reshape(*rows, c.heads, c.head_dim), -3, -2)
             d_v = np.swapaxes(probs, -1, -2) @ g
             d_logits = softmax_backward(probs, g @ np.swapaxes(v, -1, -2)) * scale
             d_q = d_logits @ k
             d_k = np.swapaxes(d_logits, -1, -2) @ q
-            parts = []
+            parts = [(wo, d_wo), (bo, d_bo)]
             if rel is not None:
                 table_rows = rel.shape[0]
                 d_products = np.bincount(index, weights=d_logits.ravel(),
@@ -249,11 +273,13 @@ class Encoder:
                 d = np.swapaxes(d, -3, -2).reshape(-1, c.dim)
                 d_x = d @ weight.data.T if d_x is None else d_x + d @ weight.data.T
                 parts += [(weight, x2d.T @ d), (bias, d.sum(axis=0))]
-            parts.append((x, d_x.reshape(x.shape)))
-            return parts
+            return d_x.reshape(x.shape), parts
 
-        parents = (x, *(t for pair in projections for t in pair)) + (() if rel is None else (rel,))
-        return Tensor(merged, _parents=parents, _backward=back, _op="attention")
+        params = [t for pair in projections for t in pair] + [wo, bo]
+        if rel is not None:
+            params.append(rel)
+        return self._add_and_norm(x, affine_forward(merged, wo.data, bo.data), inner_back, params,
+                                  f"l{layer}.ln1", "attention")
 
     def structured_attention_map(self, x: Tensor, layer: int, head: int,
                                  distances: np.ndarray) -> Tensor:
@@ -274,14 +300,37 @@ class Encoder:
 
     # -- blocks ----------------------------------------------------------
 
-    def _block(self, x: Tensor, layer: int, index, key_mask) -> Tensor:
+    def _feed_forward(self, x: Tensor, layer: int) -> Tensor:
+        """A block's feed-forward sub-layer as one node: (..., m, dim)
+        states to ``ln2(x + ffn_w2(relu(ffn_w1(x))))``."""
         p = self.params
-        att = linear(self._attention(x, layer, index, key_mask), p[f"l{layer}.wo"],
-                     p[f"l{layer}.bo"])
-        x = layer_norm(x + att, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
-        hidden = linear(x, p[f"l{layer}.ffn_w1"], p[f"l{layer}.ffn_b1"]).relu()
-        out = linear(hidden, p[f"l{layer}.ffn_w2"], p[f"l{layer}.ffn_b2"])
-        return layer_norm(x + out, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
+        w1, b1, w2, b2 = (p[f"l{layer}.ffn_{name}"] for name in ("w1", "b1", "w2", "b2"))
+        rows = x.data.reshape(-1, self.config.dim)
+        hidden = relu_forward(affine_forward(rows, w1.data, b1.data))
+
+        def inner_back(g):
+            d_hidden, d_w2, d_b2 = affine_backward(g.reshape(-1, self.config.dim), hidden, w2.data)
+            d_rows, d_w1, d_b1 = affine_backward(d_hidden * (hidden > 0), rows, w1.data)
+            return d_rows.reshape(x.shape), [(w1, d_w1), (b1, d_b1), (w2, d_w2), (b2, d_b2)]
+
+        return self._add_and_norm(x, affine_forward(hidden, w2.data, b2.data), inner_back,
+                                  [w1, b1, w2, b2], f"l{layer}.ln2", "feed_forward")
+
+    def _add_and_norm(self, x: Tensor, out: np.ndarray, inner_back, params: list[Tensor],
+                      norm: str, op: str) -> Tensor:
+        """The node of a sub-layer ``norm(x + out)``: ``out`` is the (N, dim)
+        output of the sub-layer's inner function of ``x``, ``inner_back``
+        maps its gradient to the gradient of ``x`` and those of ``params``,
+        the inner function's parameters."""
+        gain, bias = self.params[f"{norm}_g"], self.params[f"{norm}_b"]
+        y, xhat, inv = layer_norm_forward(x.data + out.reshape(x.shape), gain.data, bias.data)
+
+        def back(g):
+            d_sum, d_gain, d_bias = layer_norm_backward(g, xhat, inv, gain.data)
+            d_x, parts = inner_back(d_sum)
+            return parts + [(gain, d_gain), (bias, d_bias), (x, d_sum + d_x)]
+
+        return Tensor(y, _parents=(x, *params, gain, bias), _backward=back, _op=op)
 
     def encode(self, token_ids, distances: np.ndarray | None = None) -> EncodedSequence:
         """Run the full stack over one id sequence or a padded batch of them.
@@ -292,10 +341,10 @@ class Encoder:
         """
         ids, key_mask = self._layout(token_ids)
         index = None if distances is None else self._distance_index(distances, ids.shape)
-        x = layer_norm(self._embed_rows(ids), self.params["emb_ln_g"], self.params["emb_ln_b"])
+        x = self._embedding(ids)
         mask = None if key_mask is None else key_mask[..., None, None, :]
         for layer in range(self.config.layers):
-            x = self._block(x, layer, index, mask)
+            x = self._feed_forward(self._attention(x, layer, index, mask), layer)
         return EncodedSequence(hidden=x)
 
     def param_groups(self) -> list[ParamGroup]:

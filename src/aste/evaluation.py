@@ -141,6 +141,8 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
         raise ValidationError("need at least two tokens")
     if repetitions < 1:
         raise ValidationError("need at least one repetition")
+    if tau < 1:
+        raise ValidationError("tau must be >= 1")
     if method == "relative":
         jobs = [partial(relative_distance_matrix, n, tau)] * repetitions
     elif method == "dependency":

@@ -5,11 +5,19 @@ maps, stable softmax, cross entropy, embedding lookups, layer norm, and a
 handful of reshaping ops. Each op records a backward closure; ``backward()``
 on a scalar walks the tape. There is deliberately no general autodiff
 beyond these ops. Per-node cost in Python, not arithmetic, dominates at
-this model's sizes, so the hot paths are few large nodes: ``linear`` is
-one node, and the encoder's attention (``encoder.Encoder._attention``)
-and the parser's pair logits (``parser.pair_logits``) are one node each
-with a hand-written backward, built on ``softmax_forward``,
-``softmax_backward`` and ``carry_non_finite`` from here.
+this model's sizes, so the model runs on few large nodes: each of its
+sub-layers (the embedding, each block's attention and feed-forward
+sub-layers in ``encoder``, each tagger and each side of the pair scorer
+in ``parser``, and ``parser.pair_logits``) is one node with a
+hand-written backward. They are built from the numpy forward and
+backward pairs here, which the general ops use too: ``affine_forward``/
+``affine_backward`` (``linear``), ``relu_forward`` (``Tensor.relu``),
+``softmax_forward``/``softmax_backward`` (``softmax``) and
+``layer_norm_forward``/``layer_norm_backward`` (``layer_norm``), plus
+``carry_non_finite``. ``linear``, ``layer_norm``, ``take_rows`` and
+``Tensor.relu`` have no caller in the model any more; they remain as
+the package's public ops and as the chain of small nodes the tests
+check the fused nodes against.
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -22,16 +30,17 @@ keeps nothing alive but its results.
 
 An unchecked run must not lose a non-finite value on its way to those
 results, and a per-op check sees only a node's result, not what a fused
-node computes on the way. So ``relu`` and ``softmax`` turn a non-finite
-operand value into NaN in their result instead of a zero, ``layer_norm``
-turns a row whose variance overflows NaN instead of a copy of its bias,
-and a node that leaves values out of its result (``getitem``; attention's
-distance products over the table rows no distance picks) makes its whole
-result NaN when one of them is non-finite (``carry_non_finite``). On
-finite values all of them return what they always did, bit for bit. Values
-that ``cross_entropy`` leaves out (other classes, masked cells) come back
-through the backward pass: ``softmax``'s backward multiplies every
-probability into the gradient, so a NaN there makes the gradient norm NaN.
+node computes on the way. So ``relu_forward`` and ``softmax_forward`` turn
+a non-finite operand value into NaN in their result instead of a zero,
+``layer_norm_forward`` turns a row whose variance overflows NaN instead of
+a copy of its bias, and a node that leaves values out of its result
+(``getitem``; attention's distance products over the table rows no
+distance picks) makes its whole result NaN when one of them is non-finite
+(``carry_non_finite``). On finite values all of them return what they
+always did, bit for bit. Values that ``cross_entropy`` leaves out (other
+classes, masked cells) come back through the backward pass: ``softmax``'s
+backward multiplies every probability into the gradient, so a NaN there
+makes the gradient norm NaN.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
-    "take_rows", "softmax_forward", "softmax_backward", "carry_non_finite",
+    "take_rows", "affine_forward", "affine_backward", "relu_forward", "softmax_forward",
+    "softmax_backward", "layer_norm_forward", "layer_norm_backward", "carry_non_finite",
     "normal_init", "zeros_init", "grad_check", "checked_once",
 ]
 
@@ -303,9 +313,7 @@ class Tensor:
         def back(g):
             return ((self, g * mask),)
 
-        # x * 1 + 0 is x and x * 0 + 0 is +0.0 for finite x, as in
-        # where(mask, x, 0); NaN and -inf give NaN instead of 0.
-        return Tensor(self.data * mask + 0.0, _parents=(self,), _backward=back, _op="relu")
+        return Tensor(relu_forward(self.data), _parents=(self,), _backward=back, _op="relu")
 
     def sum(self) -> "Tensor":
         def back(g):
@@ -328,6 +336,28 @@ def take_rows(table: Tensor, ids: Array) -> Tensor:
     return Tensor(table.data[ids], _parents=(table,), _backward=back, _op="take_rows")
 
 
+def affine_forward(rows: Array, weight: Array, bias: Array | None) -> Array:
+    """``rows @ weight (+ bias)`` for (N, k) rows: the array ``linear``
+    computes, for ops that fuse it into their own node."""
+    out = rows @ weight
+    if bias is not None:
+        out += bias
+    return out
+
+
+def affine_backward(g: Array, rows: Array, weight: Array) -> tuple[Array, Array, Array]:
+    """The gradients of the rows, weight and bias of ``affine_forward``
+    for the (N, n) gradient ``g`` of its result."""
+    return g @ weight.T, rows.T @ g, g.sum(axis=0)
+
+
+def relu_forward(data: Array) -> Array:
+    """The array ``Tensor.relu`` computes. Its gradient passes where the
+    result is positive. x * 1 + 0 is x and x * 0 + 0 is +0.0 for finite x,
+    as in where(x > 0, x, 0); NaN and -inf give NaN instead of 0."""
+    return data * (data > 0) + 0.0
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight (+ bias)`` of an (..., k) input, as one node:
     one 2-D product over all leading rows, and in the backward pass one
@@ -341,15 +371,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"bias shape {bias.shape} does not match output width {n}")
     rows = x.data.reshape(-1, k)
-    out = rows @ weight.data
-    if bias is not None:
-        out += bias.data
+    out = affine_forward(rows, weight.data, None if bias is None else bias.data)
 
     def back(g):
-        g = g.reshape(-1, n)
-        parts = [(x, (g @ weight.data.T).reshape(x.shape)), (weight, rows.T @ g)]
+        d_rows, d_weight, d_bias = affine_backward(g.reshape(-1, n), rows, weight.data)
+        parts = [(x, d_rows.reshape(x.shape)), (weight, d_weight)]
         if bias is not None:
-            parts.append((bias, g.sum(axis=0)))
+            parts.append((bias, d_bias))
         return parts
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -395,33 +423,50 @@ def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
     return Tensor(probs, _parents=(x,), _backward=back, _op="softmax")
 
 
+def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
+    """The array ``layer_norm`` computes, with the normalized rows and the
+    inverse deviations its backward pass reads, for ops that fuse it into
+    their own node. The rows are centred once; the sums are those of
+    ``x.mean()`` and ``x.var()``, so the result is theirs bit for bit."""
+    k = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / k
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / k
+    # var * 0.0 is +0.0 for a finite variance, leaving inv bit for bit as
+    # it was, and NaN for an overflowed one, which would otherwise make inv
+    # 0 and the row a finite copy of ``bias``.
+    inv = 1.0 / np.sqrt(var + 1e-5) + var * 0.0
+    xhat = centred * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_backward(g: Array, xhat: Array, inv: Array,
+                        gain: Array) -> tuple[Array, Array, Array]:
+    """The gradients of the input, gain and bias of ``layer_norm_forward``
+    for the gradient ``g`` of its result."""
+    k = g.shape[-1]
+    sum_axes = tuple(range(g.ndim - 1))
+    d_xhat = g * gain
+    d_x = inv * (
+        d_xhat
+        - np.add.reduce(d_xhat, axis=-1, keepdims=True) / k
+        - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / k)
+    )
+    return d_x, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean, unit variance (1e-5 added
     to the variance), then scale."""
     k = x.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError("layer_norm gain/bias must match the trailing axis")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    # var * 0.0 is +0.0 for a finite variance, leaving inv bit for bit as
-    # it was, and NaN for an overflowed one, which would otherwise make inv
-    # 0 and the row a finite copy of ``bias``.
-    inv = 1.0 / np.sqrt(var + 1e-5) + var * 0.0
-    xhat = (x.data - mean) * inv
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
 
     def back(g):
-        sum_axes = tuple(range(g.ndim - 1))
-        d_gain = (g * xhat).sum(axis=sum_axes)
-        d_bias = g.sum(axis=sum_axes)
-        d_xhat = g * gain.data
-        d_x = inv * (
-            d_xhat
-            - d_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        d_x, d_gain, d_bias = layer_norm_backward(g, xhat, inv, gain.data)
         return ((x, d_x), (gain, d_gain), (bias, d_bias))
 
-    return Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias), _backward=back, _op="layer_norm")
+    return Tensor(out, _parents=(x, gain, bias), _backward=back, _op="layer_norm")
 
 
 def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> Tensor:

@@ -7,6 +7,12 @@ scorer assigns every ordered token pair a distribution over
 span-level triplets by majority vote over the map cells a candidate span
 pair indexes, in both directions, so a single misclassified cell rarely
 flips the decision.
+
+Each tagger (``w1``, ReLU, ``w2`` and softmax), each ReLU side of the
+pair scorer and the pair logits between them (``pair_logits``) is one
+tape node with a hand-written backward pass, so the heads build 6
+tensors: the two taggers, the two sides, the pair logits and the
+relation softmax.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import numpy as np
 
 from .data import Sentence, Span, Triplet, warn_data
 from .errors import ShapeError, ValidationError
-from .numerics import ParamGroup, Tensor, linear, normal_init, softmax, zeros_init
+from .numerics import (ParamGroup, Tensor, affine_backward, affine_forward, normal_init,
+                       relu_forward, softmax, softmax_backward, softmax_forward, zeros_init)
 
 TAGS = ("B", "I", "O")
 TAG_B, TAG_I, TAG_O = 0, 1, 2
@@ -82,15 +89,35 @@ class TripletParser:
         self.params.add("pair_bil", normal_init((len(REL_LABELS), p, p), rng))
         self.params.add("pair_b2", zeros_init((len(REL_LABELS),)))
 
+    def _rows(self, hidden: Tensor) -> np.ndarray:
+        """(..., n, dim) hidden states as (N, dim) rows."""
+        if hidden.data.ndim < 2 or hidden.shape[-1] != self.dim:
+            raise ShapeError(f"parser expects (..., n, {self.dim}) hidden states, "
+                             f"got {hidden.shape}")
+        return hidden.data.reshape(-1, self.dim)
+
     # -- tagging -----------------------------------------------------------
 
     def tag_probs(self, hidden: Tensor, which: str) -> Tensor:
-        """(..., n, 3) tag distributions from the aspect or opinion head."""
+        """(..., n, 3) tag distributions from the aspect or opinion head,
+        as one node: ``softmax(w2(relu(w1(hidden))))``."""
         if which not in ("aspect", "opinion"):
             raise ValidationError(f"unknown tagger {which!r}")
         p = self.params
-        inner = linear(hidden, p[f"{which}_w1"], p[f"{which}_b1"]).relu()
-        return softmax(linear(inner, p[f"{which}_w2"], p[f"{which}_b2"]))
+        w1, b1, w2, b2 = (p[f"{which}_{name}"] for name in ("w1", "b1", "w2", "b2"))
+        rows = self._rows(hidden)
+        inner = relu_forward(affine_forward(rows, w1.data, b1.data))
+        probs = softmax_forward(affine_forward(inner, w2.data, b2.data))
+
+        def back(g):
+            d_logits = softmax_backward(probs, g.reshape(probs.shape))
+            d_inner, d_w2, d_b2 = affine_backward(d_logits, inner, w2.data)
+            d_rows, d_w1, d_b1 = affine_backward(d_inner * (inner > 0), rows, w1.data)
+            return ((hidden, d_rows.reshape(hidden.shape)), (w1, d_w1), (b1, d_b1),
+                    (w2, d_w2), (b2, d_b2))
+
+        return Tensor(probs.reshape(*hidden.shape[:-1], len(TAGS)),
+                      _parents=(hidden, w1, b1, w2, b2), _backward=back, _op="tagger")
 
     # -- pairwise sentiment --------------------------------------------------
 
@@ -98,10 +125,24 @@ class TripletParser:
         """(..., n, n, 4) distributions over ordered token pairs, i = j
         included, for (..., n, dim) hidden states."""
         p = self.params
-        head = linear(hidden, p["pair_head_w1"], p["pair_head_b1"]).relu()
-        dep = linear(hidden, p["pair_dep_w1"], p["pair_dep_b1"]).relu()
+        head, dep = self._pair_side(hidden, "head"), self._pair_side(hidden, "dep")
         return softmax(pair_logits(head, dep, p["pair_bil"], p["pair_head_w2"],
                                    p["pair_dep_w2"], p["pair_b2"]))
+
+    def _pair_side(self, hidden: Tensor, side: str) -> Tensor:
+        """The head or dep side of the pair scorer, ``relu(w1(hidden))``,
+        as one node."""
+        weight, bias = self.params[f"pair_{side}_w1"], self.params[f"pair_{side}_b1"]
+        rows = self._rows(hidden)
+        out = relu_forward(affine_forward(rows, weight.data, bias.data))
+
+        def back(g):
+            d_rows, d_weight, d_bias = affine_backward(g.reshape(out.shape) * (out > 0), rows,
+                                                       weight.data)
+            return ((hidden, d_rows.reshape(hidden.shape)), (weight, d_weight), (bias, d_bias))
+
+        return Tensor(out.reshape(*hidden.shape[:-1], out.shape[-1]),
+                      _parents=(hidden, weight, bias), _backward=back, _op="pair_side")
 
 
 def pair_logits(head: Tensor, dep: Tensor, bil: Tensor, head_w: Tensor, dep_w: Tensor,

@@ -164,6 +164,14 @@ class TestBenchCommand:
         assert out.splitlines()[1].startswith("relative")
 
 
+    @pytest.mark.parametrize("tau", ["0", "-2"])
+    def test_non_positive_tau_exits_1(self, capsys, tau):
+        code, out, err = run(capsys, "bench", "--method", "both", "--length", "5",
+                             "--reps", "3", "--tau", tau)
+        assert (code, out) == (1, "")
+        assert err == "aste: tau must be >= 1\n"
+
+
 class TestTrainEvalDecode:
     def train_args(self, train, dev, out_dir, seed="0"):
         return [
@@ -307,6 +315,17 @@ class TestTrainEvalDecode:
         code, out, err = run(capsys, *self.train_args(train, dev, out_dir), *flags)
         assert code == 1
         assert err.startswith("aste: ")
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_split_fails_before_any_output(self, capsys, corpus_files, tmp_path, empty):
+        train, dev = corpus_files
+        (train if empty == "train" else dev).write_text("", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *self.train_args(train, dev, out_dir))
+        assert code == 1
+        assert err == "aste: train and dev splits must be non-empty\n"
         assert out == ""
         assert not out_dir.exists()
 
@@ -491,10 +510,10 @@ class TestDecodeRecords:
             code, out, err = run(capsys, "decode", "--weights", str(weights),
                                  "--input", str(source), "--out", str(decoded))
             assert (code, out) == (1, "")
-            assert err == "aste: linear produced non-finite values\n"
+            assert err == "aste: tagger produced non-finite values\n"
             assert not decoded.exists()
             code, out, err = run(capsys, "eval", "--weights", str(weights),
                                  "--input", str(source))
             assert (code, out) == (1, "")
-            assert err == "aste: linear produced non-finite values\n"
+            assert err == "aste: tagger produced non-finite values\n"
         assert [str(w.message) for w in caught] == []

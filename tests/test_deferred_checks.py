@@ -143,6 +143,11 @@ PLANTS = {
     # A finite start-marker row whose variance overflows in the embedding norm.
     "layer_norm variance overflow": set_values("encoder", "tok_emb", (START_ID, slice(0, 2)),
                                                [1e200, -1e200]),
+    # Intermediates inside fused nodes: the tagger's relu, the embedding's
+    # position rows and the attention sub-layer's output projection.
+    "tagger -inf pre-activation into relu": set_values("parser", "aspect_b1", 2, -np.inf),
+    "position embedding NaN": set_values("encoder", "pos_emb", (1, 3), np.nan),
+    "output projection NaN": set_values("encoder", "l0.wo", (2, 5), np.nan),
 }
 
 

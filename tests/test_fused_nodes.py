@@ -1,12 +1,16 @@
 """The fused tape nodes against the chains of small nodes they replace.
 
-``linear``, each layer's attention and the parser's pair logits are one
-node each with a hand-written backward. ``reference_forward`` below
-rebuilds the model's forward pass the way it was composed before, from
-the general ops (matmul, reshape, swapaxes, getitem, add, mul) and a
+Every sub-layer of the model is one node with a hand-written backward:
+the embedding (lookups, sum and norm), each block's attention sub-layer
+(through ``wo``, the residual add and ``ln1``) and feed-forward sub-layer
+(through the residual add and ``ln2``), each tagger, each ReLU side of
+the pair scorer and the pair logits; ``linear`` is one node too.
+``reference_forward`` below rebuilds the model's forward pass the way it
+was composed before, from the general ops (take_rows, matmul, reshape,
+swapaxes, getitem, add, mul, relu, layer_norm, softmax) and a
 column-gather node kept here for it. The fused path must give the same
 losses bit for bit and the same gradients to within 1e-12 of each
-tensor's scale, and each new backward must pass a finite-difference
+tensor's scale, and each fused backward must pass a finite-difference
 check at weights well above init scale, where a broken backward shows.
 """
 
@@ -18,7 +22,8 @@ import pytest
 from aste.data import Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.model import BatchForward, TripletModel
-from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm, softmax
+from aste.numerics import (ParamGroup, Tensor, grad_check, layer_norm, layer_norm_forward, softmax,
+                           take_rows)
 from aste.parser import ParserConfig, pair_logits
 from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
                             augmented_distance_matrix, distances_to_indices, random_tree_heads)
@@ -54,8 +59,9 @@ def reference_forward(model: TripletModel, sentences, distances) -> BatchForward
     """``model.forward`` as a chain of small nodes."""
     enc, c = model.encoder, model.encoder.config
     p = enc.params
-    x = layer_norm(enc.embed([model.vocab.encode(s.tokens) for s in sentences]),
-                   p["emb_ln_g"], p["emb_ln_b"])
+    ids = enc._layout([model.vocab.encode(s.tokens) for s in sentences])[0]
+    embedded = take_rows(p["tok_emb"], ids) + take_rows(p["pos_emb"], np.arange(ids.shape[-1]))
+    x = layer_norm(embedded, p["emb_ln_g"], p["emb_ln_b"])
     *lead, m, _ = x.shape
     lengths = np.array([len(s) + 2 for s in sentences])
     mask = (np.arange(m) < lengths[:, None])[:, None, None, :]
@@ -92,6 +98,20 @@ def reference_forward(model: TripletModel, sentences, distances) -> BatchForward
     logits = logits + (dep @ q["pair_dep_w2"]).reshape(*lead, 1, n, 4)
     logits = logits + q["pair_b2"]
     return BatchForward(tags("aspect"), tags("opinion"), softmax(logits))
+
+
+def test_layer_norm_core_is_the_mean_and_var_formula_bit_for_bit():
+    """The reference chain's ``layer_norm`` and the fused nodes share
+    ``layer_norm_forward``; it reduces the centred rows once, and must
+    give what the formula with ``mean()`` and ``var()`` gives, bit for
+    bit."""
+    rng = np.random.default_rng(23)
+    for shape in ((3, 7, 12), (5, 33), (2, 1)):
+        x = rng.normal(0, 10, shape)
+        gain, bias = rng.normal(0, 1, shape[-1]), rng.normal(0, 1, shape[-1])
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        expected = (x - mean) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+        assert layer_norm_forward(x, gain, bias)[0].tobytes() == expected.tobytes()
 
 
 def sentences_with_heads(seed=3):
@@ -168,33 +188,108 @@ def padded_batch(enc, kind, rng):
     return ids, distances, key_mask[:, None, None, :]
 
 
+def random_leaf(group, name, shape, rng):
+    return group.add(name, Tensor(rng.normal(0, 1, shape)))
+
+
+def check_node(f, groups, shape, rng, samples=60):
+    """Finite-difference check of the sum of ``f()`` weighted by fixed
+    random weights of ``shape``."""
+    weights = Tensor(rng.normal(0, 1, shape))
+    assert grad_check(lambda: (f() * weights).sum(), groups, samples_per_tensor=samples,
+                      seed=2) < 1e-6
+
+
+def test_embedding_gradients_on_a_padded_batch():
+    """The embedding node's gradients with respect to both tables (ids
+    repeat, so rows accumulate) and the norm, at tables of scale 1, a
+    random gain and bias; also for one unpadded sequence."""
+    sentences = sentences_with_heads()
+    enc = scaled_model(NONE, Vocabulary.build(sentences)).encoder
+    rng = np.random.default_rng(7)
+    for name in ("tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b"):
+        enc.params[name].data[...] = rng.normal(0, 1, enc.params[name].shape)
+    ids = padded_batch(enc, NONE, rng)[0]
+    for rows in (ids, ids[0]):
+        node = enc._embedding(rows)
+        assert node._op == "embedding"
+        check_node(lambda: enc._embedding(rows), [enc.params], node.shape, rng, samples=200)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_attention_gradients_on_a_padded_batch(kind):
-    """The attention node's gradients with respect to its input states,
-    every projection and the bias table, on a padded batch with a key
-    mask, at weights of scale 1 (50x init) and a random table."""
+    """The attention sub-layer's gradients with respect to its input
+    states, every projection, the bias table and the ``ln1`` norm, on a
+    padded batch with a key mask, at weights of scale 1 (50x init), a
+    random table and a random norm gain."""
     sentences = sentences_with_heads()
     model = scaled_model(kind, Vocabulary.build(sentences))
     enc = model.encoder
     rng = np.random.default_rng(11)
     for name, tensor in enc.params.items():
-        if name.startswith("l0.w"):
+        if name.startswith("l0.w") or name == "l0.ln1_g":
             tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
     ids, distances, key_mask = padded_batch(enc, kind, rng)
     index = None if distances is None else enc._distance_index(distances, ids.shape)
     states = ParamGroup("encoder")
-    x = states.add("x", Tensor(rng.normal(0, 1, ids.shape + (enc.config.dim,))))
-    weights = Tensor(rng.normal(0, 1, x.shape))
-
-    def f():
-        return (enc._attention(x, 0, index, key_mask) * weights).sum()
-
-    groups = [states] + enc.param_groups()
-    assert f()._parents[0]._parents[0]._op == "attention"
-    assert grad_check(f, groups, samples_per_tensor=60, seed=2) < 1e-6
+    x = random_leaf(states, "x", ids.shape + (enc.config.dim,), rng)
+    assert enc._attention(x, 0, index, key_mask)._op == "attention"
+    check_node(lambda: enc._attention(x, 0, index, key_mask), [states] + enc.param_groups(),
+               x.shape, rng)
     if kind != NONE:
-        f().backward()
+        (enc._attention(x, 0, index, key_mask) * Tensor(rng.normal(0, 1, x.shape))).sum().backward()
         assert np.abs(enc.adapter["l0.rel"].grad).max() > 1e-2
+
+
+def test_feed_forward_gradients():
+    """The feed-forward sub-layer's gradients with respect to its input
+    states, both layers and the ``ln2`` norm, at weights of scale 1 (50x
+    init) and a random norm gain and bias."""
+    sentences = sentences_with_heads()
+    enc = scaled_model(NONE, Vocabulary.build(sentences)).encoder
+    rng = np.random.default_rng(13)
+    for name, tensor in enc.params.items():
+        if name.startswith("l1.ffn_") or name.startswith("l1.ln2_"):
+            tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
+    states = ParamGroup("encoder")
+    for x in (random_leaf(states, "batch", (3, 6, enc.config.dim), rng),
+              random_leaf(states, "single", (5, enc.config.dim), rng)):
+        assert enc._feed_forward(x, 1)._op == "feed_forward"
+        check_node(lambda: enc._feed_forward(x, 1), [states, enc.params], x.shape, rng)
+
+
+@pytest.mark.parametrize("which", ["aspect", "opinion"])
+def test_tagger_gradients(which):
+    """A tagger node's gradients with respect to its input states and
+    both layers, at weights and biases of scale 1 (50x init), on (2, 4)
+    leading axes and on one sentence."""
+    sentences = sentences_with_heads()
+    parser = scaled_model(NONE, Vocabulary.build(sentences)).parser
+    rng = np.random.default_rng(17)
+    for name, tensor in parser.params.items():
+        tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
+    states = ParamGroup("parser")
+    for h in (random_leaf(states, "batch", (2, 4, parser.dim), rng),
+              random_leaf(states, "single", (5, parser.dim), rng)):
+        assert parser.tag_probs(h, which)._op == "tagger"
+        check_node(lambda: parser.tag_probs(h, which), [states, parser.params],
+                   h.shape[:-1] + (3,), rng)
+
+
+@pytest.mark.parametrize("side", ["head", "dep"])
+def test_pair_side_gradients(side):
+    """A pair-scorer side's gradients with respect to its input states
+    and its layer, at weights and biases of scale 1 (50x init)."""
+    sentences = sentences_with_heads()
+    parser = scaled_model(NONE, Vocabulary.build(sentences)).parser
+    rng = np.random.default_rng(19)
+    for name, tensor in parser.params.items():
+        tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
+    states = ParamGroup("parser")
+    h = random_leaf(states, "h", (2, 4, parser.dim), rng)
+    node = parser._pair_side(h, side)
+    assert node._op == "pair_side"
+    check_node(lambda: parser._pair_side(h, side), [states, parser.params], node.shape, rng)
 
 
 def test_pair_logits_gradients():
@@ -220,11 +315,11 @@ def test_pair_logits_gradients():
 
 def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     """Guard against small tape nodes coming back: one training forward,
-    loss and backward on a fixed batch builds 4 tensors for the
-    embedding, 9 per layer (attention, its output projection, two
-    residual adds, two norms, and the feed-forward pair with its relu), 1
-    for the content view, 4 per tagger, 6 for the pair scorer and 5 for
-    the loss; the backward pass builds none."""
+    loss and backward on a fixed batch builds 1 tensor for the embedding,
+    2 per layer (the attention and feed-forward sub-layers), 1 for the
+    content view, 1 per tagger, 4 for the pair scorer (its two sides, the
+    pair logits and the softmax) and 5 for the loss; the backward pass
+    builds none."""
     sentences = sentences_with_heads()
     model = scaled_model(RELATIVE, Vocabulary.build(sentences))
     init, built = Tensor.__init__, []
@@ -237,7 +332,7 @@ def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
     forward_and_loss = len(built)
     total.backward()
-    assert forward_and_loss == 4 + 9 * model.encoder_config.layers + 1 + 2 * 4 + 6 + 5 == 42
+    assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 4 + 5 == 17
     assert len(built) == forward_and_loss
-    assert built.count("attention") == model.encoder_config.layers
-    assert "matmul" not in built
+    assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
+    assert not {"matmul", "linear", "relu", "layer_norm", "take_rows"} & set(built)
