@@ -36,7 +36,7 @@ from .evaluation import bench_distance, bench_summary, score_corpus
 from .model import TripletModel
 from .parser import ParserConfig
 from .structure import DEPENDENCY, NONE, RELATIVE, StructureConfig
-from .training import TrainConfig, default_batch_size, train
+from .training import TrainConfig, check_splits, default_batch_size, train
 
 ADAPTER_KINDS = {"none": NONE, "rel": RELATIVE, "dep": DEPENDENCY}
 
@@ -241,8 +241,7 @@ def _cmd_train(args) -> int:
     train_config = _build(TrainConfig, cfg, batch_size=cfg["batch_size"])
     train_sentences = _read_for_model(args.train_path, encoder_config)
     dev_sentences = _read_for_model(args.dev_path, encoder_config)
-    if not train_sentences or not dev_sentences:
-        raise ValidationError("train and dev splits must be non-empty")
+    check_splits(train_sentences, dev_sentences)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = Corpus(name="train", train=train_sentences, dev=dev_sentences)

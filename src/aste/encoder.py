@@ -156,12 +156,6 @@ class Encoder:
     def _embedding_rows(self, ids: np.ndarray) -> np.ndarray:
         return self.params["tok_emb"].data[ids] + self.params["pos_emb"].data[:ids.shape[-1]]
 
-    def embed(self, token_ids) -> Tensor:
-        """Marker-augmented token + position embeddings, as a tensor
-        without a tape: (m, dim) for one id sequence, (B, m, dim) for a
-        list of them, padded as ``encode`` pads."""
-        return Tensor(self._embedding_rows(self._layout(token_ids)[0]), _op="embed")
-
     def _embedding(self, ids: np.ndarray) -> Tensor:
         """The normalized embedding rows of ``ids`` as one node: the token
         and position lookups, their sum and the embedding norm."""

@@ -1,23 +1,20 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Everything the model needs is built from the small op set below: affine
-maps, stable softmax, cross entropy, embedding lookups, layer norm, and a
-handful of reshaping ops. Each op records a backward closure; ``backward()``
-on a scalar walks the tape. There is deliberately no general autodiff
-beyond these ops. Per-node cost in Python, not arithmetic, dominates at
-this model's sizes, so the model runs on few large nodes: each of its
-sub-layers (the embedding, each block's attention and feed-forward
-sub-layers in ``encoder``, each tagger and each side of the pair scorer
-in ``parser``, and ``parser.pair_logits``) is one node with a
-hand-written backward. They are built from the numpy forward and
-backward pairs here, which the general ops use too: ``affine_forward``/
-``affine_backward`` (``linear``), ``relu_forward`` (``Tensor.relu``),
-``softmax_forward``/``softmax_backward`` (``softmax``) and
-``layer_norm_forward``/``layer_norm_backward`` (``layer_norm``), plus
-``carry_non_finite``. ``linear``, ``layer_norm``, ``take_rows`` and
-``Tensor.relu`` have no caller in the model any more; they remain as
-the package's public ops and as the chain of small nodes the tests
-check the fused nodes against.
+``backward()`` on a scalar walks the tape of the ops that built it, each
+of which records its parents and a backward closure. There is
+deliberately no general autodiff. Per-node cost in Python, not
+arithmetic, dominates at this model's sizes, so the model runs on few
+large nodes: each of its sub-layers (the embedding, each block's
+attention and feed-forward sub-layers in ``encoder``, each tagger and
+each side of the pair scorer in ``parser``, and ``parser.pair_logits``)
+is one node with a hand-written backward. They are built from the numpy
+forward and backward pairs here: ``affine_forward``/``affine_backward``,
+``relu_forward``, ``softmax_forward``/``softmax_backward`` and
+``layer_norm_forward``/``layer_norm_backward``, plus
+``carry_non_finite``. The general ops are those the model and its loss
+apply between the nodes (``+``, basic indexing, ``softmax`` and
+``cross_entropy``) and the few more the gradient checks compose
+(``*``, ``reshape`` and ``sum``).
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -53,10 +50,10 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "ParamGroup", "no_grad", "linear", "softmax", "cross_entropy", "layer_norm",
-    "take_rows", "affine_forward", "affine_backward", "relu_forward", "softmax_forward",
-    "softmax_backward", "layer_norm_forward", "layer_norm_backward", "carry_non_finite",
-    "normal_init", "zeros_init", "grad_check", "checked_once",
+    "Tensor", "ParamGroup", "no_grad", "softmax", "cross_entropy", "affine_forward",
+    "affine_backward", "relu_forward", "softmax_forward", "softmax_backward",
+    "layer_norm_forward", "layer_norm_backward", "carry_non_finite", "normal_init",
+    "zeros_init", "grad_check", "checked_once",
 ]
 
 Array = np.ndarray
@@ -250,31 +247,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        """``(..., m, k) @ (..., k, n)``, leading axes broadcast; a 2-D
-        right operand is a weight shared by every leading index."""
-        if self.data.ndim < 2 or other.data.ndim < 2:
-            raise ShapeError("matmul expects operands of at least 2 dimensions")
-        if self.shape[-1] != other.shape[-2]:
-            raise ShapeError(f"matmul inner dims differ: {self.shape} @ {other.shape}")
-        data = self.data @ other.data
-
-        def back(g):
-            return (
-                (self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)),
-                (other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)),
-            )
-
-        return Tensor(data, _parents=(self, other), _backward=back, _op="matmul")
-
-    @property
-    def T(self) -> "Tensor":
-        """Swap the last two axes."""
-        if self.data.ndim < 2:
-            raise ShapeError("T expects at least 2 dimensions")
-        return self.swapaxes(-1, -2)
-
-    # -- shaping --------------------------------------------------------
+    # -- shaping and summing ---------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
         original = self.shape
@@ -283,12 +256,6 @@ class Tensor:
             return ((self, g.reshape(original)),)
 
         return Tensor(self.data.reshape(shape), _parents=(self,), _backward=back, _op="reshape")
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        def back(g):
-            return ((self, np.swapaxes(g, a, b)),)
-
-        return Tensor(np.swapaxes(self.data, a, b), _parents=(self,), _backward=back, _op="swapaxes")
 
     def __getitem__(self, key) -> "Tensor":
         """Basic slicing only (ints, slices, ``...``, ``None``), so no
@@ -305,16 +272,6 @@ class Tensor:
         return Tensor(carry_non_finite(self.data[key], self.data), _parents=(self,),
                       _backward=back, _op="getitem")
 
-    # -- nonlinearities ---------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def back(g):
-            return ((self, g * mask),)
-
-        return Tensor(relu_forward(self.data), _parents=(self,), _backward=back, _op="relu")
-
     def sum(self) -> "Tensor":
         def back(g):
             return ((self, np.full_like(self.data, float(g))),)
@@ -322,23 +279,9 @@ class Tensor:
         return Tensor(self.data.sum(), _parents=(self,), _backward=back, _op="sum")
 
 
-def take_rows(table: Tensor, ids: Array) -> Tensor:
-    """Embedding lookup: ``out[..., :] = table[ids[...]]`` for ids of any shape."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError("row id out of range")
-
-    def back(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return ((table, full),)
-
-    return Tensor(table.data[ids], _parents=(table,), _backward=back, _op="take_rows")
-
-
 def affine_forward(rows: Array, weight: Array, bias: Array | None) -> Array:
-    """``rows @ weight (+ bias)`` for (N, k) rows: the array ``linear``
-    computes, for ops that fuse it into their own node."""
+    """``rows @ weight (+ bias)`` for (N, k) rows: the affine map inside
+    the fused nodes."""
     out = rows @ weight
     if bias is not None:
         out += bias
@@ -352,36 +295,10 @@ def affine_backward(g: Array, rows: Array, weight: Array) -> tuple[Array, Array,
 
 
 def relu_forward(data: Array) -> Array:
-    """The array ``Tensor.relu`` computes. Its gradient passes where the
-    result is positive. x * 1 + 0 is x and x * 0 + 0 is +0.0 for finite x,
+    """ReLU of ``data``. Its gradient passes where the result is
+    positive. x * 1 + 0 is x and x * 0 + 0 is +0.0 for finite x,
     as in where(x > 0, x, 0); NaN and -inf give NaN instead of 0."""
     return data * (data > 0) + 0.0
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight (+ bias)`` of an (..., k) input, as one node:
-    one 2-D product over all leading rows, and in the backward pass one
-    product per operand."""
-    if x.data.ndim < 2 or weight.data.ndim != 2:
-        raise ShapeError(f"linear expects an input of at least 2 dimensions and a 2-D weight, "
-                         f"got {x.shape} and {weight.shape}")
-    k, n = weight.shape
-    if x.shape[-1] != k:
-        raise ShapeError(f"linear inner dims differ: {x.shape} @ {weight.shape}")
-    if bias is not None and bias.shape != (n,):
-        raise ShapeError(f"bias shape {bias.shape} does not match output width {n}")
-    rows = x.data.reshape(-1, k)
-    out = affine_forward(rows, weight.data, None if bias is None else bias.data)
-
-    def back(g):
-        d_rows, d_weight, d_bias = affine_backward(g.reshape(-1, n), rows, weight.data)
-        parts = [(x, d_rows.reshape(x.shape)), (weight, d_weight)]
-        if bias is not None:
-            parts.append((bias, d_bias))
-        return parts
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out.reshape(*x.shape[:-1], n), _parents=parents, _backward=back, _op="linear")
 
 
 def softmax_forward(data: Array, mask: Array | None = None) -> Array:
@@ -424,9 +341,10 @@ def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
 
 
 def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
-    """The array ``layer_norm`` computes, with the normalized rows and the
-    inverse deviations its backward pass reads, for ops that fuse it into
-    their own node. The rows are centred once; the sums are those of
+    """The trailing axis of ``x`` normalized to zero mean and unit
+    variance (1e-5 added to the variance), then scaled by ``gain`` and
+    shifted by ``bias``; with the normalized rows and the inverse
+    deviations its backward pass reads. The rows are centred once; the sums are those of
     ``x.mean()`` and ``x.var()``, so the result is theirs bit for bit."""
     k = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / k
@@ -452,21 +370,6 @@ def layer_norm_backward(g: Array, xhat: Array, inv: Array,
         - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / k)
     )
     return d_x, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance (1e-5 added
-    to the variance), then scale."""
-    k = x.shape[-1]
-    if gain.shape != (k,) or bias.shape != (k,):
-        raise ShapeError("layer_norm gain/bias must match the trailing axis")
-    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
-
-    def back(g):
-        d_x, d_gain, d_bias = layer_norm_backward(g, xhat, inv, gain.data)
-        return ((x, d_x), (gain, d_gain), (bias, d_bias))
-
-    return Tensor(out, _parents=(x, gain, bias), _backward=back, _op="layer_norm")
 
 
 def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> Tensor:
@@ -574,9 +477,6 @@ class ParamGroup:
     def zero_grad(self) -> None:
         for t in self.tensors.values():
             t.zero_grad()
-
-    def num_params(self) -> int:
-        return self.buffer.size
 
 
 def normal_init(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:

@@ -293,6 +293,15 @@ def _step_results(result):
     return (("joint_loss", total), ("backward", norm))
 
 
+def check_splits(train_split, dev_split) -> None:
+    """Reject splits no run can learn or select from: an empty split, or
+    a train split without a single token."""
+    if not train_split or not dev_split:
+        raise ValidationError("train and dev splits must be non-empty")
+    if not any(len(s) for s in train_split):
+        raise ValidationError("train split has no tokens")
+
+
 def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserConfig,
           config: TrainConfig, vocab: Vocabulary | None = None,
           log=None) -> tuple[TripletModel, TrainHistory]:
@@ -301,8 +310,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     Returns the best-dev weights and the per-epoch history. Fully
     deterministic given ``config.seed``.
     """
-    if not corpus.train or not corpus.dev:
-        raise ValidationError("train and dev splits must be non-empty")
+    check_splits(corpus.train, corpus.dev)
     if vocab is None:
         vocab = Vocabulary.build(corpus.train)
     if encoder_config.vocab_size != len(vocab):

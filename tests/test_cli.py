@@ -329,6 +329,17 @@ class TestTrainEvalDecode:
         assert out == ""
         assert not out_dir.exists()
 
+    def test_train_split_without_tokens_fails_before_any_output(self, capsys, corpus_files,
+                                                                tmp_path):
+        train, dev = corpus_files
+        write_corpus_file(train, [Sentence(tokens=[], triplets=[])])
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *self.train_args(train, dev, out_dir))
+        assert code == 1
+        assert err == "aste: train split has no tokens\n"
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_config_numbers_of_either_kind_for_float_keys(self, tmp_path):
         config_file = tmp_path / "c.json"
         raw = {"lr": 1, "warmup_epochs": 0, "clip_norm": 2.5, "batch_size": None, "tau": 3}

@@ -32,46 +32,52 @@ def make_encoder(seed=0, **kwargs) -> Encoder:
     return Encoder(tiny_config(**kwargs), np.random.default_rng(seed))
 
 
+def embed(enc: Encoder, token_ids) -> np.ndarray:
+    """The summed token and position rows the embedding node normalizes,
+    laid out (one sequence or a padded batch) as ``encode`` lays them out."""
+    return enc._embedding_rows(enc._layout(token_ids)[0])
+
+
 class TestEmbed:
     def test_single_token_gets_three_rows(self):
         enc = make_encoder()
-        assert enc.embed([5]).shape == (3, 8)
+        assert embed(enc, [5]).shape == (3, 8)
 
     def test_same_token_differs_only_by_position(self):
         enc = make_encoder()
-        rows = enc.embed([5, 5]).data
+        rows = embed(enc, [5, 5])
         assert not np.array_equal(rows[1], rows[2])
         pos = enc.params["pos_emb"].data
         pos[2] = pos[1]
-        rows = enc.embed([5, 5]).data
+        rows = embed(enc, [5, 5])
         np.testing.assert_array_equal(rows[1], rows[2])
 
     def test_zero_embeddings_give_zero_rows(self):
         enc = make_encoder()
         enc.params["tok_emb"].data[...] = 0.0
         enc.params["pos_emb"].data[...] = 0.0
-        np.testing.assert_array_equal(enc.embed([1, 2, 3]).data, np.zeros((5, 8)))
+        np.testing.assert_array_equal(embed(enc, [1, 2, 3]), np.zeros((5, 8)))
 
     def test_unknown_id_rejected(self):
         enc = make_encoder()
         with pytest.raises(ValidationError):
-            enc.embed([10])
+            embed(enc, [10])
 
     def test_overlong_rejected(self):
         enc = make_encoder()
         with pytest.raises(ValidationError):
-            enc.embed([1] * 31)
+            embed(enc, [1] * 31)
 
     def test_padded_layout(self):
         enc = make_encoder()
-        batch = enc.embed([[4, 5], [6, 7, 8, 9]]).data
+        batch = embed(enc, [[4, 5], [6, 7, 8, 9]])
         assert batch.shape == (2, 6, 8)
         # The short sentence keeps its own rows, then pads to the longest
         # with the pad token at the following positions.
-        np.testing.assert_array_equal(batch[0, :4], enc.embed([4, 5]).data)
+        np.testing.assert_array_equal(batch[0, :4], embed(enc, [4, 5]))
         pad_rows = enc.params["tok_emb"].data[PAD_ID] + enc.params["pos_emb"].data[4:6]
         np.testing.assert_array_equal(batch[0, 4:], pad_rows)
-        np.testing.assert_array_equal(batch[1], enc.embed([6, 7, 8, 9]).data)
+        np.testing.assert_array_equal(batch[1], embed(enc, [6, 7, 8, 9]))
 
 
 class TestAttentionScores:
@@ -196,7 +202,7 @@ class TestEncode:
             scaled = centred / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
             return scaled * p[f"{prefix}_g"] + p[f"{prefix}_b"]
 
-        x = norm(enc.embed(ids).data, "emb_ln")
+        x = norm(embed(enc, ids), "emb_ln")
         d = enc.config.head_dim
         for l in range(enc.config.layers):
             v = x @ p[f"l{l}.wv"] + p[f"l{l}.bv"]
@@ -309,13 +315,13 @@ class TestParameterAccounting:
         rng = np.random.default_rng(0)
         encoder = Encoder(config, rng)
         parser = TripletParser(config.dim, parser_config, rng)
-        live = encoder.params.num_params() + parser.params.num_params()
+        live = encoder.params.buffer.size + parser.params.buffer.size
         assert count_params(config, parser_config) == live
 
     def test_parser_count_matches_live_tensors(self):
         parser_config = ParserConfig(tag_hidden=7, pair_hidden=9)
         parser = TripletParser(8, parser_config, np.random.default_rng(1))
-        assert parser_param_count(8, parser_config) == parser.params.num_params()
+        assert parser_param_count(8, parser_config) == parser.params.buffer.size
 
     def test_block_params_formula(self):
         d, f = 16, 40

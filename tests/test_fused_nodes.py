@@ -4,11 +4,11 @@ Every sub-layer of the model is one node with a hand-written backward:
 the embedding (lookups, sum and norm), each block's attention sub-layer
 (through ``wo``, the residual add and ``ln1``) and feed-forward sub-layer
 (through the residual add and ``ln2``), each tagger, each ReLU side of
-the pair scorer and the pair logits; ``linear`` is one node too.
-``reference_forward`` below rebuilds the model's forward pass the way it
-was composed before, from the general ops (take_rows, matmul, reshape,
-swapaxes, getitem, add, mul, relu, layer_norm, softmax) and a
-column-gather node kept here for it. The fused path must give the same
+the pair scorer and the pair logits. ``reference_forward`` below
+rebuilds the model's forward pass the way it was composed before, as a
+chain of small nodes: the ops of ``reference_ops`` (take_rows, matmul,
+swapaxes, relu, layer_norm), the tensor's own reshape, getitem, add and
+mul, softmax, and a column-gather node kept here for it. The fused path must give the same
 losses bit for bit and the same gradients to within 1e-12 of each
 tensor's scale, and each fused backward must pass a finite-difference
 check at weights well above init scale, where a broken backward shows.
@@ -22,13 +22,13 @@ import pytest
 from aste.data import Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.model import BatchForward, TripletModel
-from aste.numerics import (ParamGroup, Tensor, grad_check, layer_norm, layer_norm_forward, softmax,
-                           take_rows)
+from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm_forward, softmax
 from aste.parser import ParserConfig, pair_logits
 from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
                             augmented_distance_matrix, distances_to_indices, random_tree_heads)
 from aste.synth import learnable_corpus
 from aste.training import assemble_batch, joint_loss, prepare_batch
+from reference_ops import layer_norm, matmul, relu, swapaxes, take_rows
 
 TAU = 4
 KINDS = [NONE, RELATIVE, DEPENDENCY]
@@ -52,7 +52,7 @@ def gather_cols(scores: Tensor, index: np.ndarray) -> Tensor:
 
 
 def chain_linear(x, w, b):
-    return x @ w + b
+    return matmul(x, w) + b
 
 
 def reference_forward(model: TripletModel, sentences, distances) -> BatchForward:
@@ -69,33 +69,35 @@ def reference_forward(model: TripletModel, sentences, distances) -> BatchForward
     for l in range(c.layers):
         def heads(name):
             proj = chain_linear(x, p[f"l{l}.w{name}"], p[f"l{l}.b{name}"])
-            return proj.reshape(*lead, m, c.heads, c.head_dim).swapaxes(-3, -2)
+            return swapaxes(proj.reshape(*lead, m, c.heads, c.head_dim), -3, -2)
 
         q, k, v = heads("q"), heads("k"), heads("v")
-        logits = (q @ k.T) * scale
+        logits = matmul(q, swapaxes(k, -1, -2)) * scale
         if distances is not None:
             index = distances_to_indices(distances, c.adapter.tau)[..., None, :, :]
-            logits = logits + gather_cols(q @ enc.adapter[f"l{l}.rel"].T, index) * scale
-        merged = (softmax(logits, mask=mask) @ v).swapaxes(-3, -2).reshape(*x.shape)
+            products = matmul(q, swapaxes(enc.adapter[f"l{l}.rel"], -1, -2))
+            logits = logits + gather_cols(products, index) * scale
+        merged = swapaxes(matmul(softmax(logits, mask=mask), v), -3, -2).reshape(*x.shape)
         att = chain_linear(merged, p[f"l{l}.wo"], p[f"l{l}.bo"])
         x = layer_norm(x + att, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
-        hidden = chain_linear(x, p[f"l{l}.ffn_w1"], p[f"l{l}.ffn_b1"]).relu()
+        hidden = relu(chain_linear(x, p[f"l{l}.ffn_w1"], p[f"l{l}.ffn_b1"]))
         out = chain_linear(hidden, p[f"l{l}.ffn_w2"], p[f"l{l}.ffn_b2"])
         x = layer_norm(x + out, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
     hidden = x[..., 1:-1, :]
     q = model.parser.params
 
     def tags(which):
-        inner = chain_linear(hidden, q[f"{which}_w1"], q[f"{which}_b1"]).relu()
+        inner = relu(chain_linear(hidden, q[f"{which}_w1"], q[f"{which}_b1"]))
         return softmax(chain_linear(inner, q[f"{which}_w2"], q[f"{which}_b2"]))
 
     n = hidden.shape[-2]
-    head = chain_linear(hidden, q["pair_head_w1"], q["pair_head_b1"]).relu()
-    dep = chain_linear(hidden, q["pair_dep_w1"], q["pair_dep_b1"]).relu()
-    bilinear = (head[..., None, :, :] @ q["pair_bil"]) @ dep[..., None, :, :].T
-    logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1)
-    logits = logits + (head @ q["pair_head_w2"]).reshape(*lead, n, 1, 4)
-    logits = logits + (dep @ q["pair_dep_w2"]).reshape(*lead, 1, n, 4)
+    head = relu(chain_linear(hidden, q["pair_head_w1"], q["pair_head_b1"]))
+    dep = relu(chain_linear(hidden, q["pair_dep_w1"], q["pair_dep_b1"]))
+    with_forms = matmul(head[..., None, :, :], q["pair_bil"])
+    bilinear = matmul(with_forms, swapaxes(dep[..., None, :, :], -1, -2))
+    logits = swapaxes(swapaxes(bilinear, -3, -2), -2, -1)
+    logits = logits + matmul(head, q["pair_head_w2"]).reshape(*lead, n, 1, 4)
+    logits = logits + matmul(dep, q["pair_dep_w2"]).reshape(*lead, 1, n, 4)
     logits = logits + q["pair_b2"]
     return BatchForward(tags("aspect"), tags("opinion"), softmax(logits))
 
@@ -313,15 +315,20 @@ def test_pair_logits_gradients():
                                * weights).sum(), g, samples_per_tensor=200) < 1e-6
 
 
+STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_side",
+              "pair_logits", "softmax", "cross_entropy", "add"}
+
+
 def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     """Guard against small tape nodes coming back: one training forward,
     loss and backward on a fixed batch builds 1 tensor for the embedding,
     2 per layer (the attention and feed-forward sub-layers), 1 for the
     content view, 1 per tagger, 4 for the pair scorer (its two sides, the
     pair logits and the softmax) and 5 for the loss; the backward pass
-    builds none."""
+    builds none. A step builds exactly the op kinds of ``STEP_KINDS`` and
+    a predict all but the loss's, with and without bias tables, so a new
+    general op on the model's tape fails here."""
     sentences = sentences_with_heads()
-    model = scaled_model(RELATIVE, Vocabulary.build(sentences))
     init, built = Tensor.__init__, []
 
     def building(tensor, *args, **kwargs):
@@ -329,10 +336,16 @@ def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
         init(tensor, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", building)
-    total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
-    forward_and_loss = len(built)
-    total.backward()
-    assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 4 + 5 == 17
-    assert len(built) == forward_and_loss
-    assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
-    assert not {"matmul", "linear", "relu", "layer_norm", "take_rows"} & set(built)
+    for kind in (NONE, RELATIVE):
+        model = scaled_model(kind, Vocabulary.build(sentences))
+        built.clear()
+        total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
+        forward_and_loss = len(built)
+        total.backward()
+        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 4 + 5 == 17
+        assert len(built) == forward_and_loss
+        assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
+        assert set(built) == STEP_KINDS, kind
+        built.clear()
+        model.predict(sentences[0])
+        assert set(built) == STEP_KINDS - {"cross_entropy", "add"}, kind

@@ -375,6 +375,14 @@ class TestTrainLoop:
         with pytest.raises(ValidationError):
             self.run(corpus)
 
+    def test_train_split_without_tokens_rejected(self):
+        """A train split whose sentences have no tokens would train at loss
+        0 and return a model that learned nothing."""
+        dev = learnable_corpus(10, seed=7).dev
+        corpus = Corpus(name="x", train=[Sentence(tokens=[], triplets=[])] * 2, dev=dev)
+        with pytest.raises(ValidationError, match="train split has no tokens"):
+            self.run(corpus)
+
     def test_best_weights_returned(self):
         corpus = learnable_corpus(16, seed=8)
         model, history = self.run(corpus, epochs=4, lr=5e-4)
