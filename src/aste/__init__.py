@@ -23,7 +23,6 @@ from .structure import (
     DependencyGraph,
     StructureConfig,
     dependency_distance_matrix,
-    distance_to_index,
     relative_distance_matrix,
 )
 from .training import TrainConfig, TrainHistory, joint_loss, lr_at, train
@@ -37,6 +36,6 @@ __all__ = [
     "TrainConfig", "TrainHistory", "Triplet", "TripletModel", "TripletParser",
     "Vocabulary", "aggregate", "bench_distance", "build_gold", "count_params",
     "cross_entropy", "decode_bio", "decode_grid", "dependency_distance_matrix",
-    "distance_to_index", "exact_match", "grad_check", "joint_loss", "lr_at",
+    "exact_match", "grad_check", "joint_loss", "lr_at",
     "relative_distance_matrix", "score_corpus", "softmax", "train",
 ]

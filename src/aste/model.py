@@ -2,32 +2,36 @@
 
 A ``TripletModel`` owns three parameter groups (encoder, optional
 adapter, parser), turns a sentence into tag and relation distributions,
-and decodes predicted triplets. Weights travel in a small versioned
-binary format that also carries the configs and vocabulary, so a saved
-model is self-contained.
+and decodes predicted triplets. A weight file (format version 2) holds
+``ASTW``, the version, a CRC32 of every later byte, the length of a JSON
+header (the configs, the vocabulary, and the ``[group, name, shape]``
+layout of every parameter in buffer order), the header, and then each
+group's ``buffer`` as one little-endian float64 block.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Sentence, Triplet, Vocabulary, length_buckets
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, adapter_increment, count_params
 from .errors import ValidationError
 from .numerics import ParamGroup, Tensor, checked_once, no_grad
-from .parser import (REL_LABELS, TAGS, ParserConfig, SentimentRelationMap, TripletParser,
+from .parser import (TAGS, ParserConfig, SentimentRelationMap, TripletParser,
                      decode_bio, decode_grid)
 from .structure import NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
-_VERSION = 1
+_VERSION = 2
+# Magic, version, CRC32 of every byte from _CHECKED_FROM on, header length.
+_PREFIX = struct.Struct("<4sIII")
+_CHECKED_FROM = 12
 # Sentences per padded batch in predict_corpus.
 PREDICT_BATCH = 16
 
@@ -138,100 +142,67 @@ class TripletModel:
     # -- serialization ---------------------------------------------------------
 
     def state_snapshot(self) -> dict[str, np.ndarray]:
-        return {
-            f"{group.name}/{name}": tensor.data.copy()
-            for group in self.param_groups()
-            for name, tensor in group.items()
-        }
+        """A copy of each group's buffer, by group name."""
+        return {group.name: group.buffer.copy() for group in self.param_groups()}
 
     def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy each group's buffer back from a ``state_snapshot``-shaped
+        dict, as training's best-epoch restore and ``load`` do; a missing
+        group or a buffer of another size is rejected."""
         for group in self.param_groups():
-            for name, tensor in group.items():
-                key = f"{group.name}/{name}"
-                if key not in snapshot:
-                    raise ValidationError(f"snapshot is missing {key}")
-                if snapshot[key].shape != tensor.data.shape:
-                    raise ValidationError(f"snapshot shape mismatch for {key}")
-                tensor.data[...] = snapshot[key]
+            if group.name not in snapshot:
+                raise ValidationError(f"snapshot is missing group {group.name}")
+            if snapshot[group.name].shape != group.buffer.shape:
+                raise ValidationError(f"snapshot size mismatch for group {group.name}")
+            group.buffer[...] = snapshot[group.name]
+
+    def _layout(self) -> list:
+        """``[group, name, shape]`` of every parameter, in buffer order."""
+        return [[group.name, name, list(tensor.shape)]
+                for group in self.param_groups() for name, tensor in group.items()]
 
     def save(self, path) -> None:
-        header = {
-            "encoder": asdict(self.encoder_config),
-            "parser": asdict(self.parser_config),
-            "vocab": self.vocab.id_list(),
-        }
+        header = {"encoder": asdict(self.encoder_config), "parser": asdict(self.parser_config),
+                  "vocab": self.vocab.id_list(), "layout": self._layout()}
         header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<I", _VERSION))
-            handle.write(struct.pack("<I", len(header_bytes)))
-            handle.write(header_bytes)
-            entries = [
-                (group.name, name, tensor)
-                for group in self.param_groups()
-                for name, tensor in group.items()
-            ]
-            handle.write(struct.pack("<I", len(entries)))
-            for group_name, name, tensor in entries:
-                _write_str(handle, group_name)
-                _write_str(handle, name)
-                handle.write(struct.pack("<I", tensor.data.ndim))
-                for dim in tensor.data.shape:
-                    handle.write(struct.pack("<I", dim))
-                handle.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        body = b"".join([struct.pack("<I", len(header_bytes)), header_bytes]
+                        + [group.buffer.astype("<f8").tobytes() for group in self.param_groups()])
+        Path(path).write_bytes(_MAGIC + struct.pack("<II", _VERSION, zlib.crc32(body)) + body)
 
     @classmethod
     def load(cls, path) -> "TripletModel":
         """Rebuild a saved model; any malformed file raises ValidationError."""
-        handle = io.BytesIO(Path(path).read_bytes())
-        if handle.read(4) != _MAGIC:
+        data = Path(path).read_bytes()
+        if data[:4] != _MAGIC:
             raise ValidationError("not a model weight file")
-        version, = _unpack(handle, "<I")
+        if len(data) < _PREFIX.size:
+            raise ValidationError("weight file is truncated")
+        _, version, checksum, header_len = _PREFIX.unpack_from(data)
         if version != _VERSION:
             raise ValidationError(f"unsupported weight file version {version}")
-        header_len, = _unpack(handle, "<I")
-        model = cls._from_header(_read_exact(handle, header_len))
-        shapes = {
-            f"{group.name}/{name}": tensor.data.shape
-            for group in model.param_groups()
-            for name, tensor in group.items()
-        }
-        # Files written before the per-label bilinear forms were stacked into
-        # ``pair_bil`` hold them as four (p, p) entries.
-        p = model.parser_config.pair_hidden
-        legacy = {f"parser/pair_bil_{label.lower()}": (p, p) for label in REL_LABELS}
-        count, = _unpack(handle, "<I")
-        snapshot: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            key = f"{_read_str(handle)}/{_read_str(handle)}"
-            ndim, = _unpack(handle, "<I")
-            shape = tuple(_unpack(handle, "<I")[0] for _ in range(ndim))
-            # Checked before reading, so a corrupt shape cannot size a read.
-            if shapes.get(key, legacy.get(key)) != shape:
-                raise ValidationError(f"weight file tensor {key} has unexpected shape {shape}")
-            data = np.frombuffer(_read_exact(handle, 8 * math.prod(shape)), dtype="<f8")
-            if not np.isfinite(data).all():
-                raise ValidationError(f"weight file tensor {key} holds non-finite values")
-            snapshot[key] = data.reshape(shape).astype(np.float64)
-        found = [key for key in legacy if key in snapshot]
-        if found:
-            if len(found) != len(legacy):
-                raise ValidationError(f"weight file holds {len(found)} of the {len(legacy)} "
-                                      "per-label pair_bil_* tensors")
-            snapshot["parser/pair_bil"] = np.stack([snapshot.pop(key) for key in found])
-        model.load_snapshot(snapshot)
+        if zlib.crc32(data[_CHECKED_FROM:]) != checksum:
+            raise ValidationError("weight file checksum mismatch: the file is damaged")
+        payload_at = _PREFIX.size + header_len
+        if len(data) < payload_at:
+            raise ValidationError("weight file is truncated")
+        encoder_config, parser_config, vocab, layout = _read_header(data[_PREFIX.size:payload_at])
+        # Checked before the model is built, so a corrupt size cannot size
+        # its allocation.
+        expected = 8 * _param_count(encoder_config, parser_config)
+        if len(data) - payload_at != expected:
+            raise ValidationError(f"weight file holds {len(data) - payload_at} bytes of "
+                                  f"parameters where its header describes {expected}")
+        model = cls(encoder_config, parser_config, vocab, seed=0)
+        if layout != model._layout():
+            raise ValidationError("weight file layout does not match its header's configs")
+        groups = model.param_groups()
+        blocks = np.split(np.frombuffer(data, dtype="<f8", offset=payload_at),
+                          np.cumsum([group.buffer.size for group in groups])[:-1])
+        for group, block in zip(groups, blocks):
+            if not np.isfinite(block).all():
+                raise ValidationError(f"weight file group {group.name} holds non-finite values")
+        model.load_snapshot({group.name: block for group, block in zip(groups, blocks)})
         return model
-
-    @classmethod
-    def _from_header(cls, raw: bytes) -> "TripletModel":
-        try:
-            header = json.loads(raw.decode("utf-8"))
-            encoder_config = _encoder_config_from_dict(header["encoder"])
-            parser_config = ParserConfig(**header["parser"])
-            vocab = Vocabulary.from_token_list(header["vocab"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"unreadable weight file header: {exc}") from exc
-        return cls(encoder_config, parser_config, vocab, seed=0)
 
 
 def _outputs(forward: BatchForward):
@@ -240,34 +211,29 @@ def _outputs(forward: BatchForward):
             ("relation scorer", forward.relations.data))
 
 
-def _encoder_config_from_dict(raw: dict) -> EncoderConfig:
-    raw = dict(raw)
-    # Older files record a training-only dropout rate; inference never used it.
-    raw.pop("dropout", None)
-    raw["adapter"] = StructureConfig(**raw["adapter"])
-    return EncoderConfig(**raw)
-
-
-def _write_str(handle, text: str) -> None:
-    data = text.encode("utf-8")
-    handle.write(struct.pack("<H", len(data)))
-    handle.write(data)
-
-
-def _read_exact(handle, size: int) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise ValidationError("weight file is truncated")
-    return data
-
-
-def _unpack(handle, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(handle, struct.calcsize(fmt)))
-
-
-def _read_str(handle) -> str:
-    length, = _unpack(handle, "<H")
+def _read_header(raw: bytes):
+    """The configs, vocabulary and parameter layout a weight file header
+    records."""
     try:
-        return _read_exact(handle, length).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"undecodable name in weight file: {exc}") from exc
+        header = json.loads(raw.decode("utf-8"))
+        encoder = dict(header["encoder"], adapter=StructureConfig(**header["encoder"]["adapter"]))
+        encoder_config, parser_config = EncoderConfig(**encoder), ParserConfig(**header["parser"])
+        # A float or bool size passes the configs' own checks and fails
+        # later as a numpy shape.
+        fields = vars(encoder_config) | vars(encoder_config.adapter) | vars(parser_config)
+        if any(type(fields[key]) is not int for key in fields if key not in ("adapter", "kind")):
+            raise ValueError("config sizes must be integers")
+        vocab = Vocabulary.from_token_list(header["vocab"])
+        return encoder_config, parser_config, vocab, header["layout"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValidationError(f"unreadable weight file header: {exc}") from exc
+
+
+def _param_count(encoder_config: EncoderConfig, parser_config: ParserConfig) -> int:
+    """Parameters of the model these configs build: the bare count plus,
+    with an adapter, its distance-bias tables."""
+    count = count_params(encoder_config, parser_config)
+    adapter = encoder_config.adapter
+    if adapter.kind != NONE:
+        count += adapter_increment(encoder_config.layers, adapter.tau, encoder_config.head_dim)
+    return count

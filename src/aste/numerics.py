@@ -279,12 +279,11 @@ class Tensor:
         return Tensor(self.data.sum(), _parents=(self,), _backward=back, _op="sum")
 
 
-def affine_forward(rows: Array, weight: Array, bias: Array | None) -> Array:
-    """``rows @ weight (+ bias)`` for (N, k) rows: the affine map inside
+def affine_forward(rows: Array, weight: Array, bias: Array) -> Array:
+    """``rows @ weight + bias`` for (N, k) rows: the affine map inside
     the fused nodes."""
     out = rows @ weight
-    if bias is not None:
-        out += bias
+    out += bias
     return out
 
 

@@ -123,15 +123,8 @@ def dependency_distance_matrix(graph: DependencyGraph, tau: int) -> np.ndarray:
     return magnitude * sign
 
 
-def distance_to_index(r: int, tau: int) -> int:
-    """Map a signed distance onto a bias-table row: ``r + tau``."""
-    if abs(r) > tau:
-        raise ValidationError(f"distance {r} exceeds tau={tau}; clip first")
-    return r + tau
-
-
 def distances_to_indices(values: np.ndarray, tau: int) -> np.ndarray:
-    """Vectorized ``distance_to_index`` for a whole matrix."""
+    """Map signed distances onto bias-table rows: ``values + tau``."""
     values = np.asarray(values)
     if values.size and np.abs(values).max() > tau:
         raise ValidationError(f"distances exceed tau={tau}; clip first")

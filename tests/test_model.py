@@ -1,18 +1,20 @@
 """Model assembly and weight-file round trips."""
 
 import json
-import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aste.cli import main
 from aste.data import Sentence, Vocabulary, write_corpus_file
-from aste.encoder import EncoderConfig
+from aste.encoder import Encoder, EncoderConfig
 from aste.errors import ValidationError
-from aste.model import PREDICT_BATCH, TripletModel
-from aste.parser import REL_LABELS, TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
+from aste.model import PREDICT_BATCH, TripletModel, _param_count
+from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
 from aste.structure import (
     DEPENDENCY,
     RELATIVE,
@@ -203,21 +205,37 @@ class TestSnapshots:
     def test_missing_key_rejected(self):
         model, _ = build_model()
         snapshot = model.state_snapshot()
-        snapshot.pop("encoder/tok_emb")
-        with pytest.raises(ValidationError):
+        snapshot.pop("encoder")
+        with pytest.raises(ValidationError, match="missing group encoder"):
+            model.load_snapshot(snapshot)
+
+    def test_wrong_size_rejected(self):
+        model, _ = build_model()
+        snapshot = model.state_snapshot()
+        snapshot["parser"] = snapshot["parser"][:-1]
+        with pytest.raises(ValidationError, match="size mismatch for group parser"):
             model.load_snapshot(snapshot)
 
 
 class TestWeightFile:
     def test_save_load_round_trip(self, tmp_path):
-        model, corpus = build_model(adapter_kind=RELATIVE, seed=3)
-        path = tmp_path / "weights.bin"
-        model.save(path)
-        loaded = TripletModel.load(path)
-        assert loaded.vocab.token_to_id == model.vocab.token_to_id
-        assert loaded.encoder_config == model.encoder_config
-        for sentence in corpus.dev[:4]:
-            assert loaded.predict(sentence) == model.predict(sentence)
+        """Every parameter comes back bit for bit, so predictions match."""
+        for kind in (RELATIVE, DEPENDENCY):
+            model, corpus = varied_model(kind, seed=3)
+            path = tmp_path / "weights.bin"
+            model.save(path)
+            loaded = TripletModel.load(path)
+            assert loaded.vocab.token_to_id == model.vocab.token_to_id
+            assert loaded.encoder_config == model.encoder_config
+            assert loaded.parser_config == model.parser_config
+            expected, got = model.state_snapshot(), loaded.state_snapshot()
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert got[name].tobytes() == expected[name].tobytes()
+            sentences = mixed_length_batch(corpus, np.random.default_rng(0))
+            predicted = model.predict_corpus(sentences)
+            assert any(predicted)
+            assert loaded.predict_corpus(sentences) == predicted
 
     def test_rejects_non_weight_file(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -234,91 +252,24 @@ class TestWeightFile:
         sentence = corpus.train[2]
         assert a.predict(sentence) == b.predict(sentence)
 
-    def test_header_with_dropout_rate_still_loads(self, tmp_path):
-        """Files from before the dropout option was removed name a rate."""
-        model, corpus = build_model(adapter_kind=RELATIVE, seed=4)
-        path = tmp_path / "w.bin"
-        model.save(path)
-        data = path.read_bytes()
-        header_len, = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + header_len])
-        header["encoder"]["dropout"] = 0.1
-        raw = json.dumps(header).encode("utf-8")
-        path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len:])
-        loaded = TripletModel.load(path)
-        for sentence in corpus.dev[:4]:
-            assert loaded.predict(sentence) == model.predict(sentence)
+    @pytest.mark.parametrize("adapter_kind", [None, RELATIVE, DEPENDENCY])
+    def test_header_param_count_matches_the_built_buffers(self, adapter_kind):
+        model, _ = build_model(adapter_kind=adapter_kind)
+        assert _param_count(model.encoder_config, model.parser_config) == sum(
+            group.buffer.size for group in model.param_groups())
 
 
-def read_entries(data: bytes):
-    """A weight file split into its bytes up to the tensor count and its
-    (group, name, values) entries."""
-    header_len, = struct.unpack("<I", data[8:12])
-    offset = 12 + header_len
-    count, = struct.unpack("<I", data[offset:offset + 4])
-    offset += 4
-    entries = []
-    for _ in range(count):
-        names = []
-        for _ in range(2):
-            length, = struct.unpack("<H", data[offset:offset + 2])
-            names.append(data[offset + 2:offset + 2 + length].decode("utf-8"))
-            offset += 2 + length
-        ndim, = struct.unpack("<I", data[offset:offset + 4])
-        shape = struct.unpack(f"<{ndim}I", data[offset + 4:offset + 4 + 4 * ndim])
-        offset += 4 + 4 * ndim
-        size = 8 * math.prod(shape)
-        entries.append((*names, np.frombuffer(data[offset:offset + size], "<f8").reshape(shape)))
-        offset += size
-    return data[:12 + header_len], entries
+def split_file(data: bytes):
+    """A version-2 weight file's header, parsed, and its parameter bytes."""
+    header_len, = struct.unpack("<I", data[12:16])
+    return json.loads(data[16:16 + header_len]), data[16 + header_len:]
 
 
-def write_entries(path, head: bytes, entries) -> None:
-    parts = [head, struct.pack("<I", len(entries))]
-    for group, name, values in entries:
-        for text in (group, name):
-            parts += [struct.pack("<H", len(text.encode("utf-8"))), text.encode("utf-8")]
-        parts.append(struct.pack(f"<{1 + values.ndim}I", values.ndim, *values.shape))
-        parts.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(parts))
-
-
-class TestPerLabelBilinearFile:
-    """Files written before the four per-label bilinear forms became the one
-    (4, p, p) ``pair_bil`` tensor hold a (p, p) ``pair_bil_<label>`` entry
-    per label in its place."""
-
-    def per_label_file(self, tmp_path, labels=REL_LABELS):
-        model, corpus = varied_model(DEPENDENCY, seed=5)
-        path = tmp_path / "w.bin"
-        model.save(path)
-        head, entries = read_entries(path.read_bytes())
-        write_entries(tmp_path / "same.bin", head, entries)
-        assert (tmp_path / "same.bin").read_bytes() == path.read_bytes()
-        at = [name for _, name, _ in entries].index("pair_bil")
-        stacked = entries[at][2]
-        entries[at:at + 1] = [("parser", f"pair_bil_{label.lower()}", stacked[c])
-                              for c, label in enumerate(REL_LABELS) if label in labels]
-        write_entries(path, head, entries)
-        return model, corpus, path
-
-    def test_loads_and_decodes_like_the_model_that_wrote_it(self, tmp_path):
-        model, corpus, path = self.per_label_file(tmp_path)
-        loaded = TripletModel.load(path)
-        expected = model.state_snapshot()
-        got = loaded.state_snapshot()
-        assert list(got) == list(expected)
-        for key in expected:
-            np.testing.assert_array_equal(got[key], expected[key])
-        sentences = mixed_length_batch(corpus, np.random.default_rng(0))
-        predicted = model.predict_corpus(sentences)
-        assert any(predicted)
-        assert loaded.predict_corpus(sentences) == predicted
-
-    def test_some_per_label_entries_rejected(self, tmp_path):
-        _, _, path = self.per_label_file(tmp_path, labels=("NONE", "POS", "NEU"))
-        with pytest.raises(ValidationError, match="3 of the 4"):
-            TripletModel.load(path)
+def sealed(header: bytes, payload: bytes) -> bytes:
+    """A weight file of these parts whose checksum matches, so damage in
+    them reaches the checks after the checksum."""
+    body = struct.pack("<I", len(header)) + header + payload
+    return b"ASTW" + struct.pack("<II", 2, zlib.crc32(body)) + body
 
 
 class TestDamagedWeightFile:
@@ -358,20 +309,153 @@ class TestDamagedWeightFile:
 
     def test_damaged_header_raises_validation_error(self, saved):
         path, _ = saved
-        data = path.read_bytes()
-        header_len, = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + header_len])
-        header["encoder"]["dim"] = 10  # no longer matches the stored tensors
-        for raw in (b"\xff" * header_len, b"[" + b" " * (header_len - 1),
-                    json.dumps({"encoder": {}}).encode(), json.dumps(header).encode()):
-            path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len:])
-            with pytest.raises(ValidationError):
+        header, payload = split_file(path.read_bytes())
+
+        def edited(change):
+            copy = json.loads(json.dumps(header))
+            change(copy)
+            return json.dumps(copy).encode()
+
+        for raw, message in (
+            (b"\xff" * 40, "unreadable"), (b"[" + b" " * 39, "unreadable"),
+            (b"[" * 100_000, "unreadable"), (json.dumps({"encoder": {}}).encode(), "unreadable"),
+            (edited(lambda h: h.pop("layout")), "unreadable"),
+            # No longer matches the stored parameters.
+            (edited(lambda h: h["encoder"].update(dim=10)), "header describes"),
+            (edited(lambda h: h["layout"].reverse()), "layout does not match"),
+            (edited(lambda h: h["encoder"].update(heads=2.0)), "sizes must be integers"),
+            (edited(lambda h: h["encoder"].update(heads=True)), "sizes must be integers"),
+            (edited(lambda h: h["encoder"]["adapter"].update(tau=4.0)), "sizes must be integers"),
+            (edited(lambda h: h["parser"].update(tag_hidden=6.0)), "sizes must be integers"),
+        ):
+            path.write_bytes(sealed(raw, payload))
+            with pytest.raises(ValidationError, match=message):
                 TripletModel.load(path)
 
     def test_non_finite_weight_raises_validation_error(self, saved):
         path, _ = saved
-        data = path.read_bytes()
+        header, payload = split_file(path.read_bytes())
+        raw = json.dumps(header).encode()
         for value in (float("nan"), float("inf")):
-            path.write_bytes(data[:-8] + struct.pack("<d", value))
+            for damaged, group in ((struct.pack("<d", value) + payload[8:], "encoder"),
+                                   (payload[:-8] + struct.pack("<d", value), "parser")):
+                path.write_bytes(sealed(raw, damaged))
+                with pytest.raises(ValidationError, match=f"group {group} holds non-finite"):
+                    TripletModel.load(path)
+
+    def test_parameter_bytes_of_another_size_raise_validation_error(self, saved):
+        """Behind a matching checksum, a short payload and trailing bytes
+        are both caught by the size the header describes."""
+        path, _ = saved
+        header, payload = split_file(path.read_bytes())
+        raw = json.dumps(header).encode()
+        for damaged in (payload[:-8], payload[:-3], payload + b"\x00", payload + bytes(8)):
+            path.write_bytes(sealed(raw, damaged))
+            with pytest.raises(ValidationError, match="header describes"):
+                TripletModel.load(path)
+
+    def test_huge_header_size_fails_before_any_allocation(self, saved, tmp_path, capsys,
+                                                           monkeypatch):
+        path, corpus_path = saved
+        header, payload = split_file(path.read_bytes())
+        header["encoder"].update(dim=10**10, heads=1)
+        path.write_bytes(sealed(json.dumps(header).encode(), payload))
+
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("the encoder was built from an unchecked header")
+
+        monkeypatch.setattr(Encoder, "__init__", must_not_build)
+        with pytest.raises(ValidationError, match="header describes"):
+            TripletModel.load(path)
+        code = main(["decode", "--weights", str(path), "--input", str(corpus_path),
+                     "--out", str(tmp_path / "out.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("aste: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_version_1_file_rejected_by_name(self, saved, tmp_path, capsys, command):
+        """Version 1 stored a record per tensor after the header and no
+        checksum; it is no longer read."""
+        path, corpus_path = saved
+        header, _ = split_file(path.read_bytes())
+        raw = json.dumps({key: header[key] for key in ("encoder", "parser", "vocab")}).encode()
+        path.write_bytes(b"ASTW" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", 0))
+        with pytest.raises(ValidationError, match="unsupported weight file version 1"):
+            TripletModel.load(path)
+        extra = ["--out", str(tmp_path / "out.jsonl")] if command == "decode" else []
+        code = main([command, "--weights", str(path), "--input", str(corpus_path)] + extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "aste: unsupported weight file version 1\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_weight_file(tmp_path_factory):
+    """The bytes of a saved tiny model, and a directory holding a corpus
+    file the model can decode."""
+    model, corpus = build_model(adapter_kind=RELATIVE, seed=8)
+    directory = tmp_path_factory.mktemp("fuzz")
+    model.save(directory / "weights.bin")
+    write_corpus_file(directory / "dev.jsonl", corpus.dev[:3])
+    return (directory / "weights.bin").read_bytes(), directory
+
+
+def write_anew(path, data: bytes) -> None:
+    """Write ``data`` to a new file at ``path``. Truncating a file that
+    holds data costs tens of milliseconds on some filesystems, which
+    hundreds of examples would add up to seconds."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
+def cut(data):
+    return st.integers(0, len(data) - 1).map(lambda n: data[:n])
+
+
+def bit_flip(data):
+    def flip(bit):
+        damaged = bytearray(data)
+        damaged[bit // 8] ^= 1 << bit % 8
+        return bytes(damaged)
+
+    return st.integers(0, 8 * len(data) - 1).map(flip)
+
+
+def appended(data):
+    return st.binary(min_size=1, max_size=64).map(lambda extra: data + extra)
+
+
+class TestWeightFileFuzz:
+    """Every cut, single bit flip and appendage of a saved file is a
+    ValidationError, and the CLI reports it as one."""
+
+    @pytest.mark.parametrize("damage", [cut, bit_flip, appended])
+    def test_load_raises_validation_error(self, tiny_weight_file, damage):
+        data, directory = tiny_weight_file
+        path = directory / f"{damage.__name__}.bin"
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(damage(data))
+        def check(damaged):
+            write_anew(path, damaged)
             with pytest.raises(ValidationError):
                 TripletModel.load(path)
+
+        check()
+
+    def test_decode_exits_1_without_traceback(self, tiny_weight_file, capsys):
+        data, directory = tiny_weight_file
+        path = directory / "decoded.bin"
+
+        @settings(max_examples=12, deadline=None, database=None)
+        @given(st.one_of(cut(data), bit_flip(data), appended(data)))
+        def check(damaged):
+            write_anew(path, damaged)
+            code = main(["decode", "--weights", str(path), "--input", str(directory / "dev.jsonl"),
+                         "--out", str(directory / "out.jsonl")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("aste: ") and "Traceback" not in err
+            assert not (directory / "out.jsonl").exists()
+
+        check()

@@ -35,7 +35,7 @@ class TestLinear:
     ``affine_backward``."""
 
     def test_identity_weight(self):
-        out = affine_forward(np.array([[1.0, 2.0]]), np.eye(2), None)
+        out = affine_forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_zero_input_returns_bias(self):
@@ -48,32 +48,30 @@ class TestLinear:
         out = affine_forward(np.array([[1.0, 2.0]]), np.ones((2, 2)), np.zeros(2))
         np.testing.assert_array_equal(out, [[3.0, 3.0]])
 
-    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
-    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4), (2, 3, 5, 4)], ids=["2d", "3d", "4d"])
-    def test_one_node_with_gradients(self, shape, with_bias):
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4), (2, 3, 5, 4)],
+                             ids=["2d-bias", "3d-bias", "4d-bias"])
+    def test_one_node_with_gradients(self, shape):
         """An (..., k) input's affine map as one tape node on the core, as
-        the fused nodes build it: its value is the chain ``x @ w (+ b)``,
+        the fused nodes build it: its value is the chain ``x @ w + b``,
         and its gradients pass a finite-difference check at weights of
         scale 3, where a wrong product or bias reduction shows."""
         rng = np.random.default_rng(len(shape))
         g = ParamGroup("parser")
         x = g.add("x", Tensor(rng.normal(0, 1, shape)))
         w = g.add("w", Tensor(rng.normal(0, 3, (4, 6))))
-        b = g.add("b", Tensor(rng.normal(0, 3, 6))) if with_bias else None
+        b = g.add("b", Tensor(rng.normal(0, 3, 6)))
 
         def node():
             rows = x.data.reshape(-1, 4)
 
             def back(grad):
                 d_rows, d_w, d_b = affine_backward(grad.reshape(-1, 6), rows, w.data)
-                parts = [(x, d_rows.reshape(shape)), (w, d_w)]
-                return parts if b is None else parts + [(b, d_b)]
+                return [(x, d_rows.reshape(shape)), (w, d_w), (b, d_b)]
 
-            out = affine_forward(rows, w.data, None if b is None else b.data)
-            return Tensor(out.reshape(*shape[:-1], 6), _parents=(x, w) if b is None else (x, w, b),
-                          _backward=back)
+            out = affine_forward(rows, w.data, b.data)
+            return Tensor(out.reshape(*shape[:-1], 6), _parents=(x, w, b), _backward=back)
 
-        chain = matmul(x, w) if b is None else matmul(x, w) + b
+        chain = matmul(x, w) + b
         np.testing.assert_allclose(node().data, chain.data, rtol=1e-14, atol=0)
         weights = Tensor(rng.normal(0, 1, chain.shape))
         assert grad_check(lambda: (node() * weights).sum(), g, samples_per_tensor=200) < 1e-6

@@ -14,7 +14,6 @@ from aste.structure import (
     StructureConfig,
     augmented_distance_matrix,
     dependency_distance_matrix,
-    distance_to_index,
     distances_to_indices,
     random_tree_heads,
     relative_distance_matrix,
@@ -149,20 +148,19 @@ class TestGraphValidation:
 class TestIndexing:
     @pytest.mark.parametrize("r,expected", [(-8, 0), (0, 8), (8, 16)])
     def test_corner_values(self, r, expected):
-        assert distance_to_index(r, 8) == expected
+        assert distances_to_indices(np.array([r]), 8).tolist() == [expected]
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            distance_to_index(9, 8)
-        with pytest.raises(ValidationError):
-            distances_to_indices(np.array([[0, 9]]), 8)
+        for values in ([[0, 9]], [[-9, 0]]):
+            with pytest.raises(ValidationError):
+                distances_to_indices(np.array(values), 8)
 
     def test_matrix_version_matches_scalar(self):
         values = relative_distance_matrix(5, 3)
         indices = distances_to_indices(values, 3)
         for i in range(5):
             for j in range(5):
-                assert indices[i, j] == distance_to_index(int(values[i, j]), 3)
+                assert indices[i, j] == int(values[i, j]) + 3
 
 
 class TestAugmented:

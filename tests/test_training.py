@@ -319,9 +319,8 @@ class TestWholeGroupOptimizer:
         after = model.state_snapshot()
         assert any(not np.array_equal(after[k], before[k]) for k in before)
         for group in model.param_groups():
-            packed = np.concatenate([after[f"{group.name}/{name}"] for name in group.tensors],
-                                    axis=None)
-            np.testing.assert_array_equal(packed, group.buffer)
+            packed = np.concatenate([t.data for t in group.tensors.values()], axis=None)
+            np.testing.assert_array_equal(packed, after[group.name])
 
 
 class TestTrainLoop:
