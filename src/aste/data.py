@@ -35,6 +35,11 @@ NUM_RESERVED = 4
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
 
+def _is_index(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, order=True)
 class Span:
     """Inclusive token span ``[start, end]``."""
@@ -43,7 +48,7 @@ class Span:
     end: int
 
     def __post_init__(self):
-        if not (0 <= self.start <= self.end):
+        if not (_is_index(self.start) and _is_index(self.end) and 0 <= self.start <= self.end):
             raise ValidationError(f"bad span ({self.start}, {self.end})")
 
     def __len__(self) -> int:
@@ -82,8 +87,7 @@ class Sentence:
             if len(self.heads) != n:
                 raise ValidationError("heads length does not match token count")
             for token, head in enumerate(self.heads):
-                if not isinstance(head, (int, np.integer)) or isinstance(head, bool) \
-                        or not -1 <= head < n:
+                if not _is_index(head) or not -1 <= head < n:
                     raise ValidationError(
                         f"head {head!r} of token {token} is neither -1 nor a token index below {n}")
                 if head == token:
@@ -119,8 +123,10 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
     """Parse one canonical-format line into a validated Sentence."""
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError: an integer too long to convert, or
+        # nesting deeper than the recursion limit.
+        raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(raw, dict):
         raise ParseError(line_no, "record is not an object")
     unknown = set(raw) - _RECORD_FIELDS
@@ -129,8 +135,16 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
     tokens = raw.get("tokens")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError(line_no, "tokens must be a list of strings")
+    try:
+        "".join(tokens).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # A JSON escape can spell a lone surrogate, which no file can hold.
+        raise ParseError(line_no, f"tokens are not valid text ({exc.reason})") from exc
+    items = raw.get("triplets", [])
+    if not isinstance(items, list):
+        raise ParseError(line_no, "triplets must be a list")
     triplets = []
-    for item in raw.get("triplets", []):
+    for item in items:
         try:
             aspect = Span(*item["aspect"])
             opinion = Span(*item["opinion"])

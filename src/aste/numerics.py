@@ -184,6 +184,12 @@ class Tensor:
     # -- graph traversal ------------------------------------------------
 
     def backward(self) -> None:
+        """Backpropagate from this scalar through its tape. The walk visits
+        op nodes only; each part that reaches a leaf is added into its
+        ``grad`` as it arrives. A parameter's ``grad`` is a view of its
+        group's gradient buffer, so the part lands there in place; another
+        leaf takes a copy of its first part, since ``+`` hands one array to
+        both operands."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -199,26 +205,23 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen and parent.requires_grad:
+                if parent._parents and parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             grad = grads.pop(id(node), None)
-            if grad is None:
+            if grad is None or node._backward is None:
                 continue
-            if node._backward is not None:
-                for parent, part in node._backward(grad):
-                    if not parent.requires_grad:
-                        continue
-                    if id(parent) in grads:
-                        grads[id(parent)] = grads[id(parent)] + part
-                    else:
-                        grads[id(parent)] = part
-            if node._parents == () and node.requires_grad:
-                node.grad = grad if node.grad is None else node.grad + grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
+            for parent, part in node._backward(grad):
+                if not parent.requires_grad:
+                    continue
+                if parent._parents:
+                    key = id(parent)
+                    grads[key] = grads[key] + part if key in grads else part
+                elif parent.grad is None:
+                    parent.grad = part.copy()
+                else:
+                    parent.grad += part
 
     # -- arithmetic -----------------------------------------------------
 
@@ -413,10 +416,11 @@ def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> T
 class ParamGroup:
     """Named parameter collection with a learning-rate multiplier.
 
-    The members' values live in one contiguous float64 ``buffer``, in the
-    order they were added: each member's ``data`` is a view of its slice,
-    so the optimizer and the gradient clip work on a whole group at once.
-    Members are therefore updated in place, never rebound.
+    The members' values live in one contiguous float64 ``buffer`` and their
+    gradients in ``grad``, laid out alike, in the order the members were
+    added: each member's ``data`` and ``grad`` are views of its slices, so
+    backward, the gradient clip and the optimizer work on a whole group at
+    once. Members are therefore updated in place, never rebound.
 
     The parser group conventionally runs at 10x the base rate of the
     encoder and adapter groups.
@@ -427,8 +431,10 @@ class ParamGroup:
     lr_multiplier: float = 1.0
     buffer: Array = field(default_factory=lambda: np.zeros(0), init=False, repr=False,
                           compare=False)
-    # What ``buffer`` is the head of; grown geometrically by ``add``.
-    _storage: Array = field(default_factory=lambda: np.zeros(0), init=False, repr=False,
+    grad: Array = field(default_factory=lambda: np.zeros(0), init=False, repr=False,
+                        compare=False)
+    # Row 0 holds ``buffer``, row 1 ``grad``; grown geometrically by ``add``.
+    _storage: Array = field(default_factory=lambda: np.zeros((2, 0)), init=False, repr=False,
                             compare=False)
 
     GROUP_NAMES = ("encoder", "adapter", "parser")
@@ -440,32 +446,29 @@ class ParamGroup:
             raise ValueError("lr_multiplier must be positive")
 
     def add(self, key: str, tensor: Tensor) -> Tensor:
-        """Adopt ``tensor``: its values are copied to the end of the buffer
-        and its ``data`` becomes a view of them."""
+        """Adopt ``tensor``: its values are copied to the end of the buffer,
+        its gradient starts at zero, and its ``data`` and ``grad`` become
+        views of their slices."""
         if key in self.tensors:
             raise ValueError(f"duplicate parameter name {key!r} in group {self.name!r}")
         tensor.requires_grad = True
         start, end = self.buffer.size, self.buffer.size + tensor.size
-        if end > self._storage.size:
+        self.tensors[key] = tensor
+        rebind, offset = [tensor], start
+        if end > self._storage.shape[1]:
             # Doubling keeps building a group linear in its size: members
             # move O(log n) times, not on every add.
-            self._storage = np.empty(max(end, 2 * self._storage.size))
-            self._storage[:start] = self.buffer
-            offset = 0
-            for t in self.tensors.values():
-                t.data = self._storage[offset:offset + t.size].reshape(t.shape)
-                offset += t.size
-        self._storage[start:end] = tensor.data.reshape(-1)
-        tensor.data = self._storage[start:end].reshape(tensor.shape)
-        self.tensors[key] = tensor
-        self.buffer = self._storage[:end]
+            storage = np.zeros((2, max(end, 2 * self._storage.shape[1])))
+            storage[:, :start] = self._storage[:, :start]
+            self._storage = storage
+            rebind, offset = self.tensors.values(), 0
+        self._storage[0, start:end] = tensor.data.reshape(-1)
+        for t in rebind:
+            t.data = self._storage[0, offset:offset + t.size].reshape(t.shape)
+            t.grad = self._storage[1, offset:offset + t.size].reshape(t.shape)
+            offset += t.size
+        self.buffer, self.grad = self._storage[:, :end]
         return tensor
-
-    def flat_grad(self, out: Array | None = None) -> Array:
-        """The members' gradients laid out like ``buffer``; a member
-        without a gradient contributes zeros."""
-        grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors.values()]
-        return np.concatenate(grads, axis=None, out=out)
 
     def __getitem__(self, key: str) -> Tensor:
         return self.tensors[key]
@@ -474,8 +477,7 @@ class ParamGroup:
         return self.tensors.items()
 
     def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
+        self.grad[...] = 0.0
 
 
 def normal_init(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
@@ -508,7 +510,7 @@ def grad_check(f, params, eps: float = 1e-5, samples_per_tensor: int = 4, seed: 
     worst = 0.0
     for group in groups:
         for name, tensor in group.items():
-            analytic = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad
+            analytic = tensor.grad.copy()
             if not np.isfinite(analytic).all():
                 raise NumericError(f"grad_check: analytic gradient of {name} is non-finite")
             flat = tensor.data.reshape(-1)

@@ -187,8 +187,8 @@ class AdamW:
         self.m = [np.zeros_like(g.buffer) for g in groups]
         self.v = [np.zeros_like(g.buffer) for g in groups]
         # Per-group scratch, allocated once: a step makes no parameter-sized
-        # temporaries.
-        self._grad = [np.empty_like(g.buffer) for g in groups]
+        # temporaries and leaves the gradients unchanged.
+        self._step = [np.empty_like(g.buffer) for g in groups]
         self._work = [np.empty_like(g.buffer) for g in groups]
         self.last_group_lrs: dict[str, float] = {}
 
@@ -202,10 +202,10 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for group, m, v, g, w in zip(self.groups, self.m, self.v, self._grad, self._work):
+        for group, m, v, s, w in zip(self.groups, self.m, self.v, self._step, self._work):
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
-            group.flat_grad(out=g)
+            g = group.grad
             # Every element goes through the operations of the textbook
             # update in the same order, so results are bit for bit those of
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -220,35 +220,23 @@ class AdamW:
             np.divide(v, bias2, out=w)
             np.sqrt(w, out=w)
             np.add(w, self.eps, out=w)
-            np.divide(m, bias1, out=g)
-            np.divide(g, w, out=g)
+            np.divide(m, bias1, out=s)
+            np.divide(s, w, out=s)
             np.multiply(group.buffer, self.weight_decay, out=w)
-            np.add(g, w, out=g)
-            np.multiply(g, lr, out=g)
-            np.subtract(group.buffer, g, out=group.buffer)
+            np.add(s, w, out=s)
+            np.multiply(s, lr, out=s)
+            np.subtract(group.buffer, s, out=group.buffer)
 
 
 def clip_gradients(groups, max_norm: float) -> float:
-    """Scale the gradients so their global norm is at most ``max_norm``;
-    returns the pre-clip norm."""
-    params = [p for g in groups for p in g.tensors.values() if p.grad is not None]
-    if not params:
-        return 0.0
-    # One vector of squares, each gradient in its own memory order, summed
-    # per tensor and added in tensor order: bit for bit the per-tensor
-    # sum of squares, whatever the gradients' layout.
-    squares = np.concatenate([p.grad.ravel("K") for p in params])
-    np.square(squares, out=squares)
-    sums, offset = [], 0
-    for p in params:
-        sums.append(float(squares[offset:offset + p.size].sum()))
-        offset += p.size
-    norm = float(np.sqrt(sum(sums)))
+    """Scale the gradients in place so their global norm is at most
+    ``max_norm``; returns the pre-clip norm, from per-tensor sums of
+    squares added in tensor order."""
+    norm = float(np.sqrt(sum(float(np.square(p.grad).sum())
+                             for g in groups for p in g.tensors.values())))
     if norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            # Not *=: backward can hand one array to two parameters.
-            p.grad = p.grad * scale
+        for g in groups:
+            g.grad *= max_norm / norm
     return norm
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, artifact layout."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from aste.data import (
     write_corpus_file,
 )
 from aste.encoder import EncoderConfig
-from aste.errors import ValidationError
+from aste.errors import ParseError, ValidationError
 from aste.model import TripletModel
 from aste.parser import ParserConfig
 from aste.structure import DEPENDENCY, NONE, RELATIVE, StructureConfig, random_tree_heads
@@ -146,6 +147,37 @@ class TestDataCommands:
         assert "converted\t1" in out
         assert "line 2" in err
         assert len(read_corpus_file(out_file)) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"tokens": ["a", "b"], "triplets": null}', "triplets must be a list"),
+        ('{"tokens": ["a", "b"], "triplets": 5}', "triplets must be a list"),
+        ('{"tokens": ["a", "b"], "triplets": [{"aspect": [0, 1.5], "opinion": [0, 0], '
+         '"sentiment": "POS"}]}', "bad triplet .*: bad span"),
+        ('{"tokens": ["a", "b"], "triplets": [{"aspect": [true, true], "opinion": [0, 0], '
+         '"sentiment": "POS"}]}', "bad triplet .*: bad span"),
+        ("[" * 100_000, "invalid JSON"),
+        ('{"tokens": ["a"], "heads": [' + "1" * 5000 + "]}", "invalid JSON"),
+        ('{"tokens": ["a", "\\ud800"]}', "tokens are not valid text"),
+    ], ids=["null-triplets", "int-triplets", "float-bound", "bool-bounds", "deep-nesting",
+            "huge-integer", "lone-surrogate"])
+    def test_malformed_line_exits_1_naming_it(self, capsys, corpus_files, tmp_path,
+                                              line, message):
+        """parse_record rejects the line, and ``aste stats`` and ``aste train``
+        on a file holding it as line 2 exit 1 with the line's error, not a
+        traceback."""
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse_record(line, line_no=2)
+        train, dev = corpus_files
+        bad = tmp_path / "bad.jsonl"
+        first = train.read_text(encoding="utf-8").splitlines()[0]
+        bad.write_text(f"{first}\n{line}\n", encoding="utf-8")
+        for argv in (["stats", "--train", str(bad)],
+                     ["train", "--train", str(bad), "--dev", str(dev),
+                      "--out", str(tmp_path / "out"), "--max-epochs", "1", "--patience", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert re.match(f"aste: line 2: {message}", err) and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBenchCommand:

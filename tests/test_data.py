@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aste.data import (
     END_ID,
     PAD_ID,
+    SENTIMENTS,
     START_ID,
     UNK_ID,
     Corpus,
@@ -84,6 +87,81 @@ class TestParseRecord:
     def test_error_names_line_number(self):
         with pytest.raises(ParseError, match="line 42"):
             parse_record("not json", line_no=42)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20)
+
+
+@st.composite
+def records(draw):
+    """A well-formed record with up to two of its values, at any depth,
+    replaced by arbitrary JSON: the fuzzer gets past the first checks."""
+    tokens = draw(st.lists(st.text(max_size=4), min_size=2, max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        tokens[0] = draw(st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2))
+    index = st.integers(0, len(tokens) - 1)
+
+    def span():
+        return sorted([draw(index), draw(index)])
+
+    record = {"tokens": tokens, "triplets": [
+        {"aspect": span(), "opinion": span(), "sentiment": draw(st.sampled_from(SENTIMENTS))}
+        for _ in range(draw(st.integers(0, 3)))]}
+    if draw(st.booleans()):
+        record["heads"] = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, len(tokens))]
+    slots = []
+
+    def collect(node):
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            slots.append((node, key))
+            if isinstance(child, (dict, list)):
+                collect(child)
+
+    collect(record)
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(slots))
+        node[key] = draw(JSON_VALUES)
+    return record
+
+
+def assert_sentence_or_parse_error(line):
+    """``parse_record`` gives a Sentence that survives writing and reading
+    back, with integer spans inside it, or a ParseError naming the line."""
+    try:
+        sentence = parse_record(line, line_no=9)
+    except ParseError as exc:
+        assert exc.line_no == 9 and str(exc).startswith("line 9: ")
+        return
+    text = serialize_record(sentence)
+    text.encode("utf-8")
+    assert parse_record(text) == sentence
+    for triplet in sentence.triplets:
+        for span in (triplet.aspect, triplet.opinion):
+            assert type(span.start) is int and type(span.end) is int
+            assert 0 <= span.start <= span.end < len(sentence)
+
+
+class TestParseRecordFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(JSON_VALUES)
+    def test_json_values(self, value):
+        assert_sentence_or_parse_error(json.dumps(value))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(records())
+    def test_damaged_records(self, record):
+        assert_sentence_or_parse_error(json.dumps(record))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.text())
+    def test_text_lines(self, line):
+        assert_sentence_or_parse_error(line)
 
 
 class TestRoundTrip:

@@ -148,7 +148,9 @@ def loss_and_gradients(model, batch, forward):
     pred = forward(model, batch, inputs.distances)
     losses = joint_loss(pred, inputs.gold, inputs.masks)
     losses[2].backward()
-    grads = {f"{group.name}/{name}": np.zeros(t.shape) if t.grad is None else t.grad
+    # Copies: the gradients are views of the group buffers, which the next
+    # backward zeroes and refills.
+    grads = {f"{group.name}/{name}": t.grad.copy()
              for group in model.param_groups() for name, t in group.items()}
     return [loss.item() for loss in losses], grads
 
@@ -239,6 +241,7 @@ def test_attention_gradients_on_a_padded_batch(kind):
     check_node(lambda: enc._attention(x, 0, index, key_mask), [states] + enc.param_groups(),
                x.shape, rng)
     if kind != NONE:
+        enc.adapter.zero_grad()
         (enc._attention(x, 0, index, key_mask) * Tensor(rng.normal(0, 1, x.shape))).sum().backward()
         assert np.abs(enc.adapter["l0.rel"].grad).max() > 1e-2
 

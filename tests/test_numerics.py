@@ -261,7 +261,7 @@ class TestNoGrad:
             assert not tensor.requires_grad
         assert w.requires_grad
         loss.backward()
-        assert w.grad is None
+        assert not w.grad.any()
         taped = (x * w).sum()
         assert taped._parents != () and taped.requires_grad
 
@@ -397,27 +397,27 @@ class TestParamGroup:
             ParamGroup("parser", lr_multiplier=0.0)
 
     def test_members_are_views_of_one_buffer(self):
+        """Values and gradients: ``b`` doubles the storage, which moves
+        ``a`` with its gradient, and ``c`` lands in the doubled storage."""
         g = ParamGroup("encoder")
         a = g.add("a", Tensor(np.arange(6.0).reshape(2, 3)))
+        a.grad[...] = np.arange(6.0).reshape(2, 3)
         b = g.add("b", Tensor(np.asfortranarray([[6.0, 7.0], [8.0, 9.0]])))
         c = g.add("c", Tensor(10.0))
         np.testing.assert_array_equal(g.buffer, np.arange(11.0))
+        np.testing.assert_array_equal(g.grad, [0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0])
         for tensor, shape in ((a, (2, 3)), (b, (2, 2)), (c, ())):
             assert tensor.shape == shape and np.shares_memory(tensor.data, g.buffer)
+            assert tensor.grad.shape == shape and np.shares_memory(tensor.grad, g.grad)
         np.testing.assert_array_equal(b.data, [[6.0, 7.0], [8.0, 9.0]])
         g.buffer -= 1.0
         np.testing.assert_array_equal(a.data, np.arange(-1.0, 5.0).reshape(2, 3))
         assert c.item() == 9.0
-
-    def test_flat_grad_follows_the_buffer_layout(self):
-        g = ParamGroup("parser")
-        a = g.add("a", Tensor(np.zeros((2, 3))))
-        g.add("b", Tensor(np.zeros(2)))
-        a.grad = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(g.flat_grad(), [0, 1, 2, 3, 4, 5, 0, 0])
-        out = np.full(8, np.nan)
-        assert g.flat_grad(out=out) is out
-        np.testing.assert_array_equal(out, [0, 1, 2, 3, 4, 5, 0, 0])
+        g.grad[6:] = np.arange(6.0, 11.0)
+        np.testing.assert_array_equal(b.grad, [[6.0, 7.0], [8.0, 9.0]])
+        assert c.grad == 10.0
+        g.zero_grad()
+        assert not (a.grad.any() or b.grad.any() or c.grad.any())
 
 
 class TestGradCheck:

@@ -11,7 +11,7 @@ from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
 from aste.model import BatchForward, TripletModel
-from aste.data import Sentence, Vocabulary
+from aste.data import Sentence, Span, Triplet, Vocabulary
 from aste.numerics import Tensor, grad_check
 from aste.parser import ParserConfig, build_gold
 from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
@@ -142,7 +142,7 @@ class TestClipping:
         g = ParamGroup("encoder")
         for i, grad in enumerate(grads):
             t = g.add(f"p{i}", Tensor(np.zeros_like(grad)))
-            t.grad = grad
+            t.grad[...] = grad
         return g
 
     def test_large_norm_scaled_to_max(self):
@@ -163,9 +163,9 @@ class TestAdamW:
     def test_group_rate_multiplier(self):
         from aste.numerics import ParamGroup
         enc = ParamGroup("encoder")
-        enc.add("w", Tensor(np.ones(3))).grad = np.ones(3)
+        enc.add("w", Tensor(np.ones(3))).grad[...] = 1.0
         par = ParamGroup("parser", lr_multiplier=10.0)
-        par.add("w", Tensor(np.ones(3))).grad = np.ones(3)
+        par.add("w", Tensor(np.ones(3))).grad[...] = 1.0
         opt = AdamW([enc, par])
         opt.step(2e-5)
         assert opt.last_group_lrs["parser"] == pytest.approx(10 * opt.last_group_lrs["encoder"])
@@ -208,7 +208,7 @@ class ReferenceAdamW:
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
             for name, param in group.items():
-                grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+                grad = param.grad
                 key = self._key(group, name)
                 self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
                 self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
@@ -219,14 +219,15 @@ class ReferenceAdamW:
 
 
 def reference_clip_gradients(groups, max_norm):
-    """Per-tensor global-norm clip, the oracle for ``clip_gradients``."""
-    params = [p for g in groups for p in g.tensors.values() if p.grad is not None]
+    """Per-tensor global-norm clip, the oracle for ``clip_gradients``.
+    Scales in place: each ``grad`` is a view of its group's buffer."""
+    params = [p for g in groups for p in g.tensors.values()]
     total = sum(float((p.grad ** 2).sum()) for p in params)
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            p.grad = p.grad * scale
+            p.grad *= scale
     return norm
 
 
@@ -256,23 +257,21 @@ class TestWholeGroupOptimizer:
             for group, twin in zip(groups, reference):
                 for (name, param), (_, other) in zip(group.items(), twin.items()):
                     if (group.name, name) == ("parser", "p2"):
-                        param.grad = other.grad = None  # never reached by backward
-                        continue
-                    grad = rng.normal(0, scale, param.shape)
-                    if grad.ndim == 2 and step % 3 == 0:
-                        grad = np.asfortranarray(grad)  # as backward hands the bias tables
-                    param.grad, other.grad = grad.copy(order="K"), grad.copy(order="K")
+                        continue  # never reached by backward: stays zero
+                    param.grad[...] = other.grad[...] = rng.normal(0, scale, param.shape)
             norm = clip_gradients(groups, 1.0)
             assert norm == reference_clip_gradients(reference, 1.0)
             clipped.append(norm > 1.0)
+            clipped_grads = [group.grad.copy() for group in groups]
             optimizer.step(1e-2)
             oracle.step(1e-2)
             assert optimizer.last_group_lrs == oracle.last_group_lrs
-            for group, twin in zip(groups, reference):
+            for group, twin, clipped_grad in zip(groups, reference, clipped_grads):
+                np.testing.assert_array_equal(group.grad, clipped_grad)
                 for (_, param), (_, other) in zip(group.items(), twin.items()):
+                    assert np.shares_memory(param.grad, group.grad)
                     np.testing.assert_array_equal(param.data, other.data)
-                    if param.grad is not None:
-                        np.testing.assert_array_equal(param.grad, other.grad)
+                    np.testing.assert_array_equal(param.grad, other.grad)
         assert True in clipped and False in clipped
 
     def test_two_step_train_matches_reference(self, monkeypatch):
@@ -300,6 +299,7 @@ class TestWholeGroupOptimizer:
             for group in m.param_groups():
                 for _, tensor in group.items():
                     assert np.shares_memory(tensor.data, group.buffer)
+                    assert np.shares_memory(tensor.grad, group.grad)
 
         assert_packed(model)
         model.save(tmp_path / "w.bin")
@@ -316,6 +316,7 @@ class TestWholeGroupOptimizer:
         model.zero_grad()
         f().backward()
         AdamW(model.param_groups()).step(1e-2)
+        assert_packed(model)
         after = model.state_snapshot()
         assert any(not np.array_equal(after[k], before[k]) for k in before)
         for group in model.param_groups():
@@ -531,7 +532,7 @@ class TestBatching:
             model.zero_grad()
             total = joint_loss(*assemble_batch(model, batch))[2]
             total.backward()
-            grads = {f"{group.name}/{name}": tensor.grad
+            grads = {f"{group.name}/{name}": tensor.grad.copy()
                      for group in (model.encoder.params, model.parser.params)
                      for name, tensor in group.items()}
             results.append((total.item(), grads, model.predict_corpus(corpus.train + corpus.dev)))
@@ -557,6 +558,43 @@ class TestBatching:
             return joint_loss(*assemble_batch(model, batch))[2]
 
         assert grad_check(f, model.param_groups(), eps=1e-5, samples_per_tensor=2) < 1e-4
+
+
+class TestDegenerateBatches:
+    """Batches at the edges of what a padded batch holds. The all-empty
+    training batch has a loss of 0 built from constants only, so backward
+    starts from a root whose parents carry no tape."""
+
+    LONGEST = tiny_encoder_config().max_len - 2
+    CASES = {"all-empty": [0, 0, 0], "single-token": [1], "longest": [LONGEST],
+             "mixed": [0, 1, 5, LONGEST]}
+
+    @staticmethod
+    def sentence(n, rng):
+        triplets = [Triplet(Span(0, 0), Span(1, 1), "POS")] if n >= 2 else []
+        return Sentence(tokens=[f"w{i % 7}" for i in range(n)], triplets=triplets,
+                        heads=random_tree_heads(n, rng) if n else [])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("adapter_kind", [None, RELATIVE, DEPENDENCY])
+    def test_predict_and_one_epoch_of_training(self, adapter_kind, case):
+        rng = np.random.default_rng(0)
+        batch = [self.sentence(n, rng) for n in self.CASES[case]]
+        # A longest sentence sorts after the batch, so the batch is trained on
+        # as one step, and the train split has tokens even when it has none.
+        train_split = batch + [self.sentence(self.LONGEST, rng)]
+        assert any(sorted(map(len, b)) == sorted(self.CASES[case])
+                   for b in bucket_batches(train_split, len(batch)))
+        vocab = Vocabulary.build(train_split)
+        model = TripletModel(tiny_encoder_config(adapter_kind, vocab=len(vocab)),
+                             tiny_parser_config(), vocab, seed=0)
+        predicted = model.predict_corpus(batch)
+        assert len(predicted) == len(batch)
+        assert all(p == set() for p, s in zip(predicted, batch) if len(s) < 2)
+        config = TrainConfig(base_lr=1e-3, batch_size=len(batch), max_epochs=1, patience=1)
+        _, history = train(Corpus("edge", train=train_split, dev=batch), model.encoder_config,
+                           tiny_parser_config(), config, vocab=vocab)
+        assert len(history.records) == 1 and np.isfinite(history.records[0].total_loss)
 
 
 class TestTrainConfigValidation:
