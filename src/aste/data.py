@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -35,6 +36,19 @@ NUM_RESERVED = 4
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
 
+# Error messages echo input values through _brief, so a huge or deeply
+# nested value cannot blow up a message.
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 2, 40, 40
+_BRIEF_LEN = 60
+
+
+def _brief(value) -> str:
+    """``repr(value)``, shortened to at most ``_BRIEF_LEN`` characters."""
+    text = _REPR.repr(value)
+    return text if len(text) <= _BRIEF_LEN else text[:_BRIEF_LEN - 3] + "..."
+
+
 def _is_index(value) -> bool:
     """An integer, numpy's included, that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -49,7 +63,7 @@ class Span:
 
     def __post_init__(self):
         if not (_is_index(self.start) and _is_index(self.end) and 0 <= self.start <= self.end):
-            raise ValidationError(f"bad span ({self.start}, {self.end})")
+            raise ValidationError(f"bad span ({_brief(self.start)}, {_brief(self.end)})")
 
     def __len__(self) -> int:
         return self.end - self.start + 1
@@ -68,7 +82,7 @@ class Triplet:
 
     def __post_init__(self):
         if self.sentiment not in SENTIMENTS:
-            raise ValidationError(f"bad sentiment {self.sentiment!r}")
+            raise ValidationError(f"bad sentiment {_brief(self.sentiment)}")
         if self.aspect == self.opinion:
             raise ValidationError("aspect and opinion spans may not be identical")
 
@@ -88,8 +102,8 @@ class Sentence:
                 raise ValidationError("heads length does not match token count")
             for token, head in enumerate(self.heads):
                 if not _is_index(head) or not -1 <= head < n:
-                    raise ValidationError(
-                        f"head {head!r} of token {token} is neither -1 nor a token index below {n}")
+                    raise ValidationError(f"head {_brief(head)} of token {token} is neither -1 "
+                                          f"nor a token index below {n}")
                 if head == token:
                     raise ValidationError(f"token {token} is its own head")
         for t in self.triplets:
@@ -131,7 +145,7 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
         raise ParseError(line_no, "record is not an object")
     unknown = set(raw) - _RECORD_FIELDS
     if unknown:
-        raise ParseError(line_no, f"unknown fields {sorted(unknown)}")
+        raise ParseError(line_no, f"unknown fields {_brief(sorted(unknown))}")
     tokens = raw.get("tokens")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError(line_no, "tokens must be a list of strings")
@@ -150,7 +164,7 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
             opinion = Span(*item["opinion"])
             triplets.append(Triplet(aspect, opinion, item["sentiment"]))
         except (ValidationError, KeyError, TypeError) as exc:
-            raise ParseError(line_no, f"bad triplet {item!r}: {exc}") from exc
+            raise ParseError(line_no, f"bad triplet {_brief(item)}: {exc}") from exc
     heads = raw.get("heads")
     try:
         return Sentence(tokens=tokens, triplets=triplets, heads=heads)
@@ -220,7 +234,7 @@ def _span_from_indices(indices) -> Span:
     if not indices:
         raise ValueError("empty index list")
     if indices != list(range(indices[0], indices[-1] + 1)):
-        raise ValueError(f"non-contiguous span indices {indices}")
+        raise ValueError(f"non-contiguous span indices {_brief(indices)}")
     return Span(indices[0], indices[-1])
 
 

@@ -23,8 +23,8 @@ from .data import Sentence, Triplet, Vocabulary, length_buckets
 from .encoder import Encoder, EncoderConfig, adapter_increment, count_params
 from .errors import ValidationError
 from .numerics import ParamGroup, Tensor, checked_once, no_grad
-from .parser import (TAGS, ParserConfig, SentimentRelationMap, TripletParser,
-                     decode_bio, decode_grid)
+from .parser import (ParserConfig, SentimentRelationMap, TripletParser, decode_grid,
+                     spans_from_tags)
 from .structure import NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
@@ -45,13 +45,18 @@ class BatchForward:
     opinion: Tensor
     relations: Tensor
 
-    def decode(self, row: int, n: int) -> set[Triplet]:
-        """The triplets of batch row ``row``, read from its first ``n``
-        tokens, so the padding of longer rows never votes."""
-        aspects = decode_bio([TAGS[i] for i in self.aspect.data[row, :n].argmax(axis=-1)])
-        opinions = decode_bio([TAGS[i] for i in self.opinion.data[row, :n].argmax(axis=-1)])
-        probs = self.relations.data[row, :n, :n]
-        return decode_grid(aspects, opinions, SentimentRelationMap(probs, probs.argmax(axis=-1)))
+    def decode(self, lengths) -> list[set[Triplet]]:
+        """The triplets of every batch row, row ``b`` read from its first
+        ``lengths[b]`` tokens, so the padding of longer rows never votes.
+        The three argmaxes run once over the whole padded batch."""
+        aspect_tags = self.aspect.data.argmax(axis=-1).tolist()
+        opinion_tags = self.opinion.data.argmax(axis=-1).tolist()
+        probs = self.relations.data
+        labels = probs.argmax(axis=-1)
+        return [decode_grid(spans_from_tags(aspect_tags[row][:n]),
+                            spans_from_tags(opinion_tags[row][:n]),
+                            SentimentRelationMap(probs[row, :n, :n], labels[row, :n, :n]))
+                for row, n in enumerate(lengths)]
 
 
 class TripletModel:
@@ -135,8 +140,8 @@ class TripletModel:
             for batch, distances in batches:
                 rows = [sentences[i] for i in batch]
                 forward = checked_once(lambda: self.forward(rows, distances), _outputs)
-                for row, i in enumerate(batch):
-                    predicted[i] = forward.decode(row, len(sentences[i]))
+                for i, triplets in zip(batch, forward.decode([len(s) for s in rows])):
+                    predicted[i] = triplets
         return predicted
 
     # -- serialization ---------------------------------------------------------

@@ -30,7 +30,9 @@ TAGS = ("B", "I", "O")
 TAG_B, TAG_I, TAG_O = 0, 1, 2
 REL_LABELS = ("NONE", "POS", "NEG", "NEU")
 REL_INDEX = {label: i for i, label in enumerate(REL_LABELS)}
-_SENTIMENT_PREFERENCE = ("POS", "NEG", "NEU")
+_NONE = REL_INDEX["NONE"]
+# Sentiment labels in tie-break order: POS > NEG > NEU.
+_PREFERENCE = tuple(REL_INDEX[s] for s in ("POS", "NEG", "NEU"))
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,14 @@ class SentimentRelationMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.probs.ndim != 3 or self.probs.shape[2] != len(REL_LABELS):
+        probs, labels = self.probs, self.labels
+        if probs.ndim != 3 or probs.shape[1:] != (probs.shape[0], len(REL_LABELS)):
             raise ShapeError("relation map must be (n, n, 4)")
+        if (not isinstance(labels, np.ndarray) or labels.dtype.kind not in "iu"
+                or labels.shape != probs.shape[:2]):
+            raise ShapeError(f"relation labels must be an integer {probs.shape[:2]} array")
+        if labels.size and (labels.min() < 0 or labels.max() >= len(REL_LABELS)):
+            raise ValidationError(f"relation labels must lie in [0, {len(REL_LABELS)})")
 
     @property
     def n(self) -> int:
@@ -182,27 +190,31 @@ def pair_logits(head: Tensor, dep: Tensor, bil: Tensor, head_w: Tensor, dep_w: T
 # -- decoding ------------------------------------------------------------
 
 
-def decode_bio(tags) -> list[Span]:
-    """Spans from a B/I/O tag list; a stray I opens a span (relaxed rule)."""
+def spans_from_tags(tags: list[int]) -> list[Span]:
+    """Spans from B/I/O tag ids (``TAG_B``, ``TAG_I``, ``TAG_O``), as an
+    argmax's ``tolist()`` gives them; a stray I opens a span (relaxed
+    rule)."""
     spans: list[Span] = []
     start = None
     for i, tag in enumerate(tags):
-        if tag not in TAGS:
-            raise ValidationError(f"unknown tag {tag!r}")
-        if tag == "B":
-            if start is not None:
-                spans.append(Span(start, i - 1))
-            start = i
-        elif tag == "I":
+        if tag == TAG_I:
             if start is None:
                 start = i
-        else:
-            if start is not None:
-                spans.append(Span(start, i - 1))
-                start = None
+            continue
+        if start is not None:
+            spans.append(Span(start, i - 1))
+        start = i if tag == TAG_B else None
     if start is not None:
         spans.append(Span(start, len(tags) - 1))
     return spans
+
+
+def decode_bio(tags) -> list[Span]:
+    """Spans from a B/I/O tag string list; see ``spans_from_tags``."""
+    for tag in tags:
+        if tag not in TAGS:
+            raise ValidationError(f"unknown tag {tag!r}")
+    return spans_from_tags([TAGS.index(tag) for tag in tags])
 
 
 def decode_grid(aspects, opinions, relation_map: SentimentRelationMap) -> set[Triplet]:
@@ -212,40 +224,51 @@ def decode_grid(aspects, opinions, relation_map: SentimentRelationMap) -> set[Tr
     2 * |a| * |o| votes in total. NONE loses any tie against a sentiment
     label; sentiment ties break by the larger summed probability mass over
     the same cells, then by the fixed order POS > NEG > NEU. A NONE winner
-    suppresses the pair; identical spans are never paired.
+    suppresses the pair; identical spans are never paired. Votes are
+    counted on a list copy of the label map, by integer span bounds.
     """
     n = relation_map.n
+    labels = relation_map.labels.tolist()
     triplets: set[Triplet] = set()
     for aspect in aspects:
+        a0, a1 = aspect.start, aspect.end + 1
         for opinion in opinions:
-            if aspect == opinion:
+            o0, o1 = opinion.start, opinion.end + 1
+            if a0 == o0 and a1 == o1:
                 continue
-            if aspect.end >= n or opinion.end >= n:
+            if a1 > n or o1 > n:
                 raise ValidationError("span outside the relation map")
-            cells = [(i, j) for i in aspect.tokens() for j in opinion.tokens()]
-            cells += [(j, i) for i, j in list(cells)]
-            winner = _vote(cells, relation_map)
-            if winner != REL_INDEX["NONE"]:
+            votes = []
+            for i in range(a0, a1):
+                votes += labels[i][o0:o1]
+            for j in range(o0, o1):
+                votes += labels[j][a0:a1]
+            if 2 * votes.count(_NONE) > len(votes):
+                continue  # a NONE majority wins outright
+            counts = [votes.count(label) for label in range(len(REL_LABELS))]
+            top = max(counts)
+            candidates = [label for label, count in enumerate(counts) if count == top]
+            winner = (candidates[0] if len(candidates) == 1
+                      else _break_tie(candidates, aspect, opinion, relation_map.probs))
+            if winner != _NONE:
                 triplets.add(Triplet(aspect, opinion, REL_LABELS[winner]))
     return triplets
 
 
-def _vote(cells, relation_map: SentimentRelationMap) -> int:
-    counts = np.zeros(len(REL_LABELS), dtype=np.int64)
-    for i, j in cells:
-        counts[relation_map.labels[i, j]] += 1
-    top = counts.max()
-    candidates = [label for label in range(len(REL_LABELS)) if counts[label] == top]
-    if len(candidates) > 1 and REL_INDEX["NONE"] in candidates:
-        candidates.remove(REL_INDEX["NONE"])
+def _break_tie(candidates: list[int], aspect: Span, opinion: Span, probs: np.ndarray) -> int:
+    """The winner among labels tied on votes: NONE drops out, then the
+    larger probability mass over the pair's cells, then POS > NEG > NEU.
+    The mass is one ordered sum over the forward cells, then the reversed
+    ones; a pairwise or numpy sum could turn an exact tie into a win."""
+    if _NONE in candidates:
+        candidates.remove(_NONE)
     if len(candidates) > 1:
-        mass = {c: sum(relation_map.probs[i, j, c] for i, j in cells) for c in candidates}
+        cells = [(i, j) for i in aspect.tokens() for j in opinion.tokens()]
+        cells += [(j, i) for i, j in cells]
+        mass = {c: sum(probs[i, j, c] for i, j in cells) for c in candidates}
         best = max(mass.values())
         candidates = [c for c in candidates if mass[c] == best]
-    if len(candidates) > 1:
-        order = [REL_INDEX[s] for s in _SENTIMENT_PREFERENCE]
-        candidates.sort(key=order.index)
-    return candidates[0]
+    return min(candidates, key=_PREFERENCE.index)
 
 
 # -- gold construction ------------------------------------------------------
@@ -290,12 +313,12 @@ def _mark_span(targets: np.ndarray, span: Span) -> None:
 def relation_map_from_labels(labels: np.ndarray) -> SentimentRelationMap:
     """A map whose distributions are one-hot at the given labels; handy
     for decoding gold annotations and for fixtures."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
     n = labels.shape[0]
-    probs = np.zeros((n, n, len(REL_LABELS)))
+    relation_map = SentimentRelationMap(probs=np.zeros((n, n, len(REL_LABELS))), labels=labels)
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    probs[rows, cols, labels] = 1.0
-    return SentimentRelationMap(probs=probs, labels=labels.copy())
+    relation_map.probs[rows, cols, labels] = 1.0
+    return relation_map
 
 
 def gold_tag_strings(targets: np.ndarray) -> list[str]:

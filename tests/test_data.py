@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aste.cli import main
 from aste.data import (
     END_ID,
     PAD_ID,
@@ -89,6 +90,43 @@ class TestParseRecord:
             parse_record("not json", line_no=42)
 
 
+HUGE = "x" * 1_000_000
+OK_LINE = '{"tokens": ["a", "b"], "triplets": []}'
+
+
+def nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("record", [
+    {"tokens": ["a", "b"], "triplets": [{"aspect": [0, 0], "opinion": [1, 1], "sentiment": HUGE}]},
+    {"tokens": ["a", "b"],
+     "triplets": [{"aspect": [[0] * 100_000, 0], "opinion": [1, 1], "sentiment": "POS"}]},
+    {"tokens": ["a", "b"], "heads": [-1, HUGE]},
+    {"tokens": ["a", "b"], HUGE: 1},
+    {"tokens": ["a", "b"], "triplets": [{"aspect": [0, 0], "opinion": [1, 1],
+                                         "sentiment": {HUGE: [HUGE] * 10}}]},
+    {"tokens": ["a", "b"],
+     "triplets": [{"aspect": [0, nested(500)], "opinion": [1, 1], "sentiment": "POS"}]},
+], ids=["huge-sentiment", "huge-span-bound", "huge-head", "huge-field-name", "huge-dict",
+        "deep-span-bound"])
+def test_error_messages_are_bounded(capsys, tmp_path, record):
+    """A huge or deeply nested value is echoed shortened: the ParseError
+    names the line and stays short, and so does ``aste stats``'s message."""
+    line = json.dumps(record)
+    with pytest.raises(ParseError, match="^line 3: ") as caught:
+        parse_record(line, line_no=3)
+    assert len(str(caught.value)) < 300
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{OK_LINE}\n{OK_LINE}\n{line}\n", encoding="utf-8")
+    assert main(["stats", "--train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aste: line 3: ") and err.count("\n") == 1 and len(err) < 300
+
+
 SCALARS = (st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
 JSON_VALUES = st.recursive(
@@ -96,12 +134,19 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
     max_leaves=20)
+# Values far longer than an error message may be.
+LARGE_VALUES = (st.text(min_size=400, max_size=2000)
+                | st.lists(st.integers(), min_size=200, max_size=1000)
+                | st.dictionaries(st.text(min_size=300, max_size=600), st.integers(),
+                                  min_size=1, max_size=3)
+                | st.integers(0, 400).map(nested))
 
 
 @st.composite
-def records(draw):
+def records(draw, values=JSON_VALUES):
     """A well-formed record with up to two of its values, at any depth,
-    replaced by arbitrary JSON: the fuzzer gets past the first checks."""
+    replaced by draws from ``values`` (arbitrary JSON by default): the
+    fuzzer gets past the first checks."""
     tokens = draw(st.lists(st.text(max_size=4), min_size=2, max_size=6))
     if draw(st.integers(0, 9)) == 0:
         tokens[0] = draw(st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2))
@@ -126,7 +171,7 @@ def records(draw):
     collect(record)
     for _ in range(draw(st.integers(0, 2))):
         node, key = draw(st.sampled_from(slots))
-        node[key] = draw(JSON_VALUES)
+        node[key] = draw(values)
     return record
 
 
@@ -137,6 +182,7 @@ def assert_sentence_or_parse_error(line):
         sentence = parse_record(line, line_no=9)
     except ParseError as exc:
         assert exc.line_no == 9 and str(exc).startswith("line 9: ")
+        assert len(str(exc)) < 300
         return
     text = serialize_record(sentence)
     text.encode("utf-8")
@@ -162,6 +208,11 @@ class TestParseRecordFuzz:
     @given(st.text())
     def test_text_lines(self, line):
         assert_sentence_or_parse_error(line)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(records(LARGE_VALUES))
+    def test_damaged_records_with_large_values(self, record):
+        assert_sentence_or_parse_error(json.dumps(record))
 
 
 class TestRoundTrip:

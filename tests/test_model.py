@@ -14,6 +14,7 @@ from aste.data import Sentence, Vocabulary, write_corpus_file
 from aste.encoder import Encoder, EncoderConfig
 from aste.errors import ValidationError
 from aste.model import PREDICT_BATCH, TripletModel, _param_count
+from aste.numerics import no_grad
 from aste.parser import TAGS, ParserConfig, SentimentRelationMap, decode_bio, decode_grid
 from aste.structure import (
     DEPENDENCY,
@@ -172,6 +173,26 @@ class TestPredictCorpus:
         assert batched[5] == batched[6] == set()
         assert sum(len(t) for t in batched) > 0
         assert model.predict_corpus([]) == []
+
+    @pytest.mark.parametrize("adapter_kind", [None, RELATIVE, DEPENDENCY])
+    def test_batch_decode_matches_each_row_alone(self, adapter_kind):
+        """``BatchForward.decode(lengths)`` on one padded mixed-length batch
+        gives, for every row, what that sentence's own forward and decode
+        give, and what separate encoder, tagger and scorer calls decode
+        to; a row without tokens gives no triplets."""
+        model, corpus = varied_model(adapter_kind, seed=5)
+        rng = np.random.default_rng(8)
+        sentences = [Sentence(tokens=s.tokens, heads=random_tree_heads(len(s), rng))
+                     for s in mixed_length_batch(corpus, rng)]
+        sentences.insert(1, Sentence(tokens=[], heads=[]))
+        lengths = [len(s) for s in sentences]
+        assert len(set(lengths)) > 2
+        with no_grad():
+            batched = model.forward(sentences).decode(lengths)
+            alone = [model.forward([s]).decode([len(s)])[0] for s in sentences]
+        assert batched == alone
+        assert batched == [reference_predict(model, s) if len(s) else set() for s in sentences]
+        assert sum(len(t) for t in batched) > 0
 
     def test_records_no_tape(self):
         model, corpus = build_model(adapter_kind=RELATIVE)

@@ -1,5 +1,6 @@
 """Parser heads against naive-loop oracles; decoding against brute force."""
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aste.data import Sentence, Span, Triplet
+from aste.errors import ShapeError, ValidationError
 from aste.numerics import Tensor, cross_entropy, grad_check
 from aste.parser import (
     REL_INDEX,
     REL_LABELS,
+    TAGS,
     ParserConfig,
     SentimentRelationMap,
     TripletParser,
@@ -22,6 +25,7 @@ from aste.parser import (
     decode_grid,
     gold_tag_strings,
     relation_map_from_labels,
+    spans_from_tags,
 )
 
 
@@ -168,6 +172,39 @@ class TestDecodeBio:
         for earlier, later in zip(spans, spans[1:]):
             assert earlier.end < later.start
 
+    def test_tag_ids_match_string_decoder_exhaustively(self):
+        """Every tag sequence up to 7 tags decodes the same from tag ids,
+        from strings, and by the string decoder kept below."""
+        for length in range(8):
+            for tags in itertools.product(TAGS, repeat=length):
+                expected = string_decode_bio(tags)
+                assert spans_from_tags([TAGS.index(t) for t in tags]) == expected
+                assert decode_bio(list(tags)) == expected
+
+
+def string_decode_bio(tags) -> list[Span]:
+    """A B/I/O decoder over tag strings, branch by branch on B, I and O;
+    the oracle for ``spans_from_tags`` and ``decode_bio``."""
+    spans: list[Span] = []
+    start = None
+    for i, tag in enumerate(tags):
+        if tag not in TAGS:
+            raise ValidationError(f"unknown tag {tag!r}")
+        if tag == "B":
+            if start is not None:
+                spans.append(Span(start, i - 1))
+            start = i
+        elif tag == "I":
+            if start is None:
+                start = i
+        else:
+            if start is not None:
+                spans.append(Span(start, i - 1))
+                start = None
+    if start is not None:
+        spans.append(Span(start, len(tags) - 1))
+    return spans
+
 
 def brute_force_grid(aspects, opinions, relation_map):
     """Independent re-implementation of the vote with dict tallies."""
@@ -309,6 +346,102 @@ class TestDecodeGrid:
             assert decode_grid(aspects, opinions, rel) == decode_grid(
                 aspects, opinions, transposed(rel)
             )
+
+    def test_matches_brute_force_where_ties_happen(self):
+        """On maps of NONE-heavy labels and probabilities in quarters, vote
+        ties with NONE, exact sentiment mass ties and the POS > NEG > NEU
+        fallback all happen, and decoding still equals brute force."""
+        rng = np.random.default_rng(29)
+        fired = Counter()
+        for _ in range(3000):
+            n = int(rng.integers(2, 7))
+            rel = quantized_map(rng, n)
+            aspects = random_spans(rng, n, int(rng.integers(1, 3)))
+            opinions = random_spans(rng, n, int(rng.integers(1, 3)))
+            assert decode_grid(aspects, opinions, rel) == brute_force_grid(aspects, opinions, rel)
+            for a in aspects:
+                for o in opinions:
+                    if a != o:
+                        fired.update(tie_paths(a, o, rel))
+        assert fired["none_tie"] > 0 and fired["mass"] > 0 and fired["fallback"] > 0, fired
+
+    def test_identical_spans_outside_the_map_skipped(self):
+        rel = relation_map_from_labels(np.full((3, 3), REL_INDEX["POS"]))
+        assert decode_grid([Span(2, 4)], [Span(2, 4)], rel) == set()
+
+    @pytest.mark.parametrize("aspect, opinion", [
+        (Span(0, 0), Span(3, 3)), (Span(3, 3), Span(0, 0)), (Span(1, 3), Span(0, 0)),
+        (Span(0, 0), Span(2, 3)), (Span(3, 4), Span(3, 5)),
+    ])
+    def test_other_spans_outside_the_map_rejected(self, aspect, opinion):
+        rel = relation_map_from_labels(np.full((3, 3), REL_INDEX["POS"]))
+        with pytest.raises(ValidationError, match="outside the relation map"):
+            decode_grid([aspect], [opinion], rel)
+
+
+def quantized_map(rng, n):
+    """Labels drawn NONE-heavy and independently of the probabilities,
+    which are multiples of 1/4, so summed masses tie exactly."""
+    labels = rng.choice(4, size=(n, n), p=[0.4, 0.2, 0.2, 0.2])
+    quarters = rng.multinomial(4, [0.25] * 4, size=(n, n))
+    return SentimentRelationMap(probs=quarters / 4.0, labels=labels)
+
+
+def tie_paths(aspect, opinion, relation_map):
+    """Which tie rules the vote of one span pair needs."""
+    cells = [(i, j) for i in aspect.tokens() for j in opinion.tokens()]
+    cells += [(j, i) for i, j in cells]
+    tally = Counter(int(relation_map.labels[i, j]) for i, j in cells)
+    top = {label for label, count in tally.items() if count == max(tally.values())}
+    paths = []
+    if len(top) > 1 and REL_INDEX["NONE"] in top:
+        paths.append("none_tie")
+        top.discard(REL_INDEX["NONE"])
+    if len(top) > 1:
+        paths.append("mass")
+        mass = {c: sum(relation_map.probs[i, j, c] for i, j in cells) for c in top}
+        if sum(value == max(mass.values()) for value in mass.values()) > 1:
+            paths.append("fallback")
+    return paths
+
+
+class TestSentimentRelationMap:
+    def probs(self, n=3):
+        return np.full((n, n, 4), 0.25)
+
+    @pytest.mark.parametrize("labels", [np.full((3, 3), -1), np.full((3, 3), 7),
+                                        np.array([[0, 1, 2], [3, 4, 0], [0, 0, 0]])])
+    def test_labels_outside_the_label_set_rejected(self, labels):
+        with pytest.raises(ValidationError, match="must lie in"):
+            SentimentRelationMap(self.probs(), labels)
+
+    @pytest.mark.parametrize("labels", [
+        np.zeros((2, 2), dtype=np.int64), np.zeros((3, 3, 1), dtype=np.int64),
+        np.zeros((3, 3)), np.zeros((3, 3), dtype=bool), [[0] * 3] * 3,
+    ], ids=["2x2", "3d", "float", "bool", "list"])
+    def test_labels_not_an_integer_n_by_n_array_rejected(self, labels):
+        with pytest.raises(ShapeError):
+            SentimentRelationMap(self.probs(), labels)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 4), (3, 3, 3)])
+    def test_probs_not_n_by_n_by_4_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            SentimentRelationMap(np.zeros(shape), np.zeros((3, 3), dtype=np.int64))
+
+    def test_every_label_and_the_empty_map_accepted(self):
+        labels = np.array([[0, 1, 2], [3, 0, 1], [2, 3, 0]], dtype=np.int32)
+        assert SentimentRelationMap(self.probs(), labels).n == 3
+        assert SentimentRelationMap(self.probs(0), np.zeros((0, 0), dtype=np.int64)).n == 0
+
+    def test_decoding_never_sees_a_bad_label(self):
+        """A -1 label would vote as NEU (numpy's negative index) and a 7
+        would raise IndexError; both fail building the map instead, also
+        through ``relation_map_from_labels``."""
+        for bad in (-1, 7):
+            labels = np.zeros((3, 3), dtype=np.int64)
+            labels[0, 2] = bad
+            with pytest.raises(ValidationError):
+                relation_map_from_labels(labels)
 
 
 class TestBuildGold:
