@@ -6,7 +6,7 @@ Run:  python demos/02_attention_bias.py
 import numpy as np
 
 from aste.encoder import Encoder, EncoderConfig
-from aste.numerics import Tensor, softmax
+from aste.numerics import Tensor, softmax_forward
 from aste.structure import RELATIVE, StructureConfig, relative_distance_matrix
 
 
@@ -38,11 +38,11 @@ def main():
 
     print("\n== 3. a single bucket steers every row ==")
     table.data[...] = 0.0
-    before = softmax(encoder.attention_scores(x, 0, 0, distances)).data
+    before = softmax_forward(encoder.attention_scores(x, 0, 0, distances).data)
     # push the '+1 to the right' bucket hard along the query direction
     q = (x.data @ encoder.params["l0.wq"].data)[:, :config.head_dim]
     table.data[config.adapter.tau + 1] = 4.0 * q.mean(axis=0) / np.linalg.norm(q.mean(axis=0))
-    after = softmax(encoder.attention_scores(x, 0, 0, distances)).data
+    after = softmax_forward(encoder.attention_scores(x, 0, 0, distances).data)
     np.set_printoptions(precision=2, suppress=True)
     print("attention row 2 before:", before[2])
     print("attention row 2 after: ", after[2])

@@ -10,7 +10,7 @@ from .data import Corpus, Sentence, Span, Triplet, Vocabulary
 from .encoder import EncodedSequence, Encoder, EncoderConfig, count_params
 from .evaluation import BenchReport, MatchScores, aggregate, bench_distance, exact_match, score_corpus
 from .model import TripletModel
-from .numerics import ParamGroup, Tensor, cross_entropy, grad_check, softmax
+from .numerics import ParamGroup, Tensor, cross_entropy, grad_check
 from .parser import (
     ParserConfig,
     SentimentRelationMap,
@@ -37,5 +37,5 @@ __all__ = [
     "Vocabulary", "aggregate", "bench_distance", "build_gold", "count_params",
     "cross_entropy", "decode_bio", "decode_grid", "dependency_distance_matrix",
     "exact_match", "grad_check", "joint_loss", "lr_at",
-    "relative_distance_matrix", "score_corpus", "softmax", "train",
+    "relative_distance_matrix", "score_corpus", "train",
 ]

@@ -21,6 +21,7 @@ import numpy as np
 from .data import (
     Corpus,
     Vocabulary,
+    _brief,
     convert_triple_format,
     preprocess,
     read_corpus_file,
@@ -78,10 +79,10 @@ def _load_config_file(path: str | None) -> dict:
         raise ValidationError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
-        raise ValidationError(f"unknown config keys {sorted(unknown)}")
+        raise ValidationError(f"unknown config keys {_brief(sorted(unknown))}")
     for key, value in raw.items():
         if not _config_value_fits(key, value):
-            raise ValidationError(f"config file {path}: {key}={value!r} has the wrong type")
+            raise ValidationError(f"config file {path}: {key}={_brief(value)} has the wrong type")
     return raw
 
 

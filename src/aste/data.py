@@ -45,8 +45,12 @@ _BRIEF_LEN = 60
 
 def _brief(value) -> str:
     """``repr(value)``, shortened to at most ``_BRIEF_LEN`` characters."""
-    text = _REPR.repr(value)
-    return text if len(text) <= _BRIEF_LEN else text[:_BRIEF_LEN - 3] + "..."
+    return _cut(_REPR.repr(value), _BRIEF_LEN)
+
+
+def _cut(text: str, limit: int) -> str:
+    """``text``, shortened to at most ``limit`` characters."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _is_index(value) -> bool:

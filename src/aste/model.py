@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sentence, Triplet, Vocabulary, length_buckets
+from .data import Sentence, Triplet, Vocabulary, _cut, length_buckets
 from .encoder import Encoder, EncoderConfig, adapter_increment, count_params
 from .errors import ValidationError
 from .numerics import ParamGroup, Tensor, checked_once, no_grad
@@ -231,7 +231,8 @@ def _read_header(raw: bytes):
         vocab = Vocabulary.from_token_list(header["vocab"])
         return encoder_config, parser_config, vocab, header["layout"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValidationError(f"unreadable weight file header: {exc}") from exc
+        # The exception may quote a header key or value of any length.
+        raise ValidationError(f"unreadable weight file header: {_cut(str(exc), 200)}") from exc
 
 
 def _param_count(encoder_config: EncoderConfig, parser_config: ParserConfig) -> int:

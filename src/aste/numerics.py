@@ -6,15 +6,15 @@ deliberately no general autodiff. Per-node cost in Python, not
 arithmetic, dominates at this model's sizes, so the model runs on few
 large nodes: each of its sub-layers (the embedding, each block's
 attention and feed-forward sub-layers in ``encoder``, each tagger and
-each side of the pair scorer in ``parser``, and ``parser.pair_logits``)
-is one node with a hand-written backward. They are built from the numpy
-forward and backward pairs here: ``affine_forward``/``affine_backward``,
-``relu_forward``, ``softmax_forward``/``softmax_backward`` and
+the pair scorer in ``parser``) is one node with a hand-written backward.
+They are built from the numpy forward and backward pairs here:
+``affine_forward``/``affine_backward``, ``relu_forward``,
+``softmax_forward``/``softmax_backward`` and
 ``layer_norm_forward``/``layer_norm_backward``, plus
 ``carry_non_finite``. The general ops are those the model and its loss
-apply between the nodes (``+``, basic indexing, ``softmax`` and
-``cross_entropy``) and the few more the gradient checks compose
-(``*``, ``reshape`` and ``sum``).
+apply between the nodes (``+``, basic indexing and ``cross_entropy``)
+and the few more the gradient checks compose (``*``, ``reshape`` and
+``sum``).
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -35,9 +35,9 @@ a copy of its bias, and a node that leaves values out of its result
 distance picks) makes its whole result NaN when one of them is non-finite
 (``carry_non_finite``). On finite values all of them return what they
 always did, bit for bit. Values that ``cross_entropy`` leaves out (other
-classes, masked cells) come back through the backward pass: ``softmax``'s
-backward multiplies every probability into the gradient, so a NaN there
-makes the gradient norm NaN.
+classes, masked cells) come back through the backward pass: the nodes
+end in a softmax, whose backward multiplies every probability into the
+gradient, so a NaN there makes the gradient norm NaN.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "ParamGroup", "no_grad", "softmax", "cross_entropy", "affine_forward",
+    "Tensor", "ParamGroup", "no_grad", "cross_entropy", "affine_forward",
     "affine_backward", "relu_forward", "softmax_forward", "softmax_backward",
     "layer_norm_forward", "layer_norm_backward", "carry_non_finite", "normal_init",
     "zeros_init", "grad_check", "checked_once",
@@ -303,43 +303,30 @@ def relu_forward(data: Array) -> Array:
     return data * (data > 0) + 0.0
 
 
-def softmax_forward(data: Array, mask: Array | None = None) -> Array:
-    """The array ``softmax`` computes, for ops that fuse it into their own
-    node."""
+def softmax_forward(data: Array, mask: Array | None = None, axis: int = -1) -> Array:
+    """Stable softmax of ``data`` over ``axis``, for the nodes that fuse
+    it. ``mask`` (optional, boolean, broadcastable to ``data``) marks
+    valid entries; masked entries get exactly zero weight. Every slice
+    along ``axis`` must keep at least one valid entry."""
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        if not mask.any(axis=-1).all():
+        if not mask.any(axis=axis).all():
             raise ShapeError("softmax slice is fully masked")
         shifted = np.where(mask, data, -np.inf)
     else:
         shifted = data
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    shifted = shifted - shifted.max(axis=axis, keepdims=True)
     # data * 0.0 is a zero where data is finite, so exp is unchanged (e**-0
     # is e**0), and NaN where it is not: a non-finite logit, masked or -inf,
-    # turns its row NaN instead of getting zero weight.
+    # turns its slice NaN instead of getting zero weight.
     exp = np.exp(shifted + data * 0.0)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def softmax_backward(probs: Array, g: Array) -> Array:
-    """The gradient of the logits of ``probs = softmax_forward(logits)``
-    for the gradient ``g`` of ``probs``."""
-    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
-
-
-def softmax(x: Tensor, mask: Array | None = None) -> Tensor:
-    """Stable softmax over the trailing axis.
-
-    ``mask`` (optional, boolean, broadcastable to ``x``) marks valid
-    entries; masked entries get exactly zero weight. Every trailing-axis
-    slice must keep at least one valid entry.
-    """
-    probs = softmax_forward(x.data, mask)
-
-    def back(g):
-        return ((x, softmax_backward(probs, g)),)
-
-    return Tensor(probs, _parents=(x,), _backward=back, _op="softmax")
+def softmax_backward(probs: Array, g: Array, axis: int = -1) -> Array:
+    """The gradient of the logits of ``probs = softmax_forward(logits,
+    axis=axis)`` for the gradient ``g`` of ``probs``."""
+    return probs * (g - (g * probs).sum(axis=axis, keepdims=True))
 
 
 def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:

@@ -8,11 +8,9 @@ span-level triplets by majority vote over the map cells a candidate span
 pair indexes, in both directions, so a single misclassified cell rarely
 flips the decision.
 
-Each tagger (``w1``, ReLU, ``w2`` and softmax), each ReLU side of the
-pair scorer and the pair logits between them (``pair_logits``) is one
-tape node with a hand-written backward pass, so the heads build 6
-tensors: the two taggers, the two sides, the pair logits and the
-relation softmax.
+Each tagger (``w1``, ReLU, ``w2`` and softmax) and the pair scorer (both
+ReLU sides, the biaffine logits and the softmax over labels) is one tape
+node with a hand-written backward pass, so the heads build 3 tensors.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import numpy as np
 from .data import Sentence, Span, Triplet, warn_data
 from .errors import ShapeError, ValidationError
 from .numerics import (ParamGroup, Tensor, affine_backward, affine_forward, normal_init,
-                       relu_forward, softmax, softmax_backward, softmax_forward, zeros_init)
+                       relu_forward, softmax_backward, softmax_forward, zeros_init)
 
 TAGS = ("B", "I", "O")
 TAG_B, TAG_I, TAG_O = 0, 1, 2
@@ -131,60 +129,60 @@ class TripletParser:
 
     def relation_probs(self, hidden: Tensor) -> Tensor:
         """(..., n, n, 4) distributions over ordered token pairs, i = j
-        included, for (..., n, dim) hidden states."""
-        p = self.params
-        head, dep = self._pair_side(hidden, "head"), self._pair_side(hidden, "dep")
-        return softmax(pair_logits(head, dep, p["pair_bil"], p["pair_head_w2"],
-                                   p["pair_dep_w2"], p["pair_b2"]))
+        included, for (..., n, dim) hidden states, as one node.
 
-    def _pair_side(self, hidden: Tensor, side: str) -> Tensor:
-        """The head or dep side of the pair scorer, ``relu(w1(hidden))``,
-        as one node."""
-        weight, bias = self.params[f"pair_{side}_w1"], self.params[f"pair_{side}_b1"]
+        Both ReLU sides come from one affine map over the side weights
+        side by side. The score of pair (i, j) and label c is
+        ``head_i . bil[c] . dep_j + head_i . head_w2[:, c]
+        + dep_j . dep_w2[:, c] + b2[c]``. Scores, softmax and their
+        backward run on (..., 4, n, n) label planes, since numpy reduces
+        over a trailing axis of 4 row by row; the result is a view of the
+        planes with the label axis last. Every side value lands in the
+        logits and a non-finite logit turns its distribution NaN, so
+        nothing non-finite drops out of the result."""
+        params = tuple(self.params[f"pair_{name}"] for name in (
+            "head_w1", "head_b1", "dep_w1", "dep_b1", "bil", "head_w2", "dep_w2", "b2"))
+        head_w1, head_b1, dep_w1, dep_b1, bil, head_w2, dep_w2, b2 = params
         rows = self._rows(hidden)
-        out = relu_forward(affine_forward(rows, weight.data, bias.data))
+        *lead, n, _ = hidden.shape
+        q, k = self.config.pair_hidden, len(REL_LABELS)
+        weight = np.concatenate((head_w1.data, dep_w1.data), axis=1)
+        sides = relu_forward(affine_forward(rows, weight,
+                                            np.concatenate((head_b1.data, dep_b1.data))))
+        head_rows, dep_rows = sides[:, :q], sides[:, q:]
+        h, d = head_rows.reshape(*lead, n, q), dep_rows.reshape(*lead, n, q)
+        # Each side as (..., 1, n, q) broadcasts against the (4, q, q) forms:
+        # one product per side gives the (..., 4, n, n) planes.
+        with_forms = h[..., None, :, :] @ bil.data
+        planes = with_forms @ d[..., None, :, :].swapaxes(-1, -2)
+        planes += np.swapaxes(h @ head_w2.data, -1, -2)[..., :, None]
+        planes += np.swapaxes(d @ dep_w2.data, -1, -2)[..., None, :]
+        planes += b2.data[:, None, None]
+        probs = softmax_forward(planes, axis=-3)
 
         def back(g):
-            d_rows, d_weight, d_bias = affine_backward(g.reshape(out.shape) * (out > 0), rows,
-                                                       weight.data)
-            return ((hidden, d_rows.reshape(hidden.shape)), (weight, d_weight), (bias, d_bias))
+            g_planes = softmax_backward(probs, np.ascontiguousarray(np.moveaxis(g, -1, -3)),
+                                        axis=-3)
+            d_with_forms = g_planes @ d[..., None, :, :]
+            d_head_term = g_planes.sum(axis=-1).swapaxes(-1, -2)
+            d_dep_term = g_planes.sum(axis=-2).swapaxes(-1, -2)
+            d_h = (d_with_forms @ np.swapaxes(bil.data, -1, -2)).sum(axis=-3) \
+                + d_head_term @ head_w2.data.T
+            d_d = (np.swapaxes(g_planes, -1, -2) @ with_forms).sum(axis=-3) \
+                + d_dep_term @ dep_w2.data.T
+            per_form = np.moveaxis(d_with_forms, -3, 0).reshape(k, -1, q)
+            d_sides = np.concatenate((d_h.reshape(-1, q), d_d.reshape(-1, q)), axis=1)
+            d_rows, d_weight, d_bias = affine_backward(d_sides * (sides > 0), rows, weight)
+            d_head_term = d_head_term.reshape(-1, k)
+            return ((hidden, d_rows.reshape(hidden.shape)),
+                    (head_w1, d_weight[:, :q]), (head_b1, d_bias[:q]),
+                    (dep_w1, d_weight[:, q:]), (dep_b1, d_bias[q:]),
+                    (bil, head_rows.T @ per_form), (head_w2, head_rows.T @ d_head_term),
+                    (dep_w2, dep_rows.T @ d_dep_term.reshape(-1, k)),
+                    (b2, d_head_term.sum(axis=0)))
 
-        return Tensor(out.reshape(*hidden.shape[:-1], out.shape[-1]),
-                      _parents=(hidden, weight, bias), _backward=back, _op="pair_side")
-
-
-def pair_logits(head: Tensor, dep: Tensor, bil: Tensor, head_w: Tensor, dep_w: Tensor,
-                bias: Tensor) -> Tensor:
-    """(..., n, n, k) logits of ordered token pairs as one node:
-    ``head_i . bil[c] . dep_j + head_i . head_w[:, c] + dep_j . dep_w[:, c]
-    + bias[c]`` for (..., n, p) sides, (k, p, p) bilinear forms, (p, k)
-    weights and a (k,) bias. Every intermediate lands in the result, so
-    nothing non-finite can drop out."""
-    h, d = head.data, dep.data
-    *lead, n, _ = h.shape
-    k = bias.shape[0]
-    # Each side as (..., 1, n, p) broadcasts against the (k, p, p) forms:
-    # one product per side gives (..., k, n, n); the label axis moves last.
-    with_forms = h[..., None, :, :] @ bil.data
-    bilinear = with_forms @ d[..., None, :, :].swapaxes(-1, -2)
-    logits = bilinear.swapaxes(-3, -2).swapaxes(-2, -1) + (h @ head_w.data).reshape(*lead, n, 1, k)
-    logits += (d @ dep_w.data).reshape(*lead, 1, n, k)
-    logits += bias.data
-
-    def back(g):
-        g_forms = np.moveaxis(g, -1, -3)
-        d_with_forms = g_forms @ d[..., None, :, :]
-        d_head_w, d_dep_w = g.sum(axis=-2), g.sum(axis=-3)
-        d_h = (d_with_forms @ np.swapaxes(bil.data, -1, -2)).sum(axis=-3) + d_head_w @ head_w.data.T
-        d_d = (np.swapaxes(g_forms, -1, -2) @ with_forms).sum(axis=-3) + d_dep_w @ dep_w.data.T
-        h2d, d2d = h.reshape(-1, h.shape[-1]), d.reshape(-1, d.shape[-1])
-        per_form = np.moveaxis(d_with_forms, -3, 0).reshape(k, -1, h.shape[-1])
-        return ((head, d_h), (dep, d_d), (bil, h2d.T @ per_form),
-                (head_w, h2d.T @ d_head_w.reshape(-1, k)), (dep_w, d2d.T @ d_dep_w.reshape(-1, k)),
-                (bias, g.reshape(-1, k).sum(axis=0)))
-
-    return Tensor(logits, _parents=(head, dep, bil, head_w, dep_w, bias), _backward=back,
-                  _op="pair_logits")
+        return Tensor(np.moveaxis(probs, -3, -1), _parents=(hidden, *params), _backward=back,
+                      _op="pair_scorer")
 
 
 # -- decoding ------------------------------------------------------------

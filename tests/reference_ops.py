@@ -1,12 +1,14 @@
 """The small tape ops that ``test_fused_nodes.reference_forward`` needs
 besides those ``aste.numerics`` keeps, to rebuild the model's fused
-nodes as the chain of small nodes they replaced. Each is built on the
+nodes as the chain of small nodes they replaced, and that the encoder
+and numerics tests apply to attention logits. Each is built on the
 numpy core the fused nodes use, or on ``_unbroadcast`` as ``+`` and
 ``*`` are, so the chain's losses match the fused path's bit for bit."""
 
 import numpy as np
 
-from aste.numerics import Tensor, _unbroadcast, layer_norm_backward, layer_norm_forward, relu_forward
+from aste.numerics import (Tensor, _unbroadcast, layer_norm_backward, layer_norm_forward,
+                           relu_forward, softmax_backward, softmax_forward)
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
@@ -60,3 +62,15 @@ def swapaxes(x: Tensor, first: int, second: int) -> Tensor:
 
     return Tensor(np.swapaxes(x.data, first, second), _parents=(x,), _backward=back,
                   _op="swapaxes")
+
+
+def softmax(x: Tensor, mask=None) -> Tensor:
+    """Stable softmax over the trailing axis; ``mask`` (optional, boolean,
+    broadcastable to ``x``) marks valid entries, and every trailing-axis
+    slice must keep at least one."""
+    probs = softmax_forward(x.data, mask)
+
+    def back(g):
+        return ((x, softmax_backward(probs, g)),)
+
+    return Tensor(probs, _parents=(x,), _backward=back, _op="softmax")

@@ -449,6 +449,20 @@ class TestTrainEvalDecode:
         assert code == 1
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("config", [{"lr": "x" * 100_000}, {"k" * 100_000: 1}],
+                             ids=["huge-value", "huge-key"])
+    def test_huge_config_entry_gives_one_short_line(self, capsys, corpus_files, tmp_path,
+                                                    config):
+        train, dev = corpus_files
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *self.train_args(train, dev, out_dir),
+                             "--config", str(config_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("aste: ") and err.count("\n") == 1 and len(err) < 300
+        assert not out_dir.exists()
+
 
 class TestDecodeRecords:
     """Decoding with freshly initialised models, saved and loaded as the

@@ -3,12 +3,13 @@
 Every sub-layer of the model is one node with a hand-written backward:
 the embedding (lookups, sum and norm), each block's attention sub-layer
 (through ``wo``, the residual add and ``ln1``) and feed-forward sub-layer
-(through the residual add and ``ln2``), each tagger, each ReLU side of
-the pair scorer and the pair logits. ``reference_forward`` below
-rebuilds the model's forward pass the way it was composed before, as a
-chain of small nodes: the ops of ``reference_ops`` (take_rows, matmul,
-swapaxes, relu, layer_norm), the tensor's own reshape, getitem, add and
-mul, softmax, and a column-gather node kept here for it. The fused path must give the same
+(through the residual add and ``ln2``), each tagger, and the pair scorer
+(both ReLU sides, the biaffine logits and the label softmax).
+``reference_forward`` below rebuilds the model's forward pass the way it
+was composed before, as a chain of small nodes: the ops of
+``reference_ops`` (take_rows, matmul, swapaxes, relu, layer_norm,
+softmax), the tensor's own reshape, getitem, add and mul, and a
+column-gather node kept here for it. The fused path must give the same
 losses bit for bit and the same gradients to within 1e-12 of each
 tensor's scale, and each fused backward must pass a finite-difference
 check at weights well above init scale, where a broken backward shows.
@@ -22,13 +23,14 @@ import pytest
 from aste.data import Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.model import BatchForward, TripletModel
-from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm_forward, softmax
-from aste.parser import ParserConfig, pair_logits
+from aste.errors import NumericError
+from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm_forward
+from aste.parser import ParserConfig
 from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
                             augmented_distance_matrix, distances_to_indices, random_tree_heads)
 from aste.synth import learnable_corpus
 from aste.training import assemble_batch, joint_loss, prepare_batch
-from reference_ops import layer_norm, matmul, relu, swapaxes, take_rows
+from reference_ops import layer_norm, matmul, relu, softmax, swapaxes, take_rows
 
 TAU = 4
 KINDS = [NONE, RELATIVE, DEPENDENCY]
@@ -281,56 +283,66 @@ def test_tagger_gradients(which):
                    h.shape[:-1] + (3,), rng)
 
 
-@pytest.mark.parametrize("side", ["head", "dep"])
-def test_pair_side_gradients(side):
-    """A pair-scorer side's gradients with respect to its input states
-    and its layer, at weights and biases of scale 1 (50x init)."""
+def pair_scorer_parser(seed):
+    """A parser whose weights and biases are of scale 0.3 (15x init):
+    large enough for a wrong backward to show, small enough that the
+    label distributions are not one-hot."""
     sentences = sentences_with_heads()
     parser = scaled_model(NONE, Vocabulary.build(sentences)).parser
-    rng = np.random.default_rng(19)
+    rng = np.random.default_rng(seed)
     for name, tensor in parser.params.items():
-        tensor.data[...] = rng.normal(0, 1.0, tensor.shape)
+        tensor.data[...] = rng.normal(0, 0.3, tensor.shape)
+    return parser, rng
+
+
+def test_pair_scorer_gradients():
+    """The pair-scorer node on (2, 4) leading axes and on one sentence:
+    its value is the label softmax of the biaffine logits of both ReLU
+    sides, written as an einsum, and its gradients with respect to the
+    input states and all nine pair parameters pass a finite-difference
+    check."""
+    parser, rng = pair_scorer_parser(19)
+    q = {name: tensor.data for name, tensor in parser.params.items()}
     states = ParamGroup("parser")
-    h = random_leaf(states, "h", (2, 4, parser.dim), rng)
-    node = parser._pair_side(h, side)
-    assert node._op == "pair_side"
-    check_node(lambda: parser._pair_side(h, side), [states, parser.params], node.shape, rng)
+    for h in (random_leaf(states, "batch", (2, 4, parser.dim), rng),
+              random_leaf(states, "single", (5, parser.dim), rng)):
+        node = parser.relation_probs(h)
+        assert node._op == "pair_scorer"
+        head = np.maximum(h.data @ q["pair_head_w1"] + q["pair_head_b1"], 0.0)
+        dep = np.maximum(h.data @ q["pair_dep_w1"] + q["pair_dep_b1"], 0.0)
+        logits = (np.einsum("...ip,cpq,...jq->...ijc", head, q["pair_bil"], dep)
+                  + (head @ q["pair_head_w2"])[..., :, None, :]
+                  + (dep @ q["pair_dep_w2"])[..., None, :, :] + q["pair_b2"])
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(node.data, exp / exp.sum(axis=-1, keepdims=True),
+                                   rtol=1e-13, atol=1e-15)
+        check_node(lambda: parser.relation_probs(h), [states, parser.params], node.shape, rng)
 
 
-def test_pair_logits_gradients():
-    """The pair-logits node on (2, 4) leading axes, against a
-    finite-difference check of every operand at values of scale 1."""
-    rng = np.random.default_rng(3)
-    g = ParamGroup("parser")
-    head = g.add("head", Tensor(rng.normal(0, 1, (2, 4, 5))))
-    dep = g.add("dep", Tensor(rng.normal(0, 1, (2, 4, 5))))
-    bil = g.add("bil", Tensor(rng.normal(0, 1, (4, 5, 5))))
-    head_w = g.add("head_w", Tensor(rng.normal(0, 1, (5, 4))))
-    dep_w = g.add("dep_w", Tensor(rng.normal(0, 1, (5, 4))))
-    bias = g.add("bias", Tensor(rng.normal(0, 1, 4)))
-    weights = Tensor(rng.normal(0, 1, (2, 4, 4, 4)))
-    out = pair_logits(head, dep, bil, head_w, dep_w, bias)
-    expected = (np.einsum("bip,cpq,bjq->bijc", head.data, bil.data, dep.data)
-                + (head.data @ head_w.data)[:, :, None, :]
-                + (dep.data @ dep_w.data)[:, None, :, :] + bias.data)
-    np.testing.assert_allclose(out.data, expected, rtol=1e-13, atol=1e-13)
-    assert grad_check(lambda: (pair_logits(head, dep, bil, head_w, dep_w, bias)
-                               * weights).sum(), g, samples_per_tensor=200) < 1e-6
+@pytest.mark.parametrize("name, index", [("pair_head_w1", (3, 2)), ("pair_bil", (2, 0, 1))])
+def test_nan_in_the_pair_scorer_names_its_node(name, index):
+    """With per-op checks on, a NaN weight on either side of the biaffine
+    product fails the one pair-scorer node, by name."""
+    parser, rng = pair_scorer_parser(29)
+    parser.params[name].data[index] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="^pair_scorer produced non-finite values$"):
+        parser.relation_probs(Tensor(rng.normal(0, 1, (2, 4, parser.dim))))
 
 
-STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_side",
-              "pair_logits", "softmax", "cross_entropy", "add"}
+STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_scorer",
+              "cross_entropy", "add"}
 
 
 def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     """Guard against small tape nodes coming back: one training forward,
     loss and backward on a fixed batch builds 1 tensor for the embedding,
     2 per layer (the attention and feed-forward sub-layers), 1 for the
-    content view, 1 per tagger, 4 for the pair scorer (its two sides, the
-    pair logits and the softmax) and 5 for the loss; the backward pass
-    builds none. A step builds exactly the op kinds of ``STEP_KINDS`` and
-    a predict all but the loss's, with and without bias tables, so a new
-    general op on the model's tape fails here."""
+    content view, 1 per tagger, 1 for the pair scorer and 5 for the loss;
+    the backward pass builds none, and a predict builds the forward's 9.
+    A step builds exactly the op kinds of ``STEP_KINDS`` and a predict all
+    but the loss's, with and without bias tables, so a new general op on
+    the model's tape fails here."""
     sentences = sentences_with_heads()
     init, built = Tensor.__init__, []
 
@@ -345,10 +357,11 @@ def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
         total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
         forward_and_loss = len(built)
         total.backward()
-        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 4 + 5 == 17
+        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 1 + 5 == 14
         assert len(built) == forward_and_loss
         assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
         assert set(built) == STEP_KINDS, kind
         built.clear()
         model.predict(sentences[0])
+        assert len(built) == forward_and_loss - 5 == 9
         assert set(built) == STEP_KINDS - {"cross_entropy", "add"}, kind

@@ -353,6 +353,19 @@ class TestDamagedWeightFile:
             with pytest.raises(ValidationError, match=message):
                 TripletModel.load(path)
 
+    def test_huge_header_key_gives_a_short_message(self, saved, tmp_path, capsys):
+        path, corpus_path = saved
+        header, payload = split_file(path.read_bytes())
+        header["encoder"]["k" * 100_000] = 1
+        path.write_bytes(sealed(json.dumps(header).encode(), payload))
+        with pytest.raises(ValidationError, match="unreadable") as error:
+            TripletModel.load(path)
+        assert len(str(error.value)) < 300
+        code = main(["decode", "--weights", str(path), "--input", str(corpus_path),
+                     "--out", str(tmp_path / "out.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("aste: ") and err.count("\n") == 1 and len(err) < 300
+
     def test_non_finite_weight_raises_validation_error(self, saved):
         path, _ = saved
         header, payload = split_file(path.read_bytes())
@@ -459,8 +472,9 @@ class TestWeightFileFuzz:
         @given(damage(data))
         def check(damaged):
             write_anew(path, damaged)
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError) as error:
                 TripletModel.load(path)
+            assert len(str(error.value)) < 300
 
         check()
 
@@ -476,7 +490,7 @@ class TestWeightFileFuzz:
                          "--out", str(directory / "out.jsonl")])
             err = capsys.readouterr().err
             assert code == 1
-            assert err.startswith("aste: ") and "Traceback" not in err
+            assert err.startswith("aste: ") and "Traceback" not in err and len(err) < 300
             assert not (directory / "out.jsonl").exists()
 
         check()

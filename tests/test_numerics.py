@@ -21,9 +21,8 @@ from aste.numerics import (
     layer_norm_forward,
     no_grad,
     relu_forward,
-    softmax,
 )
-from reference_ops import layer_norm, matmul, swapaxes
+from reference_ops import layer_norm, matmul, softmax, swapaxes
 
 # Independent 64-bit scalar oracle for softmax([1, 2]):
 #   e = exp(1); [1/(1+e), e/(1+e)]
