@@ -91,6 +91,18 @@ class EncodedSequence:
         return self.hidden[..., 1:-1, :]
 
 
+@dataclass(frozen=True)
+class EncoderInputs:
+    """Marker-augmented (m,) or (B, m) token ids, the key mask of the
+    padded rows as it broadcasts against (B, H, m, m) logits (None when
+    nothing is padded), and the ``_distance_index`` of the distances (None
+    without them)."""
+
+    ids: np.ndarray
+    key_mask: np.ndarray | None
+    index: np.ndarray | None
+
+
 class Encoder:
     """Owns the encoder and adapter parameter groups and runs the stack."""
 
@@ -165,10 +177,15 @@ class Encoder:
 
         def back(g):
             d_rows, d_gain, d_bias = layer_norm_backward(g, xhat, inv, gain.data)
-            d_tok, d_pos = np.zeros_like(tok.data), np.zeros_like(pos.data)
-            np.add.at(d_tok, ids, d_rows)
+            # One bincount over flat (id, column) positions: it adds each
+            # bin's rows in order of occurrence, as np.add.at does, in a
+            # single pass.
+            width = d_rows.shape[-1]
+            d_tok = np.bincount((ids[..., None] * width + np.arange(width)).ravel(),
+                                weights=d_rows.ravel(), minlength=tok.size).reshape(tok.shape)
+            d_pos = np.zeros_like(pos.data)
             m = ids.shape[-1]
-            d_pos[:m] += d_rows.reshape(-1, m, d_rows.shape[-1]).sum(axis=0)
+            d_pos[:m] += d_rows.reshape(-1, m, width).sum(axis=0)
             return ((tok, d_tok), (pos, d_pos), (gain, d_gain), (bias, d_bias))
 
         return Tensor(out, _parents=(tok, pos, gain, bias), _backward=back, _op="embedding")
@@ -333,12 +350,25 @@ class Encoder:
         (B, m, m) stack of a batch, padded like the ids. Padded key slots,
         worked out from the sequence lengths, get no attention weight.
         """
+        return self.run(self.prepare(token_ids, distances))
+
+    def prepare(self, token_ids, distances: np.ndarray | None = None) -> EncoderInputs:
+        """What ``encode`` derives from its arguments before the first
+        layer, validated: fixed for fixed ids and distances, so a caller
+        that encodes the same batch again derives it once and calls
+        ``run``."""
         ids, key_mask = self._layout(token_ids)
-        index = None if distances is None else self._distance_index(distances, ids.shape)
-        x = self._embedding(ids)
-        mask = None if key_mask is None else key_mask[..., None, None, :]
+        return EncoderInputs(
+            ids=ids,
+            key_mask=None if key_mask is None else key_mask[..., None, None, :],
+            index=None if distances is None else self._distance_index(distances, ids.shape))
+
+    def run(self, inputs: EncoderInputs) -> EncodedSequence:
+        """The full stack over ``prepare``'s inputs."""
+        x = self._embedding(inputs.ids)
         for layer in range(self.config.layers):
-            x = self._feed_forward(self._attention(x, layer, index, mask), layer)
+            x = self._feed_forward(self._attention(x, layer, inputs.index, inputs.key_mask),
+                                   layer)
         return EncodedSequence(hidden=x)
 
     def param_groups(self) -> list[ParamGroup]:

@@ -15,6 +15,7 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,31 @@ class BatchForward:
                             spans_from_tags(opinion_tags[row][:n]),
                             SentimentRelationMap(probs[row, :n, :n], labels[row, :n, :n]))
                 for row, n in enumerate(lengths)]
+
+
+@dataclass
+class BatchHidden:
+    """The (B, n, dim) content states of one padded training pass and the
+    parser that reads them. ``training.joint_loss`` runs the heads and
+    their loss on them as one node (``TripletParser.loss``), so a step
+    builds no distributions. A caller that reads ``aspect``, ``opinion``
+    or ``relations`` gets the probability node of that head on the same
+    states, built on first read."""
+
+    hidden: Tensor
+    parser: TripletParser
+
+    @cached_property
+    def aspect(self) -> Tensor:
+        return self.parser.tag_probs(self.hidden, "aspect")
+
+    @cached_property
+    def opinion(self) -> Tensor:
+        return self.parser.tag_probs(self.hidden, "opinion")
+
+    @cached_property
+    def relations(self) -> Tensor:
+        return self.parser.relation_probs(self.hidden)
 
 
 class TripletModel:

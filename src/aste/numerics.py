@@ -7,14 +7,17 @@ arithmetic, dominates at this model's sizes, so the model runs on few
 large nodes: each of its sub-layers (the embedding, each block's
 attention and feed-forward sub-layers in ``encoder``, each tagger and
 the pair scorer in ``parser``) is one node with a hand-written backward.
-They are built from the numpy forward and backward pairs here:
-``affine_forward``/``affine_backward``, ``relu_forward``,
-``softmax_forward``/``softmax_backward`` and
+In training the three heads and their loss are one node more, which
+reads logits, not probabilities. They are built from the numpy forward
+and backward pairs here: ``affine_forward``/``affine_backward``,
+``relu_forward``, ``softmax_forward``/``softmax_backward``,
+``cross_entropy_forward``/``cross_entropy_backward`` and
 ``layer_norm_forward``/``layer_norm_backward``, plus
-``carry_non_finite``. The general ops are those the model and its loss
-apply between the nodes (``+``, basic indexing and ``cross_entropy``)
-and the few more the gradient checks compose (``*``, ``reshape`` and
-``sum``).
+``carry_non_finite``. The general ops are basic indexing, which the
+model applies between the nodes, ``cross_entropy`` over probabilities
+and ``+``, for a loss over distributions (``joint_loss`` of a
+``BatchForward``), and the few more the gradient checks compose (``*``,
+``reshape`` and ``sum``).
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -34,10 +37,15 @@ a copy of its bias, and a node that leaves values out of its result
 (``getitem``; attention's distance products over the table rows no
 distance picks) makes its whole result NaN when one of them is non-finite
 (``carry_non_finite``). On finite values all of them return what they
-always did, bit for bit. Values that ``cross_entropy`` leaves out (other
-classes, masked cells) come back through the backward pass: the nodes
-end in a softmax, whose backward multiplies every probability into the
-gradient, so a NaN there makes the gradient norm NaN.
+always did, bit for bit. The loss node leaves out masked cells and every
+class but the target, so ``cross_entropy_forward`` multiplies each
+cell's loss by its mask instead of selecting the kept cells, and NaN in a
+masked cell reaches the sum; a -inf logit, which a softmax gives weight 0
+without a NaN, turns the sum NaN through ``0.0 * min``. Values that
+``cross_entropy`` over probabilities leaves out come back through the
+backward pass: the heads end in a softmax, whose backward multiplies
+every probability into the gradient, so a NaN there makes the gradient
+norm NaN.
 """
 
 from __future__ import annotations
@@ -50,8 +58,9 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "ParamGroup", "no_grad", "cross_entropy", "affine_forward",
-    "affine_backward", "relu_forward", "softmax_forward", "softmax_backward",
+    "Tensor", "ParamGroup", "no_grad", "cross_entropy", "cross_entropy_forward",
+    "cross_entropy_backward", "affine_forward", "affine_backward", "relu_forward",
+    "softmax_forward", "softmax_backward",
     "layer_norm_forward", "layer_norm_backward", "carry_non_finite", "normal_init",
     "zeros_init", "grad_check", "checked_once",
 ]
@@ -359,6 +368,36 @@ def layer_norm_backward(g: Array, xhat: Array, inv: Array,
         - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / k)
     )
     return d_x, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
+
+
+def cross_entropy_forward(logits: Array, positions: Array, mask: Array, count: int,
+                          axis: int = -1) -> tuple[float, Array]:
+    """The loss of the fused nodes, from logits: the mean over the
+    ``count`` slices of ``logits`` along ``axis`` that ``mask`` keeps of
+    ``logsumexp - x_target``, with the softmax its backward pass reads.
+    ``positions`` are the flat positions of each slice's target logit;
+    ``mask`` is shaped like ``logits`` with ``axis`` of size 1. Nothing
+    underflows: a target of probability 0.0 costs its logit gap, not inf.
+
+    The mask multiplies, so a slice it drops still carries NaN into the
+    sum: a NaN or +inf logit makes its slice NaN through the max, and a
+    -inf logit, which the softmax would give weight 0, makes the sum NaN
+    through ``0.0 * logits.min()``."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=axis, keepdims=True)
+    nll = np.log(total) - np.take(shifted, positions).reshape(total.shape)
+    value = (mask * nll).sum() / max(count, 1) + 0.0 * logits.min(initial=0.0)
+    return value, exp / total
+
+
+def cross_entropy_backward(probs: Array, positions: Array, mask: Array, count: int, g) -> Array:
+    """The gradient of the logits of ``cross_entropy_forward`` for the
+    gradient ``g`` of its mean: ``(softmax - onehot) * mask * g / count``."""
+    d_logits = probs.copy()
+    d_logits.reshape(-1)[positions] -= 1.0
+    d_logits *= mask * (g / max(count, 1))
+    return d_logits
 
 
 def cross_entropy(probs: Tensor, targets: Array, mask: Array | None = None) -> Tensor:

@@ -10,19 +10,24 @@ flips the decision.
 
 Each tagger (``w1``, ReLU, ``w2`` and softmax) and the pair scorer (both
 ReLU sides, the biaffine logits and the softmax over labels) is one tape
-node with a hand-written backward pass, so the heads build 3 tensors.
+node with a hand-written backward pass, so the heads of a forward pass
+build 3 tensors. Training needs no distributions: ``TripletParser.loss``
+runs the three heads and their loss from logits as one node, on the same
+numpy forward of each head.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Sentence, Span, Triplet, warn_data
 from .errors import ShapeError, ValidationError
-from .numerics import (ParamGroup, Tensor, affine_backward, affine_forward, normal_init,
-                       relu_forward, softmax_backward, softmax_forward, zeros_init)
+from .numerics import (ParamGroup, Tensor, affine_backward, affine_forward,
+                       cross_entropy_backward, cross_entropy_forward, normal_init, relu_forward,
+                       softmax_backward, softmax_forward, zeros_init)
 
 TAGS = ("B", "I", "O")
 TAG_B, TAG_I, TAG_O = 0, 1, 2
@@ -104,47 +109,55 @@ class TripletParser:
 
     # -- tagging -----------------------------------------------------------
 
+    def _tag_logits(self, rows: np.ndarray, which: str):
+        """The (N, 3) logits ``w2(relu(w1(rows)))`` of the aspect or opinion
+        head for (N, dim) rows, their backward (from the logits' gradient
+        to the rows' gradient and the parameters' parts) and the
+        parameters."""
+        if which not in ("aspect", "opinion"):
+            raise ValidationError(f"unknown tagger {which!r}")
+        params = tuple(self.params[f"{which}_{name}"] for name in ("w1", "b1", "w2", "b2"))
+        w1, b1, w2, b2 = params
+        inner = relu_forward(affine_forward(rows, w1.data, b1.data))
+
+        def back(d_logits):
+            d_inner, d_w2, d_b2 = affine_backward(d_logits, inner, w2.data)
+            d_rows, d_w1, d_b1 = affine_backward(d_inner * (inner > 0), rows, w1.data)
+            return d_rows, [(w1, d_w1), (b1, d_b1), (w2, d_w2), (b2, d_b2)]
+
+        return affine_forward(inner, w2.data, b2.data), back, params
+
     def tag_probs(self, hidden: Tensor, which: str) -> Tensor:
         """(..., n, 3) tag distributions from the aspect or opinion head,
         as one node: ``softmax(w2(relu(w1(hidden))))``."""
-        if which not in ("aspect", "opinion"):
-            raise ValidationError(f"unknown tagger {which!r}")
-        p = self.params
-        w1, b1, w2, b2 = (p[f"{which}_{name}"] for name in ("w1", "b1", "w2", "b2"))
-        rows = self._rows(hidden)
-        inner = relu_forward(affine_forward(rows, w1.data, b1.data))
-        probs = softmax_forward(affine_forward(inner, w2.data, b2.data))
+        logits, logits_back, params = self._tag_logits(self._rows(hidden), which)
+        probs = softmax_forward(logits)
 
         def back(g):
-            d_logits = softmax_backward(probs, g.reshape(probs.shape))
-            d_inner, d_w2, d_b2 = affine_backward(d_logits, inner, w2.data)
-            d_rows, d_w1, d_b1 = affine_backward(d_inner * (inner > 0), rows, w1.data)
-            return ((hidden, d_rows.reshape(hidden.shape)), (w1, d_w1), (b1, d_b1),
-                    (w2, d_w2), (b2, d_b2))
+            d_rows, parts = logits_back(softmax_backward(probs, g.reshape(probs.shape)))
+            return [(hidden, d_rows.reshape(hidden.shape))] + parts
 
         return Tensor(probs.reshape(*hidden.shape[:-1], len(TAGS)),
-                      _parents=(hidden, w1, b1, w2, b2), _backward=back, _op="tagger")
+                      _parents=(hidden, *params), _backward=back, _op="tagger")
 
     # -- pairwise sentiment --------------------------------------------------
 
-    def relation_probs(self, hidden: Tensor) -> Tensor:
-        """(..., n, n, 4) distributions over ordered token pairs, i = j
-        included, for (..., n, dim) hidden states, as one node.
+    def _pair_planes(self, rows: np.ndarray, tokens: tuple[int, ...]):
+        """The (..., 4, n, n) label planes of pair logits for the (N, dim)
+        rows of (..., n) tokens, their backward (from the planes' gradient
+        to the rows' gradient and the parameters' parts) and the
+        parameters.
 
         Both ReLU sides come from one affine map over the side weights
-        side by side. The score of pair (i, j) and label c is
+        side by side. The logit of pair (i, j) and label c is
         ``head_i . bil[c] . dep_j + head_i . head_w2[:, c]
-        + dep_j . dep_w2[:, c] + b2[c]``. Scores, softmax and their
-        backward run on (..., 4, n, n) label planes, since numpy reduces
-        over a trailing axis of 4 row by row; the result is a view of the
-        planes with the label axis last. Every side value lands in the
-        logits and a non-finite logit turns its distribution NaN, so
-        nothing non-finite drops out of the result."""
+        + dep_j . dep_w2[:, c] + b2[c]``. Logits and their backward run on
+        label planes, since numpy reduces over a trailing axis of 4 row by
+        row."""
         params = tuple(self.params[f"pair_{name}"] for name in (
             "head_w1", "head_b1", "dep_w1", "dep_b1", "bil", "head_w2", "dep_w2", "b2"))
         head_w1, head_b1, dep_w1, dep_b1, bil, head_w2, dep_w2, b2 = params
-        rows = self._rows(hidden)
-        *lead, n, _ = hidden.shape
+        *lead, n = tokens
         q, k = self.config.pair_hidden, len(REL_LABELS)
         weight = np.concatenate((head_w1.data, dep_w1.data), axis=1)
         sides = relu_forward(affine_forward(rows, weight,
@@ -158,11 +171,8 @@ class TripletParser:
         planes += np.swapaxes(h @ head_w2.data, -1, -2)[..., :, None]
         planes += np.swapaxes(d @ dep_w2.data, -1, -2)[..., None, :]
         planes += b2.data[:, None, None]
-        probs = softmax_forward(planes, axis=-3)
 
-        def back(g):
-            g_planes = softmax_backward(probs, np.ascontiguousarray(np.moveaxis(g, -1, -3)),
-                                        axis=-3)
+        def back(g_planes):
             d_with_forms = g_planes @ d[..., None, :, :]
             d_head_term = g_planes.sum(axis=-1).swapaxes(-1, -2)
             d_dep_term = g_planes.sum(axis=-2).swapaxes(-1, -2)
@@ -174,15 +184,98 @@ class TripletParser:
             d_sides = np.concatenate((d_h.reshape(-1, q), d_d.reshape(-1, q)), axis=1)
             d_rows, d_weight, d_bias = affine_backward(d_sides * (sides > 0), rows, weight)
             d_head_term = d_head_term.reshape(-1, k)
-            return ((hidden, d_rows.reshape(hidden.shape)),
-                    (head_w1, d_weight[:, :q]), (head_b1, d_bias[:q]),
-                    (dep_w1, d_weight[:, q:]), (dep_b1, d_bias[q:]),
-                    (bil, head_rows.T @ per_form), (head_w2, head_rows.T @ d_head_term),
-                    (dep_w2, dep_rows.T @ d_dep_term.reshape(-1, k)),
-                    (b2, d_head_term.sum(axis=0)))
+            return d_rows, [(head_w1, d_weight[:, :q]), (head_b1, d_bias[:q]),
+                            (dep_w1, d_weight[:, q:]), (dep_b1, d_bias[q:]),
+                            (bil, head_rows.T @ per_form), (head_w2, head_rows.T @ d_head_term),
+                            (dep_w2, dep_rows.T @ d_dep_term.reshape(-1, k)),
+                            (b2, d_head_term.sum(axis=0))]
+
+        return planes, back, params
+
+    def relation_probs(self, hidden: Tensor) -> Tensor:
+        """(..., n, n, 4) distributions over ordered token pairs, i = j
+        included, for (..., n, dim) hidden states, as one node: the softmax
+        over the label planes of ``_pair_planes``, whose backward also runs
+        on planes. The result is a view of the planes with the label axis
+        last. Every side value lands in the logits and a non-finite logit
+        turns its distribution NaN, so nothing non-finite drops out of the
+        result."""
+        planes, planes_back, params = self._pair_planes(self._rows(hidden), hidden.shape[:-1])
+        probs = softmax_forward(planes, axis=-3)
+
+        def back(g):
+            d_rows, parts = planes_back(softmax_backward(
+                probs, np.ascontiguousarray(np.moveaxis(g, -1, -3)), axis=-3))
+            return [(hidden, d_rows.reshape(hidden.shape))] + parts
 
         return Tensor(np.moveaxis(probs, -3, -1), _parents=(hidden, *params), _backward=back,
                       _op="pair_scorer")
+
+    # -- loss ------------------------------------------------------------------
+
+    def loss(self, hidden: Tensor, targets: LossTargets) -> tuple[Tensor, float, float]:
+        """The joint loss of the three heads on (..., n, dim) hidden states
+        as one node, from logits, with its tagging and parsing parts.
+
+        Each head's loss is ``cross_entropy_forward`` of its logits, the
+        taggers' (N, 3) rows and the pair scorer's (..., 4, n, n) label
+        planes, at the positions and over the masks of ``targets``.
+        Tagging is the sum of the two taggers' losses, and the node's
+        value is tagging plus parsing. Its backward starts each head at
+        ``(softmax - onehot) * mask * g / count`` and runs the head's
+        logit-side backward; the three gradients of the rows add up."""
+        rows = self._rows(hidden)
+        heads = [self._tag_logits(rows, "aspect"), self._tag_logits(rows, "opinion"),
+                 self._pair_planes(rows, hidden.shape[:-1])]
+        reads = [(targets.aspect, targets.tokens, targets.token_count),
+                 (targets.opinion, targets.tokens, targets.token_count),
+                 (targets.relations, targets.cells, targets.cell_count)]
+        values, probs = zip(*(cross_entropy_forward(logits, *read, axis=axis)
+                              for (logits, _, _), read, axis in zip(heads, reads, (-1, -1, -3))))
+        tagging, parsing = values[0] + values[1], values[2]
+
+        def back(g):
+            d_rows, parts = None, []
+            for (_, logits_back, _), p, read in zip(heads, probs, reads):
+                d, head_parts = logits_back(cross_entropy_backward(p, *read, g))
+                d_rows = d if d_rows is None else d_rows + d
+                parts += head_parts
+            return [(hidden, d_rows.reshape(hidden.shape))] + parts
+
+        params = [param for _, _, head_params in heads for param in head_params]
+        return (Tensor(tagging + parsing, _parents=(hidden, *params), _backward=back,
+                       _op="joint_loss"), float(tagging), float(parsing))
+
+
+@dataclass(frozen=True)
+class LossTargets:
+    """A padded batch's gold labels as ``TripletParser.loss`` reads them:
+    the flat position of each cell's gold logit in the taggers' (N, 3)
+    logit rows and in the pair scorer's (..., 4, n, n) label planes, the
+    token and cell masks shaped to broadcast against those logits, and
+    their counts of real cells."""
+
+    aspect: np.ndarray
+    opinion: np.ndarray
+    relations: np.ndarray
+    tokens: np.ndarray
+    cells: np.ndarray
+    token_count: int
+    cell_count: int
+
+    @classmethod
+    def build(cls, aspect, opinion, relations, tokens, cells) -> LossTargets:
+        """From (..., n) tag and (..., n, n) relation class indices and the
+        (..., n) token and (..., n, n) cell masks of the padded batch."""
+        tokens, cells = np.asarray(tokens, dtype=bool), np.asarray(cells, dtype=bool)
+        *lead, n = tokens.shape
+        tag_rows = np.arange(tokens.size).reshape(tokens.shape) * len(TAGS)
+        planes = np.arange(math.prod(lead)).reshape(*lead, 1, 1) * len(REL_LABELS)
+        within = np.arange(n * n).reshape(n, n)
+        return cls(aspect=(tag_rows + aspect).ravel(), opinion=(tag_rows + opinion).ravel(),
+                   relations=((planes + relations) * (n * n) + within).ravel(),
+                   tokens=tokens.reshape(-1, 1), cells=cells[..., None, :, :],
+                   token_count=int(tokens.sum()), cell_count=int(cells.sum()))
 
 
 # -- decoding ------------------------------------------------------------

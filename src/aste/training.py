@@ -2,10 +2,11 @@
 
 The objective is the sum of a tagging loss (both B/I/O heads) and a
 parsing loss (all pairwise relation cells), each a masked mean cross
-entropy. Optimization is Adam with decoupled weight decay, a global
-gradient-norm clip of 1, a linear warmup-then-decay schedule, and a
-parser learning rate 10x the base. The optimizer choice is recorded in
-the history metadata rather than assumed elsewhere.
+entropy, computed from the heads' logits in one tape node. Optimization
+is Adam with decoupled weight decay, a global gradient-norm clip of 1, a
+linear warmup-then-decay schedule, and a parser learning rate 10x the
+base. The optimizer choice is recorded in the history metadata rather
+than assumed elsewhere.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, Sentence, Vocabulary, length_buckets
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, EncoderInputs
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
-from .model import BatchForward, TripletModel
+from .model import BatchForward, BatchHidden, TripletModel
 from .numerics import ParamGroup, Tensor, checked_once, cross_entropy
-from .parser import ParserConfig, build_gold
+from .parser import LossTargets, ParserConfig, build_gold
 from .structure import NONE
 
 LR_GRID = (1e-5, 2e-5, 3e-5, 5e-5)
@@ -97,9 +98,15 @@ class TrainHistory:
 
 @dataclass
 class BatchTargets:
+    """Tag and relation class indices, shaped like the predictions without
+    their trailing class axis. ``loss`` is the same labels with the
+    batch's masks as ``TripletParser.loss`` reads them, for the loss of a
+    training pass; ``prepare_batch`` fills it."""
+
     aspect: np.ndarray
     opinion: np.ndarray
     relations: np.ndarray
+    loss: LossTargets | None = None
 
 
 @dataclass
@@ -108,11 +115,17 @@ class BatchMasks:
     cells: np.ndarray
 
 
-def joint_loss(pred: BatchForward, gold: BatchTargets,
+def joint_loss(pred: BatchHidden | BatchForward, gold: BatchTargets,
                masks: BatchMasks) -> tuple[Tensor, Tensor, Tensor]:
-    """Tagging loss, parsing loss, and their sum, padding masked out. The
-    targets and masks are shaped like the predictions without their
-    trailing class axis."""
+    """Tagging loss, parsing loss, and their sum, padding masked out: each
+    head's mean negative log likelihood over its unmasked cells. A
+    training pass (``BatchHidden``) gives one node, the heads and their
+    loss from logits, and the two parts as tensors without a tape; the
+    distributions of a ``BatchForward`` go through three ``cross_entropy``
+    nodes and two adds."""
+    if isinstance(pred, BatchHidden):
+        total, tagging, parsing = pred.parser.loss(pred.hidden, gold.loss)
+        return Tensor(tagging), Tensor(parsing), total
     tagging = cross_entropy(pred.aspect, gold.aspect, masks.tokens) \
         + cross_entropy(pred.opinion, gold.opinion, masks.tokens)
     parsing = cross_entropy(pred.relations, gold.relations, masks.cells)
@@ -121,40 +134,45 @@ def joint_loss(pred: BatchForward, gold: BatchTargets,
 
 @dataclass
 class BatchInputs:
-    """What training reads of a batch besides the weights: its distance
-    stack (None without an adapter), and (B, n) token and (B, n, n) pair
-    gold targets and masks, padded like the predictions. Fixed for a fixed
-    batch, so training derives them once."""
+    """What training reads of a batch besides the weights: the encoder's
+    ids, key mask and distance index (``Encoder.prepare``), and (B, n)
+    token and (B, n, n) pair gold targets and masks, padded like the
+    predictions. Fixed for a fixed batch, so training derives them once."""
 
-    distances: np.ndarray | None
+    encoder: EncoderInputs
     gold: BatchTargets
     masks: BatchMasks
 
 
 def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
     longest = max(len(s) for s in sentences)
-    aspect = np.zeros((len(sentences), longest), dtype=np.int64)
+    # Class indices below 4: int8 keeps training's copy of every batch small.
+    aspect = np.zeros((len(sentences), longest), dtype=np.int8)
     opinion = np.zeros_like(aspect)
-    relations = np.zeros((len(sentences), longest, longest), dtype=np.int64)
+    relations = np.zeros((len(sentences), longest, longest), dtype=np.int8)
     tokens = np.zeros(aspect.shape, dtype=bool)
     for b, sentence in enumerate(sentences):
         n = len(sentence)
         aspect[b, :n], opinion[b, :n], relations[b, :n, :n] = build_gold(sentence)
         tokens[b, :n] = True
+    cells = tokens[:, :, None] & tokens[:, None, :]
+    ids = [model.vocab.encode(s.tokens) for s in sentences]
     return BatchInputs(
-        distances=model.batch_distances(sentences),
-        gold=BatchTargets(aspect, opinion, relations),
-        masks=BatchMasks(tokens=tokens, cells=tokens[:, :, None] & tokens[:, None, :]),
+        encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
+        gold=BatchTargets(aspect, opinion, relations,
+                          LossTargets.build(aspect, opinion, relations, tokens, cells)),
+        masks=BatchMasks(tokens=tokens, cells=cells),
     )
 
 
 def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
-    """One padded forward over the batch, with its gold targets and masks.
-    ``inputs`` is the batch's ``prepare_batch``, derived here when not
-    given."""
+    """One padded training pass over the batch up to the parser's heads,
+    with its gold targets and masks. ``inputs`` is the batch's
+    ``prepare_batch``, derived here when not given."""
     if inputs is None:
         inputs = prepare_batch(model, sentences)
-    return model.forward(sentences, inputs.distances), inputs.gold, inputs.masks
+    hidden = model.encoder.run(inputs.encoder).content
+    return BatchHidden(hidden, model.parser), inputs.gold, inputs.masks
 
 
 # -- schedule and optimizer ---------------------------------------------------

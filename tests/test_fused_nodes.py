@@ -24,7 +24,8 @@ from aste.data import Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.model import BatchForward, TripletModel
 from aste.errors import NumericError
-from aste.numerics import ParamGroup, Tensor, grad_check, layer_norm_forward
+from aste.numerics import (ParamGroup, Tensor, grad_check, layer_norm_backward,
+                           layer_norm_forward)
 from aste.parser import ParserConfig
 from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
                             augmented_distance_matrix, distances_to_indices, random_tree_heads)
@@ -144,17 +145,23 @@ def scaled_model(kind, vocab, seed=5):
     return model
 
 
-def loss_and_gradients(model, batch, forward):
-    inputs = prepare_batch(model, batch)
+def losses_and_gradients(model, losses):
+    """The tagging, parsing and total losses of ``losses()`` and every
+    parameter's gradient after a backward pass from the total."""
     model.zero_grad()
-    pred = forward(model, batch, inputs.distances)
-    losses = joint_loss(pred, inputs.gold, inputs.masks)
+    losses = losses()
     losses[2].backward()
     # Copies: the gradients are views of the group buffers, which the next
     # backward zeroes and refills.
     grads = {f"{group.name}/{name}": t.grad.copy()
              for group in model.param_groups() for name, t in group.items()}
     return [loss.item() for loss in losses], grads
+
+
+def loss_and_gradients(model, batch, forward):
+    inputs = prepare_batch(model, batch)
+    pred = forward(model, batch, model.batch_distances(batch))
+    return losses_and_gradients(model, lambda: joint_loss(pred, inputs.gold, inputs.masks))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -177,6 +184,58 @@ def test_losses_and_gradients_match_the_chain_of_small_nodes(kind):
         for key, grad in reference.items():
             scale = max(np.abs(grad).max(), 1e-3 * largest)
             assert np.abs(grads[key] - grad).max() <= 1e-12 * scale, key
+
+
+def probability_forward(model, batch, inputs):
+    """The training pass of ``assemble_batch`` with its heads read as the
+    three probability nodes, so ``joint_loss`` takes the ``cross_entropy``
+    path over ``tag_probs`` and ``relation_probs``."""
+    pred, gold, masks = assemble_batch(model, batch, inputs)
+    return BatchForward(pred.aspect, pred.opinion, pred.relations), gold, masks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fused_loss_matches_the_probability_path(kind):
+    """On padded batches the one loss node of a training step gives the
+    tagging, parsing and total losses of three ``cross_entropy`` nodes
+    over the probability nodes, and every parameter the same gradient,
+    each within 1e-12 of its scale (as in the test above)."""
+    sentences = sentences_with_heads()
+    model = scaled_model(kind, Vocabulary.build(sentences))
+    for batch in (sentences[:5], sentences[5:11], sentences[11:12]):
+        inputs = prepare_batch(model, batch)
+        losses, grads = losses_and_gradients(
+            model, lambda: joint_loss(*assemble_batch(model, batch, inputs)))
+        expected, reference = losses_and_gradients(
+            model, lambda: joint_loss(*probability_forward(model, batch, inputs)))
+        assert all(np.isfinite(expected))
+        for value, want in zip(losses, expected):
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        largest = max(np.abs(g).max() for g in reference.values())
+        for key, grad in reference.items():
+            scale = max(np.abs(grad).max(), 1e-3 * largest)
+            assert np.abs(grads[key] - grad).max() <= 1e-12 * scale, key
+
+
+def test_embedding_token_gradient_is_np_add_at_bit_for_bit():
+    """The embedding node adds the rows of repeated ids into the token
+    table with one ``bincount``; it must give what ``np.add.at`` gives, in
+    the same order, bit for bit, on a padded batch and on one sequence."""
+    sentences = sentences_with_heads()
+    enc = scaled_model(NONE, Vocabulary.build(sentences)).encoder
+    rng = np.random.default_rng(31)
+    tok, gain = enc.params["tok_emb"], enc.params["emb_ln_g"]
+    gain.data[...] = rng.normal(0, 1, gain.shape)
+    batch = enc._layout([list(rng.integers(4, 7, n)) for n in (9, 4, 6)])[0]
+    for ids in (batch, batch[0]):
+        g = rng.normal(0, 1, ids.shape + (enc.config.dim,))
+        _, xhat, inv = layer_norm_forward(enc._embedding_rows(ids), gain.data,
+                                          enc.params["emb_ln_b"].data)
+        expected = np.zeros_like(tok.data)
+        np.add.at(expected, ids, layer_norm_backward(g, xhat, inv, gain.data)[0])
+        enc.params.zero_grad()
+        (enc._embedding(ids) * Tensor(g)).sum().backward()
+        assert tok.grad.tobytes() == expected.tobytes()
 
 
 def padded_batch(enc, kind, rng):
@@ -330,19 +389,21 @@ def test_nan_in_the_pair_scorer_names_its_node(name, index):
         parser.relation_probs(Tensor(rng.normal(0, 1, (2, 4, parser.dim))))
 
 
-STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_scorer",
-              "cross_entropy", "add"}
+STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "joint_loss", "leaf"}
+PREDICT_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_scorer"}
 
 
 def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     """Guard against small tape nodes coming back: one training forward,
     loss and backward on a fixed batch builds 1 tensor for the embedding,
     2 per layer (the attention and feed-forward sub-layers), 1 for the
-    content view, 1 per tagger, 1 for the pair scorer and 5 for the loss;
-    the backward pass builds none, and a predict builds the forward's 9.
-    A step builds exactly the op kinds of ``STEP_KINDS`` and a predict all
-    but the loss's, with and without bias tables, so a new general op on
-    the model's tape fails here."""
+    content view, 1 for the heads and their loss, and 2 tapeless leaves
+    for the loss's tagging and parsing parts; the backward pass builds
+    none. A predict builds 9: the same encoder tensors, 1 per tagger and 1
+    for the pair scorer. A step builds exactly the op kinds of
+    ``STEP_KINDS`` and a predict those of ``PREDICT_KINDS``, with and
+    without bias tables, so a new general op on the model's tape fails
+    here."""
     sentences = sentences_with_heads()
     init, built = Tensor.__init__, []
 
@@ -357,11 +418,11 @@ def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
         total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
         forward_and_loss = len(built)
         total.backward()
-        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 2 + 1 + 5 == 14
+        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 1 + 2 == 9
         assert len(built) == forward_and_loss
         assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
         assert set(built) == STEP_KINDS, kind
         built.clear()
         model.predict(sentences[0])
-        assert len(built) == forward_and_loss - 5 == 9
-        assert set(built) == STEP_KINDS - {"cross_entropy", "add"}, kind
+        assert len(built) == 1 + 2 * model.encoder_config.layers + 1 + 3 == 9
+        assert set(built) == PREDICT_KINDS, kind

@@ -17,6 +17,8 @@ from aste.numerics import (
     affine_forward,
     checked_once,
     cross_entropy,
+    cross_entropy_backward,
+    cross_entropy_forward,
     grad_check,
     layer_norm_forward,
     no_grad,
@@ -172,6 +174,54 @@ class TestCrossEntropy:
         value = cross_entropy(Tensor(row[None, :]), np.array([target])).item()
         assert value >= 0.0
         assert (value <= 1e-12) == (row[target] >= 1.0 - 1e-12)
+
+
+class TestCrossEntropyFromLogits:
+    """``cross_entropy_forward``/``cross_entropy_backward``, the loss core
+    of the training step's loss node."""
+
+    @staticmethod
+    def planes_case(rng):
+        """(2, 4, 3, 3) label planes with the label axis at -3, targets,
+        and a mask with its padded cells."""
+        logits = rng.normal(0, 3, (2, 4, 3, 3))
+        targets = rng.integers(0, 4, (2, 3, 3))
+        mask = rng.random((2, 1, 3, 3)) < 0.7
+        cells = np.arange(2).reshape(2, 1, 1) * 4 * 9 + np.arange(9).reshape(3, 3)
+        return logits, targets, mask, (cells + targets * 9).ravel()
+
+    def test_value_is_the_masked_mean_of_logsumexp_minus_target(self):
+        rng = np.random.default_rng(41)
+        logits, targets, mask, positions = self.planes_case(rng)
+        value, probs = cross_entropy_forward(logits, positions, mask, int(mask.sum()), axis=-3)
+        lse = np.log(np.exp(logits).sum(axis=-3))
+        picked = np.take_along_axis(logits, targets[:, None], axis=-3)[:, 0]
+        assert value == pytest.approx((lse - picked)[mask[:, 0]].mean(), rel=1e-13)
+        np.testing.assert_allclose(probs, np.exp(logits) / np.exp(logits).sum(axis=-3, keepdims=True),
+                                   rtol=1e-13)
+
+    def test_gradient_is_softmax_minus_onehot_over_the_count(self):
+        rng = np.random.default_rng(43)
+        logits, targets, mask, positions = self.planes_case(rng)
+        count = int(mask.sum())
+        _, probs = cross_entropy_forward(logits, positions, mask, count, axis=-3)
+        onehot = np.moveaxis(np.eye(4)[targets], -1, 1)
+        np.testing.assert_allclose(cross_entropy_backward(probs, positions, mask, count, 2.0),
+                                   (probs - onehot) * mask * 2.0 / count, rtol=1e-15, atol=1e-17)
+
+    def test_no_underflow_at_a_large_gap(self):
+        logits = np.array([[800.0, 0.0, 0.0]])
+        value, _ = cross_entropy_forward(logits, np.array([1]), np.ones((1, 1), bool), 1)
+        assert value == 800.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_in_a_masked_slice_makes_the_value_nan(self, bad):
+        logits = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 0.0]])
+        logits[1, 2] = bad
+        mask = np.array([[True], [False]])
+        with np.errstate(invalid="ignore"):
+            value, _ = cross_entropy_forward(logits, np.array([0, 3]), mask, 1)
+        assert np.isnan(value)
 
 
 class TestTensorBasics:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import aste.model
+import aste.parser
 import aste.training
 from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
 from aste.model import BatchForward, TripletModel
 from aste.data import Sentence, Span, Triplet, Vocabulary
-from aste.numerics import Tensor, grad_check
+from aste.numerics import Tensor, checked_once, cross_entropy_forward, grad_check, no_grad
 from aste.parser import ParserConfig, build_gold
 from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
@@ -99,6 +100,104 @@ class TestJointLoss:
         masks = BatchMasks(np.array([True, False]), np.array([True]))
         tagging, _, _ = joint_loss(pred, gold, masks)
         assert abs(tagging.item()) <= 1e-12
+
+
+class TestLossFromLogits:
+    """The training step's loss node reads logits, not probabilities."""
+
+    @staticmethod
+    def model_and_batch(kind=RELATIVE):
+        corpus = learnable_corpus(12, seed=5)
+        vocab = Vocabulary.build(corpus.train)
+        model = TripletModel(tiny_encoder_config(kind, vocab=len(vocab)), tiny_parser_config(),
+                             vocab, seed=3)
+        by_length = {len(s): s for s in corpus.train}
+        batch = list(by_length.values())[:3]
+        assert len({len(s) for s in batch}) == 3
+        return model, batch
+
+    @staticmethod
+    def reference_loss(model, batch):
+        """Tagging plus parsing loss of the batch from the heads' logits,
+        each cell's ``logsumexp - x_target`` averaged over the real cells,
+        in plain numpy from the encoder's states."""
+        ids = [model.vocab.encode(s.tokens) for s in batch]
+        h = model.encoder.encode(ids, model.batch_distances(batch)).content.data
+        p = {name: t.data for name, t in model.parser.params.items()}
+
+        def mean_nll(logits, targets, mask):
+            top = logits.max(axis=-1, keepdims=True)
+            lse = (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))[..., 0]
+            picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+            return (lse - picked)[mask].mean()
+
+        inputs = prepare_batch(model, batch)
+        gold, masks = inputs.gold, inputs.masks
+        total = 0.0
+        for which, targets in (("aspect", gold.aspect), ("opinion", gold.opinion)):
+            inner = np.maximum(h @ p[f"{which}_w1"] + p[f"{which}_b1"], 0.0)
+            total += mean_nll(inner @ p[f"{which}_w2"] + p[f"{which}_b2"], targets, masks.tokens)
+        head = np.maximum(h @ p["pair_head_w1"] + p["pair_head_b1"], 0.0)
+        dep = np.maximum(h @ p["pair_dep_w1"] + p["pair_dep_b1"], 0.0)
+        logits = (np.einsum("bip,cpq,bjq->bijc", head, p["pair_bil"], dep)
+                  + (head @ p["pair_head_w2"])[:, :, None, :]
+                  + (dep @ p["pair_dep_w2"])[:, None, :, :] + p["pair_b2"])
+        return total + mean_nll(logits, gold.relations, masks.cells)
+
+    def test_a_gold_label_of_probability_zero_costs_its_logit_gap(self):
+        """With ``pair_b2`` at [800, 0, 0, 0] every logit is finite but a
+        sentiment label's probability underflows to 0.0. The checked step
+        still gives a finite loss, the logsumexp one, and a finite
+        gradient norm, instead of a diverged run."""
+        model, batch = self.model_and_batch()
+        model.parser.params["pair_b2"].data[...] = [800.0, 0.0, 0.0, 0.0]
+        inputs = prepare_batch(model, batch)
+        sentiment = (inputs.gold.relations[inputs.masks.cells] != 0).mean()
+        assert sentiment > 0
+        with no_grad():
+            probs = model.forward(batch).relations.data
+        assert (probs[..., 1:] == 0.0).all()
+        groups = model.param_groups()
+        tagging, parsing, total, norm = checked_once(
+            lambda: aste.training._step(model, groups, batch, inputs, 1.0),
+            aste.training._step_results)
+        # Each sentiment cell costs its gap of about 800, the others nothing.
+        assert parsing == pytest.approx(800.0 * sentiment, rel=1e-3)
+        assert total == pytest.approx(self.reference_loss(model, batch), rel=1e-12)
+        assert total == tagging + parsing
+        assert np.isfinite(norm) and norm > 0.0
+
+    @pytest.mark.parametrize("head_axis", [-1, -3], ids=["taggers", "pair scorer"])
+    def test_nan_logit_in_a_padded_cell_fails_train(self, head_axis, monkeypatch):
+        """A NaN logit planted in the padded cells of one head inside the
+        loss node, where its weight is 0, turns the node's value NaN, so
+        training fails with the same message under per-op checks and under
+        ``checked_once``."""
+        planted = []
+
+        def planting(logits, positions, mask, count, axis=-1):
+            if axis == head_axis:
+                padded = np.broadcast_to(~mask, logits.shape)
+                planted.append(padded.any())
+                logits = np.where(padded, np.nan, logits)
+            return cross_entropy_forward(logits, positions, mask, count, axis)
+
+        monkeypatch.setattr(aste.parser, "cross_entropy_forward", planting)
+        corpus = learnable_corpus(12, seed=5)
+        config = TrainConfig(base_lr=1e-3, batch_size=6, max_epochs=1, patience=1, seed=2)
+
+        def run():
+            train(corpus, tiny_encoder_config(RELATIVE), tiny_parser_config(), config)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aste.training, "checked_once", lambda compute, boundary: compute())
+            with pytest.raises(TrainingDivergedError) as expected:
+                run()
+        with pytest.raises(TrainingDivergedError) as found:
+            run()
+        assert any(planted)
+        assert "joint_loss produced non-finite values" in str(expected.value)
+        assert str(found.value) == str(expected.value)
 
 
 class TestSchedule:
@@ -562,8 +661,8 @@ class TestBatching:
 
 class TestDegenerateBatches:
     """Batches at the edges of what a padded batch holds. The all-empty
-    training batch has a loss of 0 built from constants only, so backward
-    starts from a root whose parents carry no tape."""
+    training batch has a loss of 0 over empty logits, and its backward
+    runs over empty arrays."""
 
     LONGEST = tiny_encoder_config().max_len - 2
     CASES = {"all-empty": [0, 0, 0], "single-token": [1], "longest": [LONGEST],
