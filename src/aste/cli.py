@@ -5,12 +5,15 @@ Subcommands: ``preprocess``, ``convert``, ``split``, ``stats``, ``train``,
 come from a flat JSON config file; command-line flags win over the file,
 and the fully resolved config is echoed into the output directory so a
 run is reproducible from its artifacts alone. Exit codes: 0 success,
-1 validation failure, 2 usage error.
+1 validation failure, 2 usage error. Each command first asks glibc's
+malloc to keep freed heap pages (``_keep_freed_heap``), so a training step
+does not fault back in the memory the previous step freed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import replace
@@ -360,7 +363,39 @@ _COMMANDS = {
 }
 
 
+# mallopt(3) parameters and the values glibc's dynamic rule converges to on
+# 64-bit: blocks up to 32 MiB come from the heap (M_MMAP_THRESHOLD), and
+# free leaves up to 64 MiB free at its top (M_TRIM_THRESHOLD).
+_MALLOC_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _libc_mallopt():
+    """glibc's ``int mallopt(int, int)``, or None where the C library has
+    none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_heap() -> None:
+    """Fix both malloc thresholds up front. A training step frees its whole
+    tape at once; left to its dynamic rule, glibc hands the free top of the
+    heap back to the kernel, and the next step faults the same pages back
+    in, zero-filled. Setting either threshold switches off the dynamic
+    adjustment of the other, so both are set. Where the C library has no
+    ``mallopt``, this does nothing."""
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        for param, value in _MALLOC_SETTINGS:
+            mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_arg_parser().parse_args(argv)
     try:
         # Every numeric failure is reported below naming the op that made

@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, exit codes, artifact layout."""
 
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +278,24 @@ class TestTrainEvalDecode:
         ):
             record = parse_record(line)
             assert set(record.triplets) == model.predict(sentence)
+
+    def test_same_outputs_where_the_c_library_has_no_mallopt(self, capsys, monkeypatch,
+                                                             corpus_files, tmp_path):
+        train, dev = corpus_files
+
+        def outputs(out_dir):
+            trained = run(capsys, *self.train_args(train, dev, out_dir))
+            decoded = run(capsys, "decode", "--weights", str(out_dir / "weights.bin"),
+                          "--input", str(dev), "--out", str(out_dir / "decoded.jsonl"))
+            files = [(out_dir / name).read_bytes()
+                     for name in ("history.tsv", "weights.bin", "decoded.jsonl")]
+            return trained, decoded, files
+
+        tuned = outputs(tmp_path / "tuned")
+        monkeypatch.setattr(aste.cli, "_libc_mallopt", lambda: None)
+        plain = outputs(tmp_path / "plain")
+        assert tuned[0][0] == tuned[1][0] == 0
+        assert plain == tuned
 
     def test_overlong_sentence_rejected_before_any_output(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files
@@ -574,3 +597,54 @@ class TestDecodeRecords:
             assert (code, out) == (1, "")
             assert err == "aste: tagger produced non-finite values\n"
         assert [str(w.message) for w in caught] == []
+
+
+# Runs ``aste train`` three times in one process; prints each run's exit
+# code and the minor page faults it took.
+REPEATED_TRAIN = """
+import contextlib, io, resource, sys
+from aste.cli import main
+
+train, dev, out = sys.argv[1:]
+for run in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--train", train, "--dev", dev, "--out", f"{out}/{run}",
+                     "--adapter", "rel", "--batch-size", "4", "--max-epochs", "3",
+                     "--patience", "3"])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestFreedHeapKept:
+    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are set through glibc's mallopt")
+    def test_repeat_training_faults_in_almost_no_pages(self, tmp_path):
+        """Left to glibc's dynamic trim threshold, each step gives the freed
+        top of the heap back to the kernel and faults it in again: thousands
+        of minor faults per repeat run of this corpus. Run in a fresh process
+        so the test process's own heap does not count."""
+        sentences = [Sentence(tokens=s.tokens * 3, triplets=s.triplets)
+                     for s in random_gold_sentences(12, seed=0)]
+        write_corpus_file(tmp_path / "train.jsonl", sentences[:8])
+        write_corpus_file(tmp_path / "dev.jsonl", sentences[8:])
+        src = str(Path(aste.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", REPEATED_TRAIN, str(tmp_path / "train.jsonl"),
+             str(tmp_path / "dev.jsonl"), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True)
+        runs = [tuple(map(int, line.split())) for line in result.stdout.splitlines()]
+        assert [code for code, _ in runs] == [0, 0, 0]
+        assert runs[2][1] < 500, runs
+
+    @pytest.mark.parametrize("library", ["without_mallopt", "unloadable"])
+    def test_lookup_gives_none_without_glibc(self, monkeypatch, library):
+        def cdll(name):
+            if library == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(aste.cli.ctypes, "CDLL", cdll)
+        assert aste.cli._libc_mallopt() is None
