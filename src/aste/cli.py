@@ -7,7 +7,9 @@ and the fully resolved config is echoed into the output directory so a
 run is reproducible from its artifacts alone. Exit codes: 0 success,
 1 validation failure, 2 usage error. Each command first asks glibc's
 malloc to keep freed heap pages (``_keep_freed_heap``), so a training step
-does not fault back in the memory the previous step freed.
+does not fault back in the memory the previous step freed. ``decode`` and
+``eval`` split their inference batches over every usable core
+(``usable_cores``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +29,7 @@ from .data import (
     Vocabulary,
     _brief,
     convert_triple_format,
+    numbered_lines,
     preprocess,
     read_corpus_file,
     serialize_record,
@@ -204,8 +208,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        sentences, failures = convert_triple_format(handle)
+    sentences, failures = convert_triple_format(line for _, line in numbered_lines(args.input))
     write_corpus_file(args.out, sentences)
     for failure in failures:
         print(f"convert: {failure}", file=sys.stderr)
@@ -281,16 +284,26 @@ def _read_for_model(path, config: EncoderConfig) -> list:
         else:
             continue
         # Reading skips blank lines, so the record's line is counted again.
-        with open(path, encoding="utf-8") as handle:
-            line_no = [no for no, line in enumerate(handle, start=1) if line.strip()][index]
+        line_no = [no for no, line in numbered_lines(path) if line.strip()][index]
         raise ParseError(line_no, problem)
     return sentences
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: the worker processes ``decode``
+    and ``eval`` split their batches over. 1 where the platform cannot tell
+    or cannot fork."""
+    try:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
+    except (AttributeError, OSError):
+        return 1
 
 
 def _cmd_eval(args) -> int:
     model = TripletModel.load(args.weights)
     sentences = _read_for_model(args.input, model.encoder_config)
-    scores = score_corpus(model.predict_corpus(sentences), [s.triplet_set() for s in sentences])
+    predicted = model.predict_corpus(sentences, processes=usable_cores())
+    scores = score_corpus(predicted, [s.triplet_set() for s in sentences])
     table = (
         "matched\tpredicted\tgold\tprecision\trecall\tf1\n"
         f"{scores.matched}\t{scores.predicted}\t{scores.gold}"
@@ -307,7 +320,7 @@ def _cmd_decode(args) -> int:
     sentences = _read_for_model(args.input, model.encoder_config)
     # Everything is predicted before the output opens, so a failing
     # record leaves no partial file.
-    predicted = model.predict_corpus(sentences)
+    predicted = model.predict_corpus(sentences, processes=usable_cores())
     with open(args.out, "w", encoding="utf-8") as handle:
         for sentence, triplets in zip(sentences, predicted):
             record = type(sentence)(

@@ -190,13 +190,23 @@ def serialize_record(sentence: Sentence) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-def read_corpus_file(path) -> list[Sentence]:
-    sentences = []
-    with open(path, encoding="utf-8") as handle:
+def numbered_lines(path):
+    """``(line number, line)`` for every line of a UTF-8 text file, blank
+    lines counted. A line holding bytes that are not UTF-8 raises
+    ParseError naming it, once the lines before it have been read."""
+    # surrogateescape keeps each undecodable byte as a lone surrogate in
+    # its own line, where encoding the line back finds it.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if line.strip():
-                sentences.append(parse_record(line, line_no))
-    return sentences
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(line_no, "the line is not UTF-8 text") from None
+            yield line_no, line
+
+
+def read_corpus_file(path) -> list[Sentence]:
+    return [parse_record(line, line_no) for line_no, line in numbered_lines(path) if line.strip()]
 
 
 def write_corpus_file(path, sentences) -> None:

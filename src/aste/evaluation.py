@@ -102,6 +102,11 @@ RATIO_CAVEAT = (
 )
 
 
+# Shortest timed region of a benchmark: below it, timer and scheduler noise
+# swing the relative method's reading by a third between identical runs.
+MIN_TIMED_S = 0.05
+
+
 @dataclass
 class BenchReport:
     method: str
@@ -135,7 +140,9 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
     """Single-threaded throughput of one derivation method.
 
     Inputs (including the random dependency trees) are generated before
-    the timed region; three untimed warm-up repetitions run first.
+    the timed region; three untimed warm-up repetitions run first. The
+    ``repetitions`` jobs are timed in as many whole passes as it takes to
+    fill ``MIN_TIMED_S``, and the report gives the time of one pass.
     """
     if n < 2:
         raise ValidationError("need at least two tokens")
@@ -156,12 +163,14 @@ def bench_distance(method: str, n: int, repetitions: int, seed: int = 0,
         raise ValidationError(f"unknown benchmark method {method!r}")
     for job in jobs[:3]:
         job()
-    start = time.perf_counter()
-    for job in jobs:
-        job()
+    passes, start = 0, time.perf_counter()
+    while time.perf_counter() - start < MIN_TIMED_S:
+        for job in jobs:
+            job()
+        passes += 1
     elapsed = time.perf_counter() - start
     return BenchReport(
         method=method,
         tokens_processed=repetitions * n,
-        elapsed_ms=elapsed * 1000.0,
+        elapsed_ms=elapsed * 1000.0 / passes,
     )

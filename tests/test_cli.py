@@ -184,6 +184,29 @@ class TestDataCommands:
             assert re.match(f"aste: line 2: {message}", err) and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, capsys, tmp_path):
+        """A line holding bytes that are not UTF-8 fails ``stats``,
+        ``decode`` and ``convert`` with its line number, blank lines
+        counted, exit 1 and no output; for ``decode`` it fails in the
+        reading, before the model's limits are checked against the file."""
+        good = b'{"tokens": ["the", "soup", "was", "hot"], "heads": [-1, 0, 1, 2]}'
+        source = tmp_path / "in.jsonl"
+        source.write_bytes(good + b"\n\n" + good + b"\n" + b'{"tokens": ["caf\xe9"]}\n')
+        code, out, err = run(capsys, "stats", "--train", str(source))
+        assert (code, out, err) == (1, "", "aste: line 4: the line is not UTF-8 text\n")
+        weights, _ = TestDecodeRecords.weights(tmp_path, DEPENDENCY)
+        decoded = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "decode", "--weights", str(weights),
+                             "--input", str(source), "--out", str(decoded))
+        assert (code, out, err) == (1, "", "aste: line 4: the line is not UTF-8 text\n")
+        assert not decoded.exists()
+        triples = tmp_path / "triples.txt"
+        triples.write_bytes(b"Great food ####[([1], [0], 'POS')]\n\xff\xfe ####[]\n")
+        converted = tmp_path / "canonical.jsonl"
+        code, out, err = run(capsys, "convert", "--input", str(triples), "--out", str(converted))
+        assert (code, out, err) == (1, "", "aste: line 2: the line is not UTF-8 text\n")
+        assert not converted.exists()
+
 
 class TestBenchCommand:
     def test_both_methods_with_caveat(self, capsys):

@@ -1,5 +1,6 @@
 """Records, preprocessing, splitting, vocabulary, statistics."""
 
+import itertools
 import json
 
 import numpy as np
@@ -20,8 +21,10 @@ from aste.data import (
     Triplet,
     Vocabulary,
     convert_triple_format,
+    numbered_lines,
     parse_record,
     preprocess,
+    read_corpus_file,
     serialize_record,
     split_corpus,
     stats,
@@ -213,6 +216,43 @@ class TestParseRecordFuzz:
     @given(records(LARGE_VALUES))
     def test_damaged_records_with_large_values(self, record):
         assert_sentence_or_parse_error(json.dumps(record))
+
+
+class TestNonUtf8Lines:
+    VALID = b'{"tokens": ["a", "b"]}'
+
+    def test_arbitrary_byte_lines(self, tmp_path):
+        """Lines of arbitrary bytes, valid records and blank lines: reading
+        either gives a sentence per non-blank line or raises ParseError, and
+        when the first non-blank line that is not a valid record is not
+        UTF-8, the error names that line."""
+        # \r and \n end lines in text mode; they only separate lines here.
+        line = st.binary(max_size=12).map(lambda raw: raw.replace(b"\n", b"").replace(b"\r", b""))
+        names = itertools.count()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(st.lists(st.one_of(st.just(self.VALID), st.just(b""), line), max_size=8))
+        def check(lines):
+            # A fresh file per example: replacing one file is slow on some
+            # file systems.
+            path = tmp_path / f"{next(names)}.jsonl"
+            path.write_bytes(b"".join(raw + b"\n" for raw in lines))
+            blank = [not raw.decode("utf-8", "surrogateescape").strip() for raw in lines]
+            first_bad = next((no for no, raw in enumerate(lines, start=1)
+                              if not blank[no - 1] and raw != self.VALID), None)
+            try:
+                sentences = read_corpus_file(path)
+            except ParseError as exc:
+                assert exc.line_no == first_bad
+                try:
+                    lines[first_bad - 1].decode("utf-8")
+                except UnicodeDecodeError:
+                    assert str(exc) == f"line {first_bad}: the line is not UTF-8 text"
+                return
+            assert len(sentences) == blank.count(False)
+            assert [no for no, _ in numbered_lines(path)] == list(range(1, len(lines) + 1))
+
+        check()
 
 
 class TestRoundTrip:

@@ -1,11 +1,14 @@
 """Exact-match metrics, aggregation, and the throughput benchmark."""
 
+import time
+
 import numpy as np
 import pytest
 
 from aste.data import Span, Triplet
 from aste.errors import ValidationError
 from aste.evaluation import (
+    MIN_TIMED_S,
     RATIO_CAVEAT,
     MatchScores,
     aggregate,
@@ -114,6 +117,16 @@ class TestBench:
         assert rel.tokens_per_ms > 0
         assert dep.tokens_per_ms > 0
         assert rel.tokens_processed == dep.tokens_processed == 640
+
+    def test_timed_region_spans_whole_passes_of_at_least_the_minimum(self):
+        """A derivation too quick to time once is timed over repeated whole
+        passes; the report gives one pass's tokens and time."""
+        start = time.perf_counter()
+        rel = bench_distance("relative", 16, 3)
+        wall = time.perf_counter() - start
+        assert wall >= MIN_TIMED_S
+        assert rel.tokens_processed == 48
+        assert rel.elapsed_ms < 1000.0 * MIN_TIMED_S / 2
 
     def test_relative_faster_at_128(self):
         rel = bench_distance("relative", 128, 30)

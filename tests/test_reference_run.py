@@ -6,6 +6,7 @@ fails here, whatever node it touched."""
 import numpy as np
 import pytest
 
+import aste.cli
 from reference_run import KINDS, NUMPY_VERSION, OUTPUTS, REFERENCE, parameters, run
 
 
@@ -29,3 +30,15 @@ def test_train_and_decode_match_the_reference(numpy_matches, tmp_path, kind):
             assert values.shape == reference[name].shape, name
             gap = float(np.max(np.abs(values - reference[name])))
             assert gap <= 1e-12, f"{name} is {gap:.3g} away from the reference"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_decode_on_cores_matches_the_reference(numpy_matches, monkeypatch, tmp_path, kind,
+                                               cores):
+    """The decodes, three inference batches among them, give the
+    reference's bytes in one process and split over two."""
+    monkeypatch.setattr(aste.cli, "usable_cores", lambda: cores)
+    run(kind, REFERENCE, tmp_path)
+    for name in ("decoded.jsonl", "batches_decoded.jsonl"):
+        assert (tmp_path / name).read_bytes() == (REFERENCE / kind / name).read_bytes(), name
