@@ -1,6 +1,6 @@
 """Fit the full model on a small synthetic corpus and inspect the result.
 
-Takes roughly half a minute. Run:  python demos/04_train_synthetic.py
+Takes about a second. Run:  python demos/04_train_synthetic.py
 """
 
 from aste.encoder import EncoderConfig

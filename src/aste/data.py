@@ -315,6 +315,8 @@ def split_corpus(sentences, seed: int, name: str = "corpus") -> Corpus:
     Split sizes use largest-remainder rounding so they always sum to the
     corpus size.
     """
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     sentences = list(sentences)
     if len(sentences) < 10:
         raise ValidationError("need at least 10 examples to split")

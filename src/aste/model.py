@@ -22,7 +22,6 @@ import signal
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
@@ -73,24 +72,10 @@ class BatchHidden:
     """The (B, n, dim) content states of one padded training pass and the
     parser that reads them. ``training.joint_loss`` runs the heads and
     their loss on them as one node (``TripletParser.loss``), so a step
-    builds no distributions. A caller that reads ``aspect``, ``opinion``
-    or ``relations`` gets the probability node of that head on the same
-    states, built on first read."""
+    builds no distributions."""
 
     hidden: Tensor
     parser: TripletParser
-
-    @cached_property
-    def aspect(self) -> Tensor:
-        return self.parser.tag_probs(self.hidden, "aspect")
-
-    @cached_property
-    def opinion(self) -> Tensor:
-        return self.parser.tag_probs(self.hidden, "opinion")
-
-    @cached_property
-    def relations(self) -> Tensor:
-        return self.parser.relation_probs(self.hidden)
 
 
 class TripletModel:
@@ -200,8 +185,6 @@ class TripletModel:
                 batch, distances = batches[number]
                 rows = [sentences[i] for i in batch]
                 try:
-                    if distances is None:
-                        distances = self.batch_distances(rows)
                     forward = checked_once(lambda: self.forward(rows, distances), _outputs)
                 except Exception as exc:
                     # Held, not raised: the caller raises the failure of the

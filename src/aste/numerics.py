@@ -14,10 +14,9 @@ and backward pairs here: ``affine_forward``/``affine_backward``,
 ``cross_entropy_forward``/``cross_entropy_backward`` and
 ``layer_norm_forward``/``layer_norm_backward``, plus
 ``carry_non_finite``. The general ops are basic indexing, which the
-model applies between the nodes, ``cross_entropy`` over probabilities
-and ``+``, for a loss over distributions (``joint_loss`` of a
-``BatchForward``), and the few more the gradient checks compose (``*``,
-``reshape`` and ``sum``).
+model applies between the nodes, and the few the gradient checks
+compose: ``cross_entropy`` over probabilities, ``+``, ``*``, ``reshape``
+and ``sum``.
 
 All data is float64. By default every public op validates that its result
 is finite, so a numerical blow-up surfaces at the op that produced it
@@ -41,11 +40,7 @@ always did, bit for bit. The loss node leaves out masked cells and every
 class but the target, so ``cross_entropy_forward`` multiplies each
 cell's loss by its mask instead of selecting the kept cells, and NaN in a
 masked cell reaches the sum; a -inf logit, which a softmax gives weight 0
-without a NaN, turns the sum NaN through ``0.0 * min``. Values that
-``cross_entropy`` over probabilities leaves out come back through the
-backward pass: the heads end in a softmax, whose backward multiplies
-every probability into the gradient, so a NaN there makes the gradient
-norm NaN.
+without a NaN, turns the sum NaN through ``0.0 * min``.
 """
 
 from __future__ import annotations

@@ -213,23 +213,24 @@ class TripletParser:
 
     # -- loss ------------------------------------------------------------------
 
-    def loss(self, hidden: Tensor, targets: LossTargets) -> tuple[Tensor, float, float]:
-        """The joint loss of the three heads on (..., n, dim) hidden states
-        as one node, from logits, with its tagging and parsing parts.
+    def loss(self, hidden: Tensor, gold: GoldPositions,
+             masks: LossMasks) -> tuple[float, float, Tensor]:
+        """The tagging and parsing losses of the three heads on (..., n, dim)
+        hidden states, and their sum as one node, from logits.
 
         Each head's loss is ``cross_entropy_forward`` of its logits, the
         taggers' (N, 3) rows and the pair scorer's (..., 4, n, n) label
-        planes, at the positions and over the masks of ``targets``.
-        Tagging is the sum of the two taggers' losses, and the node's
-        value is tagging plus parsing. Its backward starts each head at
+        planes, at the positions of ``gold`` and over ``masks``. Tagging
+        is the sum of the two taggers' losses, and the node's value is
+        tagging plus parsing. Its backward starts each head at
         ``(softmax - onehot) * mask * g / count`` and runs the head's
         logit-side backward; the three gradients of the rows add up."""
         rows = self._rows(hidden)
         heads = [self._tag_logits(rows, "aspect"), self._tag_logits(rows, "opinion"),
                  self._pair_planes(rows, hidden.shape[:-1])]
-        reads = [(targets.aspect, targets.tokens, targets.token_count),
-                 (targets.opinion, targets.tokens, targets.token_count),
-                 (targets.relations, targets.cells, targets.cell_count)]
+        reads = [(gold.aspect, masks.tokens, masks.token_count),
+                 (gold.opinion, masks.tokens, masks.token_count),
+                 (gold.relations, masks.cells, masks.cell_count)]
         values, probs = zip(*(cross_entropy_forward(logits, *read, axis=axis)
                               for (logits, _, _), read, axis in zip(heads, reads, (-1, -1, -3))))
         tagging, parsing = values[0] + values[1], values[2]
@@ -243,38 +244,51 @@ class TripletParser:
             return [(hidden, d_rows.reshape(hidden.shape))] + parts
 
         params = [param for _, _, head_params in heads for param in head_params]
-        return (Tensor(tagging + parsing, _parents=(hidden, *params), _backward=back,
-                       _op="joint_loss"), float(tagging), float(parsing))
+        return float(tagging), float(parsing), Tensor(
+            tagging + parsing, _parents=(hidden, *params), _backward=back, _op="joint_loss")
 
 
 @dataclass(frozen=True)
-class LossTargets:
+class GoldPositions:
     """A padded batch's gold labels as ``TripletParser.loss`` reads them:
     the flat position of each cell's gold logit in the taggers' (N, 3)
-    logit rows and in the pair scorer's (..., 4, n, n) label planes, the
-    token and cell masks shaped to broadcast against those logits, and
-    their counts of real cells."""
+    logit rows and in the pair scorer's (..., 4, n, n) label planes."""
 
     aspect: np.ndarray
     opinion: np.ndarray
     relations: np.ndarray
+
+    @classmethod
+    def build(cls, aspect, opinion, relations) -> GoldPositions:
+        """From the (..., n) tag and (..., n, n) relation class indices of
+        the padded batch."""
+        *lead, n = np.shape(aspect)
+        tag_rows = np.arange(math.prod(lead) * n).reshape(*lead, n) * len(TAGS)
+        planes = np.arange(math.prod(lead)).reshape(*lead, 1, 1) * len(REL_LABELS)
+        within = np.arange(n * n).reshape(n, n)
+        return cls(aspect=(tag_rows + aspect).ravel(), opinion=(tag_rows + opinion).ravel(),
+                   relations=((planes + relations) * (n * n) + within).ravel())
+
+
+@dataclass(frozen=True)
+class LossMasks:
+    """A padded batch's token and cell masks as ``TripletParser.loss``
+    reads them: shaped to broadcast against the taggers' (N, 3) logit rows
+    and the pair scorer's (..., 4, n, n) label planes, with their counts
+    of real cells."""
+
     tokens: np.ndarray
     cells: np.ndarray
     token_count: int
     cell_count: int
 
     @classmethod
-    def build(cls, aspect, opinion, relations, tokens, cells) -> LossTargets:
-        """From (..., n) tag and (..., n, n) relation class indices and the
-        (..., n) token and (..., n, n) cell masks of the padded batch."""
-        tokens, cells = np.asarray(tokens, dtype=bool), np.asarray(cells, dtype=bool)
-        *lead, n = tokens.shape
-        tag_rows = np.arange(tokens.size).reshape(tokens.shape) * len(TAGS)
-        planes = np.arange(math.prod(lead)).reshape(*lead, 1, 1) * len(REL_LABELS)
-        within = np.arange(n * n).reshape(n, n)
-        return cls(aspect=(tag_rows + aspect).ravel(), opinion=(tag_rows + opinion).ravel(),
-                   relations=((planes + relations) * (n * n) + within).ravel(),
-                   tokens=tokens.reshape(-1, 1), cells=cells[..., None, :, :],
+    def build(cls, tokens) -> LossMasks:
+        """From the (..., n) token mask of the padded batch; a cell is real
+        when both its tokens are."""
+        tokens = np.asarray(tokens, dtype=bool)
+        cells = tokens[..., :, None] & tokens[..., None, :]
+        return cls(tokens=tokens.reshape(-1, 1), cells=cells[..., None, :, :],
                    token_count=int(tokens.sum()), cell_count=int(cells.sum()))
 
 

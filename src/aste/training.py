@@ -20,9 +20,9 @@ from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig, EncoderInputs
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
-from .model import BatchForward, BatchHidden, TripletModel
-from .numerics import ParamGroup, Tensor, checked_once, cross_entropy
-from .parser import LossTargets, ParserConfig, build_gold
+from .model import BatchHidden, TripletModel
+from .numerics import ParamGroup, Tensor, checked_once
+from .parser import GoldPositions, LossMasks, ParserConfig, build_gold
 from .structure import NONE
 
 LR_GRID = (1e-5, 2e-5, 3e-5, 5e-5)
@@ -96,78 +96,54 @@ class TrainHistory:
 # -- loss -----------------------------------------------------------------
 
 
-@dataclass
-class BatchTargets:
-    """Tag and relation class indices, shaped like the predictions without
-    their trailing class axis. ``loss`` is the same labels with the
-    batch's masks as ``TripletParser.loss`` reads them, for the loss of a
-    training pass; ``prepare_batch`` fills it."""
-
-    aspect: np.ndarray
-    opinion: np.ndarray
-    relations: np.ndarray
-    loss: LossTargets | None = None
-
-
-@dataclass
-class BatchMasks:
-    tokens: np.ndarray
-    cells: np.ndarray
-
-
-def joint_loss(pred: BatchHidden | BatchForward, gold: BatchTargets,
-               masks: BatchMasks) -> tuple[Tensor, Tensor, Tensor]:
+def joint_loss(pred: BatchHidden, gold: GoldPositions,
+               masks: LossMasks) -> tuple[float, float, Tensor]:
     """Tagging loss, parsing loss, and their sum, padding masked out: each
-    head's mean negative log likelihood over its unmasked cells. A
-    training pass (``BatchHidden``) gives one node, the heads and their
-    loss from logits, and the two parts as tensors without a tape; the
-    distributions of a ``BatchForward`` go through three ``cross_entropy``
-    nodes and two adds."""
-    if isinstance(pred, BatchHidden):
-        total, tagging, parsing = pred.parser.loss(pred.hidden, gold.loss)
-        return Tensor(tagging), Tensor(parsing), total
-    tagging = cross_entropy(pred.aspect, gold.aspect, masks.tokens) \
-        + cross_entropy(pred.opinion, gold.opinion, masks.tokens)
-    parsing = cross_entropy(pred.relations, gold.relations, masks.cells)
-    return tagging, parsing, tagging + parsing
+    head's mean negative log likelihood over its unmasked cells. The sum
+    is one node, the heads and their loss from logits
+    (``TripletParser.loss``); the two parts are plain floats."""
+    return pred.parser.loss(pred.hidden, gold, masks)
 
 
-@dataclass
-class BatchInputs:
-    """What training reads of a batch besides the weights: the encoder's
-    ids, key mask and distance index (``Encoder.prepare``), and (B, n)
-    token and (B, n, n) pair gold targets and masks, padded like the
-    predictions. Fixed for a fixed batch, so training derives them once."""
-
-    encoder: EncoderInputs
-    gold: BatchTargets
-    masks: BatchMasks
-
-
-def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
+def padded_gold(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, n) aspect and opinion tag and (B, n, n) relation class
+    indices of ``build_gold`` for a batch padded to its longest sentence,
+    and its (B, n) token mask."""
     longest = max(len(s) for s in sentences)
-    # Class indices below 4: int8 keeps training's copy of every batch small.
-    aspect = np.zeros((len(sentences), longest), dtype=np.int8)
+    aspect = np.zeros((len(sentences), longest), dtype=np.int64)
     opinion = np.zeros_like(aspect)
-    relations = np.zeros((len(sentences), longest, longest), dtype=np.int8)
+    relations = np.zeros((len(sentences), longest, longest), dtype=np.int64)
     tokens = np.zeros(aspect.shape, dtype=bool)
     for b, sentence in enumerate(sentences):
         n = len(sentence)
         aspect[b, :n], opinion[b, :n], relations[b, :n, :n] = build_gold(sentence)
         tokens[b, :n] = True
-    cells = tokens[:, :, None] & tokens[:, None, :]
+    return aspect, opinion, relations, tokens
+
+
+@dataclass
+class BatchInputs:
+    """What training reads of a batch besides the weights: the encoder's
+    ids, key mask and distance index (``Encoder.prepare``), and the gold
+    logit positions and loss masks of ``TripletParser.loss``. Fixed for a
+    fixed batch, so training derives them once."""
+
+    encoder: EncoderInputs
+    gold: GoldPositions
+    masks: LossMasks
+
+
+def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
+    aspect, opinion, relations, tokens = padded_gold(sentences)
     ids = [model.vocab.encode(s.tokens) for s in sentences]
-    return BatchInputs(
-        encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
-        gold=BatchTargets(aspect, opinion, relations,
-                          LossTargets.build(aspect, opinion, relations, tokens, cells)),
-        masks=BatchMasks(tokens=tokens, cells=cells),
-    )
+    return BatchInputs(encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
+                       gold=GoldPositions.build(aspect, opinion, relations),
+                       masks=LossMasks.build(tokens))
 
 
 def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
     """One padded training pass over the batch up to the parser's heads,
-    with its gold targets and masks. ``inputs`` is the batch's
+    with its gold positions and loss masks. ``inputs`` is the batch's
     ``prepare_batch``, derived here when not given."""
     if inputs is None:
         inputs = prepare_batch(model, sentences)
@@ -287,9 +263,9 @@ def _step(model: TripletModel, groups, sentences, inputs: BatchInputs,
     pred, gold, masks = assemble_batch(model, sentences, inputs)
     tagging, parsing, total = joint_loss(pred, gold, masks)
     if not np.isfinite(total.data):
-        return tagging.item(), parsing.item(), total.item(), 0.0
+        return tagging, parsing, total.item(), 0.0
     total.backward()
-    return tagging.item(), parsing.item(), total.item(), clip_gradients(groups, clip_norm)
+    return tagging, parsing, total.item(), clip_gradients(groups, clip_norm)
 
 
 def _step_results(result):

@@ -116,6 +116,15 @@ class TestDataCommands:
         assert sizes == {"train": "28", "dev": "4", "test": "8"}
         assert len(read_corpus_file(out_dir / "train.jsonl")) == 28
 
+    def test_negative_seed_exits_1_before_any_output(self, capsys, tmp_path):
+        full = tmp_path / "full.jsonl"
+        write_corpus_file(full, random_gold_sentences(20, seed=1))
+        out_dir = tmp_path / "splits"
+        code, out, err = run(capsys, "split", "--input", str(full),
+                             "--out-dir", str(out_dir), "--seed", "-1")
+        assert (code, out, err) == (1, "", "aste: seed must be non-negative\n")
+        assert not out_dir.exists()
+
     def test_stats_table(self, capsys, corpus_files):
         train, dev = corpus_files
         code, out, _ = run(capsys, "stats", "--train", str(train), "--dev", str(dev))
@@ -223,6 +232,12 @@ class TestBenchCommand:
         assert code == 0
         assert out.splitlines()[1].startswith("relative")
 
+
+    @pytest.mark.parametrize("method", ["rel", "dep"])
+    def test_negative_seed_exits_1(self, capsys, method):
+        code, out, err = run(capsys, "bench", "--method", method, "--length", "16",
+                             "--reps", "2", "--seed", "-1")
+        assert (code, out, err) == (1, "", "aste: seed must be non-negative\n")
 
     @pytest.mark.parametrize("tau", ["0", "-2"])
     def test_non_positive_tau_exits_1(self, capsys, tau):

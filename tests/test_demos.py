@@ -1,8 +1,4 @@
-"""The quick demos run to completion against the current public API.
-
-``04_train_synthetic.py`` trains for about half a minute and is left to
-the learnability tests.
-"""
+"""Every demo runs to completion against the current public API."""
 
 import contextlib
 import io
@@ -14,12 +10,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", [
-    "01_distance_structures.py",
-    "02_attention_bias.py",
-    "03_grid_decoding.py",
-    "05_parameter_accounting.py",
-])
+@pytest.mark.parametrize("name", [path.name for path in sorted(DEMOS.glob("*.py"))])
 def test_demo_runs(name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

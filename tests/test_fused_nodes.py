@@ -24,13 +24,13 @@ from aste.data import Sentence, Vocabulary
 from aste.encoder import EncoderConfig
 from aste.model import BatchForward, TripletModel
 from aste.errors import NumericError
-from aste.numerics import (ParamGroup, Tensor, grad_check, layer_norm_backward,
+from aste.numerics import (ParamGroup, Tensor, cross_entropy, grad_check, layer_norm_backward,
                            layer_norm_forward)
 from aste.parser import ParserConfig
 from aste.structure import (DEPENDENCY, NONE, RELATIVE, StructureConfig,
                             augmented_distance_matrix, distances_to_indices, random_tree_heads)
 from aste.synth import learnable_corpus
-from aste.training import assemble_batch, joint_loss, prepare_batch
+from aste.training import assemble_batch, joint_loss, padded_gold, prepare_batch
 from reference_ops import layer_norm, matmul, relu, softmax, swapaxes, take_rows
 
 TAU = 4
@@ -146,22 +146,34 @@ def scaled_model(kind, vocab, seed=5):
 
 
 def losses_and_gradients(model, losses):
-    """The tagging, parsing and total losses of ``losses()`` and every
-    parameter's gradient after a backward pass from the total."""
+    """The tagging, parsing and total losses of ``losses()``, in the form
+    ``joint_loss`` returns them, and every parameter's gradient after a
+    backward pass from the total."""
     model.zero_grad()
-    losses = losses()
-    losses[2].backward()
+    tagging, parsing, total = losses()
+    total.backward()
     # Copies: the gradients are views of the group buffers, which the next
     # backward zeroes and refills.
     grads = {f"{group.name}/{name}": t.grad.copy()
              for group in model.param_groups() for name, t in group.items()}
-    return [loss.item() for loss in losses], grads
+    return [tagging, parsing, total.item()], grads
+
+
+def probability_loss(pred: BatchForward, batch):
+    """The losses of ``joint_loss`` over the distributions of a batch pass:
+    three ``cross_entropy`` nodes over the batch's padded class indices,
+    and two adds. The parts come back as floats, as ``joint_loss`` gives
+    them."""
+    aspect, opinion, relations, tokens = padded_gold(batch)
+    tagging = cross_entropy(pred.aspect, aspect, tokens) \
+        + cross_entropy(pred.opinion, opinion, tokens)
+    parsing = cross_entropy(pred.relations, relations, tokens[:, :, None] & tokens[:, None, :])
+    return tagging.item(), parsing.item(), tagging + parsing
 
 
 def loss_and_gradients(model, batch, forward):
-    inputs = prepare_batch(model, batch)
     pred = forward(model, batch, model.batch_distances(batch))
-    return losses_and_gradients(model, lambda: joint_loss(pred, inputs.gold, inputs.masks))
+    return losses_and_gradients(model, lambda: probability_loss(pred, batch))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -186,12 +198,14 @@ def test_losses_and_gradients_match_the_chain_of_small_nodes(kind):
             assert np.abs(grads[key] - grad).max() <= 1e-12 * scale, key
 
 
-def probability_forward(model, batch, inputs):
-    """The training pass of ``assemble_batch`` with its heads read as the
-    three probability nodes, so ``joint_loss`` takes the ``cross_entropy``
-    path over ``tag_probs`` and ``relation_probs``."""
-    pred, gold, masks = assemble_batch(model, batch, inputs)
-    return BatchForward(pred.aspect, pred.opinion, pred.relations), gold, masks
+def probability_path(model, batch, inputs):
+    """The losses of ``probability_loss`` over the training pass of
+    ``assemble_batch``, its heads read as the three probability nodes
+    ``tag_probs`` and ``relation_probs``."""
+    hidden, parser = assemble_batch(model, batch, inputs)[0].hidden, model.parser
+    pred = BatchForward(parser.tag_probs(hidden, "aspect"), parser.tag_probs(hidden, "opinion"),
+                        parser.relation_probs(hidden))
+    return probability_loss(pred, batch)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -207,7 +221,7 @@ def test_fused_loss_matches_the_probability_path(kind):
         losses, grads = losses_and_gradients(
             model, lambda: joint_loss(*assemble_batch(model, batch, inputs)))
         expected, reference = losses_and_gradients(
-            model, lambda: joint_loss(*probability_forward(model, batch, inputs)))
+            model, lambda: probability_path(model, batch, inputs))
         assert all(np.isfinite(expected))
         for value, want in zip(losses, expected):
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
@@ -389,17 +403,17 @@ def test_nan_in_the_pair_scorer_names_its_node(name, index):
         parser.relation_probs(Tensor(rng.normal(0, 1, (2, 4, parser.dim))))
 
 
-STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "joint_loss", "leaf"}
+STEP_KINDS = {"embedding", "attention", "feed_forward", "getitem", "joint_loss"}
 PREDICT_KINDS = {"embedding", "attention", "feed_forward", "getitem", "tagger", "pair_scorer"}
 
 
 def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
     """Guard against small tape nodes coming back: one training forward,
-    loss and backward on a fixed batch builds 1 tensor for the embedding,
-    2 per layer (the attention and feed-forward sub-layers), 1 for the
-    content view, 1 for the heads and their loss, and 2 tapeless leaves
-    for the loss's tagging and parsing parts; the backward pass builds
-    none. A predict builds 9: the same encoder tensors, 1 per tagger and 1
+    loss and backward on a fixed batch builds 7 tensors: 1 for the
+    embedding, 2 per layer (the attention and feed-forward sub-layers), 1
+    for the content view and 1 for the heads and their loss, whose tagging
+    and parsing parts are floats; the backward pass builds none. A predict
+    builds 9: the same encoder tensors, 1 per tagger and 1
     for the pair scorer. A step builds exactly the op kinds of
     ``STEP_KINDS`` and a predict those of ``PREDICT_KINDS``, with and
     without bias tables, so a new general op on the model's tape fails
@@ -418,7 +432,7 @@ def test_one_training_step_builds_a_fixed_number_of_tensors(monkeypatch):
         total = joint_loss(*assemble_batch(model, sentences[:5]))[2]
         forward_and_loss = len(built)
         total.backward()
-        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 1 + 2 == 9
+        assert forward_and_loss == 1 + 2 * model.encoder_config.layers + 1 + 1 == 7
         assert len(built) == forward_and_loss
         assert built.count("attention") == built.count("feed_forward") == model.encoder_config.layers
         assert set(built) == STEP_KINDS, kind

@@ -11,17 +11,15 @@ import aste.training
 from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
-from aste.model import BatchForward, TripletModel
+from aste.model import BatchHidden, TripletModel
 from aste.data import Sentence, Span, Triplet, Vocabulary
 from aste.numerics import Tensor, checked_once, cross_entropy_forward, grad_check, no_grad
-from aste.parser import ParserConfig, build_gold
+from aste.parser import GoldPositions, LossMasks, ParserConfig, TripletParser, build_gold
 from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
 from aste.training import (
     LR_GRID,
     AdamW,
-    BatchMasks,
-    BatchTargets,
     TrainConfig,
     assemble_batch,
     bucket_batches,
@@ -29,6 +27,7 @@ from aste.training import (
     default_batch_size,
     joint_loss,
     lr_at,
+    padded_gold,
     prepare_batch,
     train,
 )
@@ -48,58 +47,49 @@ def tiny_parser_config():
 
 
 class TestJointLoss:
-    def one_hot(self, targets, k):
-        out = np.zeros((len(targets), k))
-        out[np.arange(len(targets)), targets] = 1.0
-        return Tensor(out)
-
-    def test_perfect_predictions_zero_loss(self):
-        a = np.array([0, 1, 2])
-        r = np.array([0, 0, 1, 3])
-        pred = BatchForward(self.one_hot(a, 3), self.one_hot(a, 3), self.one_hot(r, 4))
-        gold = BatchTargets(a, a, r)
-        masks = BatchMasks(np.ones(3, bool), np.ones(4, bool))
-        tagging, parsing, total = joint_loss(pred, gold, masks)
-        assert abs(total.item()) <= 1e-12
+    """``joint_loss`` is the loss node of ``TripletParser.loss``. The loss
+    it takes of each head is checked in ``TestCrossEntropyFromLogits``."""
 
     def test_uniform_predictions(self):
-        a = np.array([0, 1])
-        r = np.array([2, 3, 0])
-        pred = BatchForward(
-            Tensor(np.full((2, 3), 1 / 3)), Tensor(np.full((2, 3), 1 / 3)),
-            Tensor(np.full((3, 4), 0.25)),
-        )
-        gold = BatchTargets(a, a, r)
-        masks = BatchMasks(np.ones(2, bool), np.ones(3, bool))
-        tagging, parsing, total = joint_loss(pred, gold, masks)
-        assert abs(tagging.item() - 2 * LN3) <= 1e-12
-        assert abs(parsing.item() - LN4) <= 1e-12
+        """With every parser weight zeroed each head's logits are 0: on a
+        padded batch of mixed lengths each tagger costs ln 3 per real
+        token and the pair scorer ln 4 per real cell."""
+        model, batch = TestLossFromLogits.model_and_batch()
+        model.parser.params.buffer[...] = 0.0
+        tagging, parsing, total = joint_loss(*assemble_batch(model, batch))
+        assert abs(tagging - 2 * LN3) <= 1e-12
+        assert abs(parsing - LN4) <= 1e-12
+        assert total.item() == tagging + parsing
 
     def test_total_is_exact_sum(self):
+        model, batch = TestLossFromLogits.model_and_batch()
+        inputs = prepare_batch(model, batch)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            raw = rng.random((5, 3)) + 1e-3
-            tags = Tensor(raw / raw.sum(axis=1, keepdims=True))
-            raw_r = rng.random((7, 4)) + 1e-3
-            rels = Tensor(raw_r / raw_r.sum(axis=1, keepdims=True))
-            pred = BatchForward(tags, tags, rels)
-            gold = BatchTargets(
-                rng.integers(0, 3, 5), rng.integers(0, 3, 5), rng.integers(0, 4, 7)
-            )
-            masks = BatchMasks(rng.random(5) < 0.8, rng.random(7) < 0.8)
-            if not masks.tokens.any() or not masks.cells.any():
-                continue
-            tagging, parsing, total = joint_loss(pred, gold, masks)
-            assert total.item() == tagging.item() + parsing.item()
+        buffer = model.parser.params.buffer
+        for _ in range(5):
+            buffer[...] = rng.normal(0, 1, buffer.shape)
+            tagging, parsing, total = joint_loss(*assemble_batch(model, batch, inputs))
+            assert type(tagging) is type(parsing) is float
+            assert total.item() == tagging + parsing
 
     def test_masked_positions_contribute_nothing(self):
-        tags = Tensor(np.array([[1.0, 0.0, 0.0], [1e-12, 1.0, 0.0]]))
-        rels = Tensor(np.full((1, 4), 0.25))
-        pred = BatchForward(tags, tags, rels)
-        gold = BatchTargets(np.array([0, 2]), np.array([0, 2]), np.array([1]))
-        masks = BatchMasks(np.array([True, False]), np.array([True]))
-        tagging, _, _ = joint_loss(pred, gold, masks)
-        assert abs(tagging.item()) <= 1e-12
+        """Whatever the hidden states of padded tokens hold, the losses are
+        the same bit for bit and those states get no gradient."""
+        rng = np.random.default_rng(1)
+        parser = TripletParser(8, tiny_parser_config(), rng)
+        tokens = np.array([[True, True, True], [True, False, False]])
+        gold = GoldPositions.build(rng.integers(0, 3, (2, 3)), rng.integers(0, 3, (2, 3)),
+                                   rng.integers(0, 4, (2, 3, 3)))
+        masks = LossMasks.build(tokens)
+        states = rng.normal(0, 1, (2, 3, 8))
+        losses = []
+        for padding in (0.0, 50.0):
+            hidden = Tensor(np.where(tokens[..., None], states, padding), requires_grad=True)
+            tagging, parsing, total = joint_loss(BatchHidden(hidden, parser), gold, masks)
+            total.backward()
+            assert (hidden.grad[~tokens] == 0.0).all() and hidden.grad[tokens].any()
+            losses.append((tagging, parsing, total.item()))
+        assert losses[0] == losses[1]
 
 
 class TestLossFromLogits:
@@ -131,18 +121,17 @@ class TestLossFromLogits:
             picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
             return (lse - picked)[mask].mean()
 
-        inputs = prepare_batch(model, batch)
-        gold, masks = inputs.gold, inputs.masks
+        aspect, opinion, relations, tokens = padded_gold(batch)
         total = 0.0
-        for which, targets in (("aspect", gold.aspect), ("opinion", gold.opinion)):
+        for which, targets in (("aspect", aspect), ("opinion", opinion)):
             inner = np.maximum(h @ p[f"{which}_w1"] + p[f"{which}_b1"], 0.0)
-            total += mean_nll(inner @ p[f"{which}_w2"] + p[f"{which}_b2"], targets, masks.tokens)
+            total += mean_nll(inner @ p[f"{which}_w2"] + p[f"{which}_b2"], targets, tokens)
         head = np.maximum(h @ p["pair_head_w1"] + p["pair_head_b1"], 0.0)
         dep = np.maximum(h @ p["pair_dep_w1"] + p["pair_dep_b1"], 0.0)
         logits = (np.einsum("bip,cpq,bjq->bijc", head, p["pair_bil"], dep)
                   + (head @ p["pair_head_w2"])[:, :, None, :]
                   + (dep @ p["pair_dep_w2"])[:, None, :, :] + p["pair_b2"])
-        return total + mean_nll(logits, gold.relations, masks.cells)
+        return total + mean_nll(logits, relations, tokens[:, :, None] & tokens[:, None, :])
 
     def test_a_gold_label_of_probability_zero_costs_its_logit_gap(self):
         """With ``pair_b2`` at [800, 0, 0, 0] every logit is finite but a
@@ -152,7 +141,8 @@ class TestLossFromLogits:
         model, batch = self.model_and_batch()
         model.parser.params["pair_b2"].data[...] = [800.0, 0.0, 0.0, 0.0]
         inputs = prepare_batch(model, batch)
-        sentiment = (inputs.gold.relations[inputs.masks.cells] != 0).mean()
+        _, _, relations, tokens = padded_gold(batch)
+        sentiment = (relations[tokens[:, :, None] & tokens[:, None, :]] != 0).mean()
         assert sentiment > 0
         with no_grad():
             probs = model.forward(batch).relations.data
@@ -534,15 +524,21 @@ class TestBatching:
         vocab = Vocabulary.build(vocab_sentences)
         config = tiny_encoder_config(vocab=len(vocab))
         model = TripletModel(config, tiny_parser_config(), vocab, seed=0)
-        batch = sorted(vocab_sentences, key=len)[:3]
+        batch = sorted(vocab_sentences, key=len)[2:5]
+        assert len({len(s) for s in batch}) > 1
         pred, gold, masks = assemble_batch(model, batch)
-        longest = max(len(s) for s in batch)
-        assert pred.aspect.shape == (3, longest, 3)
-        assert pred.relations.shape == (3, longest, longest, 4)
-        assert gold.aspect.shape == masks.tokens.shape == (3, longest)
-        assert gold.relations.shape == masks.cells.shape == (3, longest, longest)
-        assert masks.tokens.sum() == sum(len(s) for s in batch)
-        assert masks.cells.sum() == sum(len(s) ** 2 for s in batch)
+        n = max(len(s) for s in batch)
+        assert pred.hidden.shape == (3, n, config.dim)
+        assert masks.tokens.shape == (3 * n, 1)
+        assert masks.cells.shape == (3, 1, n, n)
+        assert masks.tokens.sum() == masks.token_count == sum(len(s) for s in batch)
+        assert masks.cells.sum() == masks.cell_count == sum(len(s) ** 2 for s in batch)
+        # Each position points at its cell's gold class among the head's logits.
+        aspect, opinion, relations, _ = padded_gold(batch)
+        np.testing.assert_array_equal(gold.aspect, np.arange(3 * n) * 3 + aspect.ravel())
+        np.testing.assert_array_equal(gold.opinion % 3, opinion.ravel())
+        np.testing.assert_array_equal(gold.relations // (n * n) % 4, relations.ravel())
+        np.testing.assert_array_equal(gold.relations % (n * n), np.tile(np.arange(n * n), 3))
 
 
     @staticmethod
@@ -577,9 +573,9 @@ class TestBatching:
             rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
             relation_nll += list(-np.log(alone.relations.data[0][rows, cols, relations]).ravel())
         expected_tagging = np.mean(aspect_nll) + np.mean(opinion_nll)
-        assert abs(tagging.item() - expected_tagging) <= 1e-12
-        assert abs(parsing.item() - np.mean(relation_nll)) <= 1e-12
-        assert total.item() == tagging.item() + parsing.item()
+        assert abs(tagging - expected_tagging) <= 1e-12
+        assert abs(parsing - np.mean(relation_nll)) <= 1e-12
+        assert total.item() == tagging + parsing
 
     @staticmethod
     def loss_and_gradients(model, batch, inputs=None):
