@@ -32,7 +32,6 @@ from .data import (
     numbered_lines,
     preprocess,
     read_corpus_file,
-    serialize_record,
     split_corpus,
     stats,
     stats_table,
@@ -321,12 +320,8 @@ def _cmd_decode(args) -> int:
     # Everything is predicted before the output opens, so a failing
     # record leaves no partial file.
     predicted = model.predict_corpus(sentences, processes=usable_cores())
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for sentence, triplets in zip(sentences, predicted):
-            record = type(sentence)(
-                tokens=sentence.tokens, triplets=sorted(triplets), heads=sentence.heads
-            )
-            handle.write(serialize_record(record) + "\n")
+    write_corpus_file(args.out, [replace(sentence, triplets=sorted(triplets))
+                                 for sentence, triplets in zip(sentences, predicted)])
     print(f"decoded\t{len(sentences)}")
     return 0
 

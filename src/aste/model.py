@@ -10,7 +10,9 @@ group's ``buffer`` as one little-endian float64 block.
 
 ``predict_corpus`` can split its batches over forked worker processes
 (``_in_workers``): each worker derives its own batches' distances, decodes
-them and pickles the triplets back through a pipe.
+them and pickles the triplets back through a pipe. ``_in_workers`` alone
+forks, reads and reaps its workers; an exception raised while it runs
+kills and reaps the workers still running at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -163,7 +164,21 @@ class TripletModel:
             batches = [(batch, None) for batch in length_buckets(sentences, PREDICT_BATCH)]
 
         def run(shard):
-            return self._decode_shard(sentences, batches, shard)
+            """The ``(position, triplets)`` pairs of the batches numbered in
+            ``shard``, run in that order up to the first that raises, and
+            that failure as ``(batch number, exception)``, or None."""
+            decoded = []
+            with no_grad():
+                for number in shard:
+                    batch, distances = batches[number]
+                    rows = [sentences[i] for i in batch]
+                    try:
+                        forward = checked_once(lambda: self.forward(rows, distances), _outputs)
+                    except Exception as exc:
+                        # Held: the earliest failure over all shards is raised.
+                        return decoded, (number, exc)
+                    decoded += zip(batch, forward.decode([len(s) for s in rows]))
+            return decoded, None
 
         outcomes = _in_workers(run, _shards(sentences, batches, processes))
         failures = [failure for _, failure in outcomes if failure is not None]
@@ -174,24 +189,6 @@ class TripletModel:
             for i, triplets in decoded:
                 predicted[i] = triplets
         return predicted
-
-    def _decode_shard(self, sentences, batches, shard):
-        """The ``(position, triplets)`` pairs of the batches numbered in
-        ``shard``, run in that order up to the first that raises, and that
-        failure as ``(batch number, exception)``, or None."""
-        decoded = []
-        with no_grad():
-            for number in shard:
-                batch, distances = batches[number]
-                rows = [sentences[i] for i in batch]
-                try:
-                    forward = checked_once(lambda: self.forward(rows, distances), _outputs)
-                except Exception as exc:
-                    # Held, not raised: the caller raises the failure of the
-                    # earliest batch over all shards, whatever its type.
-                    return decoded, (number, exc)
-                decoded += zip(batch, forward.decode([len(s) for s in rows]))
-        return decoded, None
 
     # -- serialization ---------------------------------------------------------
 
@@ -280,14 +277,16 @@ def _in_workers(run, shards) -> list:
     """``[run(shard) for shard in shards]``, the first shard run in this
     process and each other one in a forked worker, which pickles its
     result back through a pipe and exits. A worker that exits without a
-    whole answer raises OSError. Every worker is reaped before this
-    returns or raises; if it raises, the workers still running are killed
-    first. Fork, not spawn: a forked worker starts with the model and the
-    sentences in its memory, where a spawned one would first start an
+    whole answer raises OSError. This function alone owns its workers: it
+    forks each, reads its answer and reaps it before dropping it from
+    ``workers``, so whatever is raised here (a worker's failure, an
+    interrupt), the ``finally`` kills and reaps at once every worker not
+    yet reaped. Fork, not spawn: a forked worker starts with the model and
+    the sentences in its memory, where a spawned one would first start an
     interpreter and import numpy and the package (about 78 ms on a 2-vCPU
     container), longer than its share of a 240-sentence long-dep decode
     (about 56 ms)."""
-    workers: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    workers = {}  # pid -> read end of its pipe, until reaped
     try:
         for shard in shards[1:]:
             read_fd, write_fd = os.pipe()
@@ -298,49 +297,37 @@ def _in_workers(run, shards) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _answer_and_exit(run, shard, write_fd)
+                # The worker never returns into this stack, nor leaves a
+                # traceback: it exits 0 once its answer is written, else 1.
+                code = 1
+                try:
+                    payload = pickle.dumps(run(shard))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(write_fd)
-            workers[pid] = read_fd
+            workers[pid] = os.fdopen(read_fd, "rb")
         results = [run(shards[0])]
-        for pid in list(workers):
-            results.append(_answer(pid, workers.pop(pid)))
+        for pid, pipe in list(workers.items()):
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(pid).close()
+            if status != 0:
+                how = (f"was killed by signal {-status}" if status < 0
+                       else f"exited with code {status}")
+                raise OSError(f"decode worker {pid} {how} without an answer")
+            try:
+                results.append(pickle.loads(payload))
+            except Exception as exc:
+                raise OSError(f"decode worker {pid} sent an unreadable answer") from exc
         return results
     finally:
-        for pid, read_fd in workers.items():
+        for pid, pipe in workers.items():
             os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
+            pipe.close()
             os.waitpid(pid, 0)
-
-
-def _answer_and_exit(run, shard, write_fd: int) -> NoReturn:
-    """A worker's whole life: run its shard, write the pickled result,
-    exit 0; on any failure, exit 1 without a traceback. It never returns
-    into its parent's stack."""
-    code = 1
-    try:
-        payload = pickle.dumps(run(shard))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _answer(pid: int, read_fd: int):
-    """The result a worker pickled, read to the end of its pipe, once the
-    worker is reaped."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        how = f"was killed by signal {-status}" if status < 0 else f"exited with code {status}"
-        raise OSError(f"decode worker {pid} {how} without an answer")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise OSError(f"decode worker {pid} sent an unreadable answer") from exc
 
 
 def _outputs(forward: BatchForward):

@@ -228,6 +228,43 @@ def test_workers_killed_when_this_process_raises(monkeypatch):
     assert_no_child_left()
 
 
+class Alarm(Exception):
+    pass
+
+
+def test_exception_while_reading_a_worker_does_not_wait_for_it(monkeypatch):
+    """An exception raised in this process while it is blocked reading a
+    worker's answer (here from an interval timer, armed again by each of
+    this process's own batches) kills and reaps that worker at once
+    instead of waiting the 5 s it still has to run."""
+    sentences = mixed_corpus()
+    parent_pid, forward = os.getpid(), TripletModel.forward
+
+    def slow_forward(self, rows, distances=None):
+        if os.getpid() != parent_pid:
+            time.sleep(5)
+        else:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+        return forward(self, rows, distances)
+
+    def raise_alarm(signum, frame):
+        raise Alarm
+
+    model = build_model(RELATIVE, sentences)
+    monkeypatch.setattr(TripletModel, "forward", slow_forward)
+    previous = signal.signal(signal.SIGALRM, raise_alarm)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(Alarm):
+            model.predict_corpus(sentences, processes=2)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2
+    assert_no_child_left()
+
+
 def test_empty_input_forks_nothing(capsys, monkeypatch, tmp_path, forks):
     source, weights = write_inputs(tmp_path, DEPENDENCY, mixed_corpus())
     source.write_text("", encoding="utf-8")
