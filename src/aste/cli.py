@@ -9,7 +9,8 @@ run is reproducible from its artifacts alone. Exit codes: 0 success,
 malloc to keep freed heap pages (``_keep_freed_heap``), so a training step
 does not fault back in the memory the previous step freed. ``decode`` and
 ``eval`` split their inference batches over every usable core
-(``usable_cores``).
+(``usable_cores``), and ``train`` scores dev in one forked evaluator
+while it trains; outputs are the one-process bytes.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def _cmd_train(args) -> int:
     (out_dir / "config.resolved").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    model, history = train(corpus, encoder_config, parser_config, train_config, vocab=vocab)
+    model, history = train(corpus, encoder_config, parser_config, train_config, vocab=vocab,
+                           processes=usable_cores())
     (out_dir / "history.tsv").write_text(history.to_tsv(), encoding="utf-8")
     model.save(out_dir / "weights.bin")
     best = history.best_epoch()
@@ -289,9 +291,9 @@ def _read_for_model(path, config: EncoderConfig) -> list:
 
 
 def usable_cores() -> int:
-    """The cores this process may run on: the worker processes ``decode``
-    and ``eval`` split their batches over. 1 where the platform cannot tell
-    or cannot fork."""
+    """The cores this process may run on, which ``decode`` and ``eval``
+    split their batches over; ``train`` forks a dev evaluator on two or
+    more. 1 where the platform cannot tell or cannot fork."""
     try:
         return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
     except (AttributeError, OSError):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each survives ``pickle``, so
+a forked worker's error is raised unchanged in the process it answers."""
 
 
 class ShapeError(ValueError):
@@ -6,7 +7,11 @@ class ShapeError(ValueError):
 
 
 class NumericError(FloatingPointError):
-    """A public operation produced a non-finite value."""
+    """A public operation (``op``, when known) produced a non-finite value."""
+
+    def __init__(self, message: str, op: str | None = None):
+        super().__init__(message)
+        self.op = op
 
 
 class ValidationError(ValueError):
@@ -22,6 +27,10 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.message)
 
 
 class TrainingDivergedError(RuntimeError):

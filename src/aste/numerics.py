@@ -128,7 +128,7 @@ def _as_array(value) -> Array:
 
 def _check_finite(data: Array, op: str) -> None:
     if not np.all(np.isfinite(data)):
-        raise NumericError(f"{op} produced non-finite values")
+        raise NumericError(f"{op} produced non-finite values", op=op)
 
 
 def carry_non_finite(result: Array, operand: Array) -> Array:

@@ -6,7 +6,8 @@ entropy, computed from the heads' logits in one tape node. Optimization
 is Adam with decoupled weight decay, a global gradient-norm clip of 1, a
 linear warmup-then-decay schedule, and a parser learning rate 10x the
 base. The optimizer choice is recorded in the history metadata rather
-than assumed elsewhere.
+than assumed elsewhere. Dev evaluation can run in a forked process while
+training goes on (``train``'s ``processes``), with the same outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig, EncoderInputs
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, score_corpus
-from .model import BatchHidden, TripletModel
+from .model import BatchHidden, TripletModel, Worker
 from .numerics import ParamGroup, Tensor, checked_once
 from .parser import GoldPositions, LossMasks, ParserConfig, build_gold
 from .structure import NONE
@@ -133,10 +134,12 @@ class BatchInputs:
     masks: LossMasks
 
 
-def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
+def prepare_batch(model: TripletModel, sentences, distances=None) -> BatchInputs:
     aspect, opinion, relations, tokens = padded_gold(sentences)
     ids = [model.vocab.encode(s.tokens) for s in sentences]
-    return BatchInputs(encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
+    if distances is None:  # the batch's batch_distances, when not given
+        distances = model.batch_distances(sentences)
+    return BatchInputs(encoder=model.encoder.prepare(ids, distances),
                        gold=GoldPositions.build(aspect, opinion, relations),
                        masks=LossMasks.build(tokens))
 
@@ -284,13 +287,21 @@ def check_splits(train_split, dev_split) -> None:
         raise ValidationError("train split has no tokens")
 
 
+class _EarlyStop(Exception):
+    """Early stopping ends the run."""
+
+
 def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserConfig,
           config: TrainConfig, vocab: Vocabulary | None = None,
-          log=None) -> tuple[TripletModel, TrainHistory]:
+          log=None, processes: int = 1) -> tuple[TripletModel, TrainHistory]:
     """Fit a model on the corpus, early-stopping on dev exact-match F1.
 
     Returns the best-dev weights and the per-epoch history. Fully
-    deterministic given ``config.seed``.
+    deterministic given ``config.seed``. With ``processes`` above 1, a
+    forked evaluator (``_evaluate_epochs``) derives half the training
+    distances and scores each epoch but the last on dev while the next
+    trains; its answers are taken in order, before anything that depends
+    on them, so outputs and errors are those of one process.
     """
     check_splits(corpus.train, corpus.dev)
     if vocab is None:
@@ -302,8 +313,6 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     optimizer = AdamW(groups)
     rng = np.random.default_rng(config.seed)
     batches = bucket_batches(corpus.train, config.batch_size)
-    inputs = [prepare_batch(model, batch) for batch in batches]
-    dev_batches = model.inference_batches(corpus.dev)
     steps_per_epoch = len(batches)
     history = TrainHistory(metadata={
         "optimizer": optimizer.describe(),
@@ -313,48 +322,95 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         "seed": config.seed,
         "selection": "dev exact-match F1",
     })
-    best_f1 = -1.0
-    best_snapshot = None
-    stale = 0
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(steps_per_epoch)
-        tagging_sum = 0.0
-        parsing_sum = 0.0
-        for step, batch_index in enumerate(order):
-            t = min(epoch + (step + 1) / steps_per_epoch, config.max_epochs)
-            base_lr = lr_at(t, config)
-            try:
-                tagging, parsing, _, _ = checked_once(
-                    lambda: _step(model, groups, batches[batch_index], inputs[batch_index],
-                                  config.grad_clip_norm),
-                    _step_results)
-            except NumericError as exc:
-                raise TrainingDivergedError(
-                    f"non-finite value at epoch {epoch}, step {step}: {exc}"
-                ) from exc
-            optimizer.step(base_lr)
-            tagging_sum += tagging
-            parsing_sum += parsing
-        dev = evaluate_model(model, corpus.dev, dev_batches)
-        history.append(
-            epoch=epoch,
-            tagging_loss=tagging_sum / steps_per_epoch,
-            parsing_loss=parsing_sum / steps_per_epoch,
-            dev_precision=dev.precision,
-            dev_recall=dev.recall,
-            dev_f1=dev.f1,
-            lr=lr_at(min(epoch + 1, config.max_epochs), config),
-        )
+    best = model.state_snapshot()  # epoch 0 overwrites it
+    # What the evaluator owes: None for its dev batches, then epochs sent.
+    owed = []
+
+    def record(epoch, tagging, parsing, scores, keep) -> None:
+        improved = not history.records or scores.f1 > history.best_epoch().dev_f1
+        history.append(epoch=epoch, tagging_loss=tagging, parsing_loss=parsing,
+                       dev_precision=scores.precision, dev_recall=scores.recall,
+                       dev_f1=scores.f1, lr=lr_at(min(epoch + 1, config.max_epochs), config))
         if log is not None:
             log(history.records[-1])
-        if dev.f1 > best_f1:
-            best_f1 = dev.f1
-            best_snapshot = model.state_snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    if best_snapshot is not None:
-        model.load_snapshot(best_snapshot)
+        if improved:
+            keep()
+        elif epoch - history.best_epoch().epoch >= config.patience:
+            raise _EarlyStop
+
+    def take_answers(every: bool) -> None:
+        while owed and (every or evaluator.ready()):
+            epoch, scores = owed.pop(0), evaluator.receive()
+            if epoch is not None:
+                record(*epoch, scores, lambda: evaluator.receive_into(*best.values()))
+
+    evaluator = None
+    try:
+        if processes > 1:
+            evaluator = Worker("dev evaluator",
+                               lambda worker: _evaluate_epochs(worker, model, corpus.dev, batches))
+            owed.append(None)
+        split_stacks = evaluator is not None and encoder_config.adapter.kind != NONE
+        inputs = [prepare_batch(model, batch,
+                                evaluator.receive_into(np.empty(*evaluator.receive()))
+                                if split_stacks and i % 2 else None)
+                  for i, batch in enumerate(batches)]
+        dev_batches = None if evaluator else model.inference_batches(corpus.dev)
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(steps_per_epoch)
+            tagging_sum = parsing_sum = 0.0
+            for step, batch_index in enumerate(order):
+                t = min(epoch + (step + 1) / steps_per_epoch, config.max_epochs)
+                base_lr = lr_at(t, config)
+                try:
+                    tagging, parsing, _, _ = checked_once(
+                        lambda: _step(model, groups, batches[batch_index], inputs[batch_index],
+                                      config.grad_clip_norm),
+                        _step_results)
+                except NumericError as exc:
+                    take_answers(every=True)  # owed answers may end the run, or fail, first
+                    raise TrainingDivergedError(f"non-finite value at epoch {epoch}, "
+                                                f"step {step}: {exc}") from exc
+                optimizer.step(base_lr)
+                tagging_sum += tagging
+                parsing_sum += parsing
+                take_answers(every=False)
+            take_answers(every=True)
+            losses = (tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch)
+            if evaluator is None or epoch == config.max_epochs - 1:
+                record(epoch, *losses, evaluate_model(model, corpus.dev, dev_batches),
+                       lambda: best.update(model.state_snapshot()))
+            else:
+                evaluator.send(epoch, *(group.buffer for group in groups))
+                owed.append((epoch, *losses))
+    except _EarlyStop:
+        pass
+    finally:
+        if evaluator is not None:
+            evaluator.close()
+    model.load_snapshot(best)
     return model, history
+
+
+def _evaluate_epochs(worker: Worker, model: TripletModel, dev, batches) -> None:
+    """The forked evaluator of ``train``. It sends every other training
+    batch's distance stack (its shape and dtype, then its bytes) and None
+    once it has the dev batches; then the dev scores of each epoch's weights
+    it gets, and the weights if their F1 is the best yet; or an exception."""
+    try:
+        if model.encoder_config.adapter.kind != NONE:
+            for batch in batches[1::2]:
+                stack = model.batch_distances(batch)
+                worker.send((stack.shape, stack.dtype), stack)
+        dev_batches = model.inference_batches(dev)
+        worker.send(None)
+        buffers = [group.buffer for group in model.param_groups()]
+        best_f1 = -1.0
+        while True:
+            worker.receive()
+            worker.receive_into(*buffers)
+            scores = evaluate_model(model, dev, dev_batches)
+            worker.send(scores, *(buffers if scores.f1 > best_f1 else ()))
+            best_f1 = max(best_f1, scores.f1)
+    except Exception as exc:
+        worker.send(exc)

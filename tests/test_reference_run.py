@@ -18,8 +18,14 @@ def numpy_matches():
                     f"{np.__version__}; regenerate it with tests/reference_run.py")
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_train_and_decode_match_the_reference(numpy_matches, tmp_path, kind):
+# The one-core runs keep the plain kind as their id.
+@pytest.mark.parametrize(("kind", "cores"), [
+    pytest.param(kind, cores, id=kind if cores == 1 else f"{kind}-{cores}")
+    for cores in (1, 2) for kind in KINDS])
+def test_train_and_decode_match_the_reference(numpy_matches, monkeypatch, tmp_path, kind, cores):
+    """Training and decoding give the reference in one process, and with
+    training's dev evaluator and decode's workers forked on two cores."""
+    monkeypatch.setattr(aste.cli, "usable_cores", lambda: cores)
     run(kind, REFERENCE, tmp_path)
     for name in OUTPUTS:
         assert (tmp_path / name).read_bytes() == (REFERENCE / kind / name).read_bytes(), name
