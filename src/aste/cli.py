@@ -9,8 +9,7 @@ run is reproducible from its artifacts alone. Exit codes: 0 success,
 malloc to keep freed heap pages (``_keep_freed_heap``), so a training step
 does not fault back in the memory the previous step freed. ``decode`` and
 ``eval`` split their inference batches over every usable core
-(``usable_cores``), and ``train`` scores dev in one forked evaluator
-while it trains; outputs are the one-process bytes.
+(``usable_cores``); ``train`` scores dev on a second, with the same outputs.
 """
 
 from __future__ import annotations
@@ -292,7 +291,7 @@ def _read_for_model(path, config: EncoderConfig) -> list:
 
 def usable_cores() -> int:
     """The cores this process may run on, which ``decode`` and ``eval``
-    split their batches over; ``train`` forks a dev evaluator on two or
+    split their batches over; ``train`` starts a dev evaluator on two or
     more. 1 where the platform cannot tell or cannot fork."""
     try:
         return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1

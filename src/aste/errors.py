@@ -1,5 +1,4 @@
-"""Exception types shared across the package. Each survives ``pickle``, so
-a forked worker's error is raised unchanged in the process it answers."""
+"""Exception types shared across the package; each survives ``pickle``."""
 
 
 class ShapeError(ValueError):
@@ -25,12 +24,11 @@ class ParseError(ValueError):
     """
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
+        super().__init__(line_no, message)
+        self.line_no, self.message = line_no, message
 
-    def __reduce__(self):
-        return type(self), (self.line_no, self.message)
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.message}"
 
 
 class TrainingDivergedError(RuntimeError):

@@ -9,10 +9,9 @@ layout of every parameter in buffer order), the header, and then each
 group's ``buffer`` as one little-endian float64 block.
 
 ``predict_corpus`` can split its batches over forked worker processes
-(``_in_workers``): each derives its own batches' distances, decodes them
-and pickles the triplets back through a pipe. ``Worker`` alone forks, talks
-to, kills and reaps a child, here and for training's dev evaluator;
-``_in_workers`` alone owns its workers, and kills them if anything raises.
+(``_in_workers``), each deriving its batches' distances and pickling back
+their triplets. ``Worker`` alone starts, talks to, kills and reaps a child,
+here and for training's dev evaluator; ``_in_workers`` alone owns its workers.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import pickle
 import select
 import signal
 import struct
+import sys
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -275,48 +275,60 @@ def _shards(sentences, batches, processes: int) -> list[list[int]]:
 
 
 class Worker:
-    """A forked child process, with a pipe each way. The child runs
-    ``body(worker)`` and exits, 1 if it raised, with no traceback. ``send``
-    writes a pickled message, then the raw bytes of any arrays; ``receive``
-    reads the message and raises it if it is an exception; ``receive_into``
-    reads bytes straight into arrays of the shapes the reader knows. A child
-    that ends before a whole message is read raises OSError naming ``role``.
-    Its owner always ``close``s it, which kills and reaps it if need be.
-    Fork, not spawn: a spawned child would first import numpy (~78 ms)."""
+    """A child process with a pipe each way. It runs ``body(worker)``, sends
+    any exception that raises, and exits. It is forked (0.2 ms), or ``fresh``:
+    a new interpreter (80 ms) that imports ``body`` by name and so shares no
+    page whose later writes here would fault, copy-on-write. ``send`` writes a
+    pickled message, then arrays' raw bytes; ``receive`` raises an exception
+    it reads; ``receive_into`` fills arrays of known shapes. A child gone
+    mid-message raises OSError naming ``role``; ``close`` kills and reaps it."""
 
-    def __init__(self, role: str, body):
+    def __init__(self, role: str, body, fresh: bool = False):
         self.role, self.reaped = role, False
         to_child, from_child = os.pipe(), os.pipe()
+        mine, theirs = (from_child[0], to_child[1]), (to_child[0], from_child[1])
         try:
-            self.pid = os.fork()
+            if fresh:
+                argv = ["-S", "-c", _FRESH_CHILD, os.pathsep.join(sys.path), body.__module__,
+                        body.__qualname__]  # -S: this process's path, without site's start-up
+                self.pid = os.posix_spawn(  # its ends of the pipes are its stdin and stdout
+                    sys.executable, [sys.executable, *argv], os.environ, setpgroup=0,
+                    file_actions=[(os.POSIX_SPAWN_DUP2, fd, i) for i, fd in enumerate(theirs)])
+            else:
+                self.pid = os.fork()
         except OSError:
-            for fd in to_child + from_child:
+            for fd in mine + theirs:
                 os.close(fd)
             raise
-        ends = (from_child[0], to_child[1]) if self.pid else (to_child[0], from_child[1])
-        for fd in set(to_child + from_child) - set(ends):
+        for fd in theirs if self.pid else mine:
             os.close(fd)
-        self._read, self._write = ends
+        self._read, self._write = mine if self.pid else theirs
         if self.pid == 0:
-            code = 1
-            try:
-                body(self)
-                code = 0
-            finally:
-                os._exit(code)
+            self._run(body)
+
+    def _run(self, body) -> None:
+        try:
+            body(self)
+            os._exit(0)
+        except Exception as exc:
+            self.send(exc)
+        finally:
+            os._exit(1)
 
     def send(self, message, *arrays) -> None:
         payload = pickle.dumps(message)
-        for data in (struct.pack("<Q", len(payload)) + payload, *arrays):
-            view = memoryview(data).cast("B")
-            while view:
-                view = view[os.write(self._write, view):]
+        try:
+            for data in (struct.pack("<Q", len(payload)) + payload, *arrays):
+                view = memoryview(data).cast("B")
+                while view:
+                    view = view[os.write(self._write, view):]
+        except BrokenPipeError:
+            self._gone()
 
     def receive(self):
-        size = struct.unpack("<Q", self.receive_into(bytearray(8)))[0]
-        payload = self.receive_into(bytearray(size))
+        data = self.receive_into(bytearray(*struct.unpack("<Q", self.receive_into(bytearray(8)))))
         try:
-            message = pickle.loads(payload)
+            message = pickle.loads(data)
         except Exception as exc:
             raise OSError(f"{self.role} {self.pid} sent an unreadable answer") from exc
         if isinstance(message, BaseException):
@@ -328,20 +340,18 @@ class Worker:
         for buffer in buffers:
             view = memoryview(buffer).cast("B")
             while view:
-                got = os.readv(self._read, [view])
-                if got == 0:
-                    if self.pid == 0:
-                        raise EOFError("the parent process closed its pipe")
-                    status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-                    self.reaped = True
-                    how = (f"was killed by signal {-status}" if status < 0
-                           else f"exited with code {status}")
-                    raise OSError(f"{self.role} {self.pid} {how} without an answer")
-                view = view[got:]
+                view = view[os.readv(self._read, [view]) or self._gone():]
         return buffers[-1]
 
-    def ready(self) -> bool:
-        """Whether a message, or the child's end, waits to be read."""
+    def _gone(self):  # the other end closed its pipe
+        if self.pid == 0:
+            raise EOFError("the parent process closed its pipe")
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.reaped = True
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with code {status}"
+        raise OSError(f"{self.role} {self.pid} {how} without an answer")
+
+    def ready(self) -> bool:  # whether a message, or the child's end, waits to be read
         return bool(select.select([self._read], [], [], 0)[0])
 
     def close(self) -> None:
@@ -352,14 +362,20 @@ class Worker:
         os.close(self._write)
 
 
+# A fresh child's program, given the import path and its body's module and name.
+_FRESH_CHILD = ("import importlib, os, sys; sys.path[:] = sys.argv[1].split(os.pathsep); "
+                "from aste.model import Worker; w = Worker.__new__(Worker); "
+                "w.role, w.pid, w._read, w._write = 'parent', 0, 0, 1; "
+                "w._run(getattr(importlib.import_module(sys.argv[2]), sys.argv[3]))")
+
+
 def _in_workers(run, shards) -> list:
-    """``[run(shard) for shard in shards]``, the first shard run here and
-    each other in a forked ``Worker``, every one closed whatever is raised."""
+    """``[run(shard) for shard in shards]``, the first shard run here and each
+    other in a forked ``Worker``, every one closed whatever is raised."""
     workers = []
     try:
         for shard in shards[1:]:
-            workers.append(Worker("decode worker",
-                                  lambda worker, shard=shard: worker.send(run(shard))))
+            workers.append(Worker("decode worker", lambda w, shard=shard: w.send(run(shard))))
         return [run(shards[0])] + [worker.receive() for worker in workers]
     finally:
         for worker in workers:

@@ -6,8 +6,7 @@ entropy, computed from the heads' logits in one tape node. Optimization
 is Adam with decoupled weight decay, a global gradient-norm clip of 1, a
 linear warmup-then-decay schedule, and a parser learning rate 10x the
 base. The optimizer choice is recorded in the history metadata rather
-than assumed elsewhere. Dev evaluation can run in a forked process while
-training goes on (``train``'s ``processes``), with the same outputs.
+than assumed elsewhere. Dev scoring can overlap training (``processes``).
 """
 
 from __future__ import annotations
@@ -27,6 +26,9 @@ from .parser import GoldPositions, LossMasks, ParserConfig, build_gold
 from .structure import NONE
 
 LR_GRID = (1e-5, 2e-5, 3e-5, 5e-5)
+# A dev evaluator takes about as long to start as 50 training steps at these
+# sizes (100-160 ms), so it scores only the epochs that begin after that many.
+EVALUATOR_START_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,10 @@ class BatchInputs:
     masks: LossMasks
 
 
-def prepare_batch(model: TripletModel, sentences, distances=None) -> BatchInputs:
+def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
     aspect, opinion, relations, tokens = padded_gold(sentences)
     ids = [model.vocab.encode(s.tokens) for s in sentences]
-    if distances is None:  # the batch's batch_distances, when not given
-        distances = model.batch_distances(sentences)
-    return BatchInputs(encoder=model.encoder.prepare(ids, distances),
+    return BatchInputs(encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
                        gold=GoldPositions.build(aspect, opinion, relations),
                        masks=LossMasks.build(tokens))
 
@@ -297,11 +297,11 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     """Fit a model on the corpus, early-stopping on dev exact-match F1.
 
     Returns the best-dev weights and the per-epoch history. Fully
-    deterministic given ``config.seed``. With ``processes`` above 1, a
-    forked evaluator (``_evaluate_epochs``) derives half the training
-    distances and scores each epoch but the last on dev while the next
-    trains; its answers are taken in order, before anything that depends
-    on them, so outputs and errors are those of one process.
+    deterministic given ``config.seed``. With ``processes`` above 1, another
+    process (``_evaluate_epochs``) scores on dev each epoch but the last that
+    begins ``EVALUATOR_START_STEPS`` steps in, while the next trains; its answers
+    are taken in order, before anything that depends on them, so outputs and
+    errors are those of one process.
     """
     check_splits(corpus.train, corpus.dev)
     if vocab is None:
@@ -323,8 +323,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         "selection": "dev exact-match F1",
     })
     best = model.state_snapshot()  # epoch 0 overwrites it
-    # What the evaluator owes: None for its dev batches, then epochs sent.
-    owed = []
+    owed = []  # (epoch, tagging loss, parsing loss) sent to the evaluator, not yet answered
 
     def record(epoch, tagging, parsing, scores, keep) -> None:
         improved = not history.records or scores.f1 > history.best_epoch().dev_f1
@@ -338,24 +337,18 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         elif epoch - history.best_epoch().epoch >= config.patience:
             raise _EarlyStop
 
-    def take_answers(every: bool) -> None:
+    def take_answers(every: bool) -> None:  # to keep an epoch, None asks its weights back
         while owed and (every or evaluator.ready()):
-            epoch, scores = owed.pop(0), evaluator.receive()
-            if epoch is not None:
-                record(*epoch, scores, lambda: evaluator.receive_into(*best.values()))
+            record(*owed.pop(0), evaluator.receive(), lambda: (
+                evaluator.send(None), evaluator.receive(), evaluator.receive_into(*best.values())))
 
-    evaluator = None
+    evaluator, first = None, math.ceil(EVALUATOR_START_STEPS / steps_per_epoch)  # its first epoch
     try:
-        if processes > 1:
-            evaluator = Worker("dev evaluator",
-                               lambda worker: _evaluate_epochs(worker, model, corpus.dev, batches))
-            owed.append(None)
-        split_stacks = evaluator is not None and encoder_config.adapter.kind != NONE
-        inputs = [prepare_batch(model, batch,
-                                evaluator.receive_into(np.empty(*evaluator.receive()))
-                                if split_stacks and i % 2 else None)
-                  for i, batch in enumerate(batches)]
-        dev_batches = None if evaluator else model.inference_batches(corpus.dev)
+        if processes > 1 and first < config.max_epochs - 1:  # it starts up from here on
+            evaluator = Worker("dev evaluator", _evaluate_epochs, fresh=True)
+            evaluator.send((encoder_config, parser_config, vocab, corpus.dev))
+        inputs = [prepare_batch(model, batch) for batch in batches]
+        dev_batches = model.inference_batches(corpus.dev)
         for epoch in range(config.max_epochs):
             order = rng.permutation(steps_per_epoch)
             tagging_sum = parsing_sum = 0.0
@@ -376,13 +369,13 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
                 parsing_sum += parsing
                 take_answers(every=False)
             take_answers(every=True)
-            losses = (tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch)
-            if evaluator is None or epoch == config.max_epochs - 1:
-                record(epoch, *losses, evaluate_model(model, corpus.dev, dev_batches),
+            losses = (epoch, tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch)
+            if evaluator is None or not first <= epoch < config.max_epochs - 1:
+                record(*losses, evaluate_model(model, corpus.dev, dev_batches),
                        lambda: best.update(model.state_snapshot()))
             else:
                 evaluator.send(epoch, *(group.buffer for group in groups))
-                owed.append((epoch, *losses))
+                owed.append(losses)
     except _EarlyStop:
         pass
     finally:
@@ -392,25 +385,16 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     return model, history
 
 
-def _evaluate_epochs(worker: Worker, model: TripletModel, dev, batches) -> None:
-    """The forked evaluator of ``train``. It sends every other training
-    batch's distance stack (its shape and dtype, then its bytes) and None
-    once it has the dev batches; then the dev scores of each epoch's weights
-    it gets, and the weights if their F1 is the best yet; or an exception."""
-    try:
-        if model.encoder_config.adapter.kind != NONE:
-            for batch in batches[1::2]:
-                stack = model.batch_distances(batch)
-                worker.send((stack.shape, stack.dtype), stack)
-        dev_batches = model.inference_batches(dev)
-        worker.send(None)
-        buffers = [group.buffer for group in model.param_groups()]
-        best_f1 = -1.0
-        while True:
-            worker.receive()
-            worker.receive_into(*buffers)
-            scores = evaluate_model(model, dev, dev_batches)
-            worker.send(scores, *(buffers if scores.f1 > best_f1 else ()))
-            best_f1 = max(best_f1, scores.f1)
-    except Exception as exc:
-        worker.send(exc)
+def _evaluate_epochs(trainer: Worker) -> None:
+    """``train``'s dev evaluator. Given the configs, vocabulary and dev sentences, it
+    answers weights with their dev scores, and None with the weights it last scored."""
+    *configs, dev = trainer.receive()
+    model = TripletModel(*configs)
+    buffers = [group.buffer for group in model.param_groups()]
+    dev_batches = model.inference_batches(dev)
+    while True:
+        if trainer.receive() is None:
+            trainer.send(None, *buffers)
+        else:
+            trainer.receive_into(*buffers)
+            trainer.send(evaluate_model(model, dev, dev_batches))

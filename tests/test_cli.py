@@ -641,12 +641,8 @@ class TestDecodeRecords:
 # code and the minor page faults it took.
 REPEATED_TRAIN = """
 import contextlib, io, resource, sys
-import aste.cli
 from aste.cli import main
 
-# One process: the copy-on-write faults that follow forking the dev
-# evaluator are the fork's cost, counted apart from the heap's.
-aste.cli.usable_cores = lambda: 1
 train, dev, out = sys.argv[1:]
 for run in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

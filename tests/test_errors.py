@@ -1,5 +1,5 @@
-"""Every error type survives ``pickle``, as a forked worker's failure must
-to be raised again in the process that reads its answer."""
+"""Every error type survives ``pickle``, as a worker process's failure must
+be raised again in the process that reads its answer."""
 
 import inspect
 import pickle
