@@ -95,12 +95,13 @@ class EncodedSequence:
 class EncoderInputs:
     """Marker-augmented (m,) or (B, m) token ids, the key mask of the
     padded rows as it broadcasts against (B, H, m, m) logits (None when
-    nothing is padded), and the ``_distance_index`` of the distances (None
-    without them)."""
+    nothing is padded), and the bias-table row of each distance, one byte
+    a cell up to tau = 127 (``_table_rows``; None without distances).
+    ``Encoder.run`` builds the int64 gather index from the rows."""
 
     ids: np.ndarray
     key_mask: np.ndarray | None
-    index: np.ndarray | None
+    rows: np.ndarray | None
 
 
 class Encoder:
@@ -192,21 +193,30 @@ class Encoder:
 
     # -- attention -------------------------------------------------------
 
-    def _distance_index(self, distances, rows: tuple[int, ...]) -> np.ndarray:
-        """Where the distance term reads the (..., H, m, R) products
-        ``q @ rel.T`` of (..., m) token rows: flat positions, in logit
-        order, of column ``index(d_ij)`` in row (..., h, i). The distances
-        are validated once and serve every layer."""
+    def _table_rows(self, distances, rows: tuple[int, ...]) -> np.ndarray:
+        """The bias-table rows of the distances of (..., m) token rows,
+        validated (``distances_to_indices``)."""
         if self.adapter is None:
             raise ValidationError("distance matrix supplied but structure is disabled")
-        distances = np.asarray(distances, dtype=np.int64)
+        distances = np.asarray(distances)
         if distances.shape != rows + rows[-1:]:
             raise ShapeError(f"distance matrix {distances.shape} does not match length {rows[-1]}")
+        return distances_to_indices(distances, self.config.adapter.tau)
+
+    def _gather_index(self, table_rows: np.ndarray) -> np.ndarray:
+        """Where the distance term reads the (..., H, m, R) products
+        ``q @ rel.T``: flat int64 positions, in logit order, of column
+        ``table_rows[..., i, j]`` in row (..., h, i). Built once per pass,
+        it serves every layer and the backward."""
         c = self.config
-        index = distances_to_indices(distances, c.adapter.tau)[..., None, :, :]
-        lead, m = rows[:-1], rows[-1]
-        products = np.arange(math.prod(lead) * c.heads * m).reshape(*lead, c.heads, m, 1)
-        return (products * c.adapter.table_rows + index).ravel()
+        *lead, m = table_rows.shape[:-1]
+        width = c.adapter.table_rows
+        starts = np.arange(0, math.prod(lead) * c.heads * m * width, width)
+        return (starts.reshape(*lead, c.heads, m, 1) + table_rows[..., None, :, :]).ravel()
+
+    def _distance_index(self, distances, rows: tuple[int, ...]) -> np.ndarray:
+        """The ``_gather_index`` of the distances of (..., m) token rows."""
+        return self._gather_index(self._table_rows(distances, rows))
 
     def _split(self, x2d: np.ndarray, rows: tuple[int, ...], layer: int, name: str) -> np.ndarray:
         """The ``name`` projection (``q``, ``k`` or ``v``) of the (N, dim)
@@ -361,14 +371,14 @@ class Encoder:
         return EncoderInputs(
             ids=ids,
             key_mask=None if key_mask is None else key_mask[..., None, None, :],
-            index=None if distances is None else self._distance_index(distances, ids.shape))
+            rows=None if distances is None else self._table_rows(distances, ids.shape))
 
     def run(self, inputs: EncoderInputs) -> EncodedSequence:
         """The full stack over ``prepare``'s inputs."""
+        index = None if inputs.rows is None else self._gather_index(inputs.rows)
         x = self._embedding(inputs.ids)
         for layer in range(self.config.layers):
-            x = self._feed_forward(self._attention(x, layer, inputs.index, inputs.key_mask),
-                                   layer)
+            x = self._feed_forward(self._attention(x, layer, index, inputs.key_mask), layer)
         return EncodedSequence(hidden=x)
 
     def param_groups(self) -> list[ParamGroup]:

@@ -16,6 +16,7 @@ here and for training's dev evaluator; ``_in_workers`` alone owns its workers.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import pickle
@@ -109,7 +110,8 @@ class TripletModel:
 
     def batch_distances(self, sentences) -> np.ndarray | None:
         """The (B, m, m) distance stack of a batch padded to its longest
-        sentence; None without an adapter."""
+        sentence, in the narrowest signed type that holds -tau to tau: one
+        byte a cell up to tau = 127. None without an adapter."""
         structure = self.encoder_config.adapter
         if structure.kind == NONE:
             return None
@@ -117,7 +119,7 @@ class TripletModel:
         return np.stack([
             augmented_distance_matrix(len(s), structure, heads=s.heads, total_len=m)
             for s in sentences
-        ])
+        ], dtype=np.min_scalar_type(-structure.tau - 1))  # -tau - 1 fits just when tau does
 
     def forward(self, sentences, distances: np.ndarray | None = None) -> BatchForward:
         """One pass over a batch of sentences, padded to the longest; a
@@ -279,9 +281,10 @@ class Worker:
     any exception that raises, and exits. It is forked (0.2 ms), or ``fresh``:
     a new interpreter (80 ms) that imports ``body`` by name and so shares no
     page whose later writes here would fault, copy-on-write. ``send`` writes a
-    pickled message, then arrays' raw bytes; ``receive`` raises an exception
-    it reads; ``receive_into`` fills arrays of known shapes. A child gone
-    mid-message raises OSError naming ``role``; ``close`` kills and reaps it."""
+    pickled message, then arrays' raw bytes, and ``make_room`` lets it return
+    before the child reads them; ``receive`` raises an exception it reads;
+    ``receive_into`` fills arrays of known shapes. A child gone mid-message
+    raises OSError naming ``role``; ``close`` kills and reaps it."""
 
     def __init__(self, role: str, body, fresh: bool = False):
         self.role, self.reaped = role, False
@@ -324,6 +327,17 @@ class Worker:
                     view = view[os.write(self._write, view):]
         except BrokenPipeError:
             self._gone()
+
+    def make_room(self, *arrays) -> None:
+        """Widen the pipe to the other end so that it holds a small message
+        with ``arrays`` whole, and ``send`` of one returns without waiting
+        for a read. Where the OS lacks or refuses that, the pipe keeps its
+        size."""
+        size = sum(memoryview(a).nbytes for a in arrays) + 4096  # and the pickled message
+        try:
+            fcntl.fcntl(self._write, fcntl.F_SETPIPE_SZ, size)
+        except (AttributeError, OSError):
+            pass
 
     def receive(self):
         data = self.receive_into(bytearray(*struct.unpack("<Q", self.receive_into(bytearray(8)))))

@@ -263,8 +263,9 @@ class GoldPositions:
         """From the (..., n) tag and (..., n, n) relation class indices of
         the padded batch."""
         *lead, n = np.shape(aspect)
-        tag_rows = np.arange(math.prod(lead) * n).reshape(*lead, n) * len(TAGS)
-        planes = np.arange(math.prod(lead)).reshape(*lead, 1, 1) * len(REL_LABELS)
+        tag_rows = np.arange(0, math.prod(lead) * n * len(TAGS), len(TAGS)).reshape(*lead, n)
+        planes = np.arange(0, math.prod(lead) * len(REL_LABELS), len(REL_LABELS))
+        planes = planes.reshape(*lead, 1, 1)
         within = np.arange(n * n).reshape(n, n)
         return cls(aspect=(tag_rows + aspect).ravel(), opinion=(tag_rows + opinion).ravel(),
                    relations=((planes + relations) * (n * n) + within).ravel())
@@ -289,7 +290,8 @@ class LossMasks:
         tokens = np.asarray(tokens, dtype=bool)
         cells = tokens[..., :, None] & tokens[..., None, :]
         return cls(tokens=tokens.reshape(-1, 1), cells=cells[..., None, :, :],
-                   token_count=int(tokens.sum()), cell_count=int(cells.sum()))
+                   token_count=int(np.count_nonzero(tokens)),
+                   cell_count=int(np.count_nonzero(cells)))
 
 
 # -- decoding ------------------------------------------------------------

@@ -124,11 +124,13 @@ def dependency_distance_matrix(graph: DependencyGraph, tau: int) -> np.ndarray:
 
 
 def distances_to_indices(values: np.ndarray, tau: int) -> np.ndarray:
-    """Map signed distances onto bias-table rows: ``values + tau``."""
-    values = np.asarray(values)
+    """Map signed distances onto bias-table rows, ``values + tau``, in the
+    narrowest unsigned type that holds all 2 * tau + 1 rows: one byte up to
+    tau = 127."""
+    values = np.asarray(values, dtype=np.int64)
     if values.size and np.abs(values).max() > tau:
         raise ValidationError(f"distances exceed tau={tau}; clip first")
-    return values + tau
+    return (values + tau).astype(np.min_scalar_type(2 * tau))
 
 
 def augmented_distance_matrix(

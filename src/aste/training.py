@@ -111,11 +111,11 @@ def joint_loss(pred: BatchHidden, gold: GoldPositions,
 def padded_gold(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (B, n) aspect and opinion tag and (B, n, n) relation class
     indices of ``build_gold`` for a batch padded to its longest sentence,
-    and its (B, n) token mask."""
+    as int8, and its (B, n) token mask."""
     longest = max(len(s) for s in sentences)
-    aspect = np.zeros((len(sentences), longest), dtype=np.int64)
+    aspect = np.zeros((len(sentences), longest), dtype=np.int8)
     opinion = np.zeros_like(aspect)
-    relations = np.zeros((len(sentences), longest, longest), dtype=np.int64)
+    relations = np.zeros((len(sentences), longest, longest), dtype=np.int8)
     tokens = np.zeros(aspect.shape, dtype=bool)
     for b, sentence in enumerate(sentences):
         n = len(sentence)
@@ -126,32 +126,32 @@ def padded_gold(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 @dataclass
 class BatchInputs:
-    """What training reads of a batch besides the weights: the encoder's
-    ids, key mask and distance index (``Encoder.prepare``), and the gold
-    logit positions and loss masks of ``TripletParser.loss``. Fixed for a
-    fixed batch, so training derives them once."""
+    """What training keeps of a batch for every epoch, a byte or so a cell:
+    the encoder's ids, key mask and distance-table rows
+    (``Encoder.prepare``) and the ``padded_gold`` classes and token mask.
+    Each step builds the int64 forms from them (``assemble_batch``)."""
 
     encoder: EncoderInputs
-    gold: GoldPositions
-    masks: LossMasks
+    gold: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
-    aspect, opinion, relations, tokens = padded_gold(sentences)
     ids = [model.vocab.encode(s.tokens) for s in sentences]
     return BatchInputs(encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
-                       gold=GoldPositions.build(aspect, opinion, relations),
-                       masks=LossMasks.build(tokens))
+                       gold=padded_gold(sentences))
 
 
 def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
     """One padded training pass over the batch up to the parser's heads,
-    with its gold positions and loss masks. ``inputs`` is the batch's
-    ``prepare_batch``, derived here when not given."""
+    with its gold positions and loss masks, built here and freed with the
+    step. ``inputs`` is the batch's ``prepare_batch``, derived here when
+    not given."""
     if inputs is None:
         inputs = prepare_batch(model, sentences)
+    aspect, opinion, relations, tokens = inputs.gold
     hidden = model.encoder.run(inputs.encoder).content
-    return BatchHidden(hidden, model.parser), inputs.gold, inputs.masks
+    return (BatchHidden(hidden, model.parser), GoldPositions.build(aspect, opinion, relations),
+            LossMasks.build(tokens))
 
 
 # -- schedule and optimizer ---------------------------------------------------
@@ -183,10 +183,11 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(g.buffer) for g in groups]
         self.v = [np.zeros_like(g.buffer) for g in groups]
-        # Per-group scratch, allocated once: a step makes no parameter-sized
-        # temporaries and leaves the gradients unchanged.
-        self._step = [np.empty_like(g.buffer) for g in groups]
-        self._work = [np.empty_like(g.buffer) for g in groups]
+        # Scratch sized to the largest group, allocated once and lent to each
+        # group in turn: a step makes no parameter-sized temporaries and
+        # leaves the gradients unchanged.
+        largest = max((g.buffer for g in groups), key=len)
+        self._step, self._work = np.empty_like(largest), np.empty_like(largest)
         self.last_group_lrs: dict[str, float] = {}
 
     def describe(self) -> str:
@@ -199,7 +200,8 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for group, m, v, s, w in zip(self.groups, self.m, self.v, self._step, self._work):
+        for group, m, v in zip(self.groups, self.m, self.v):
+            s, w = self._step[:group.buffer.size], self._work[:group.buffer.size]
             lr = base_lr * group.lr_multiplier
             self.last_group_lrs[group.name] = lr
             g = group.grad
@@ -346,6 +348,7 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     try:
         if processes > 1 and first < config.max_epochs - 1:  # it starts up from here on
             evaluator = Worker("dev evaluator", _evaluate_epochs, fresh=True)
+            evaluator.make_room(*(group.buffer for group in groups))  # for a weight message
             evaluator.send((encoder_config, parser_config, vocab, corpus.dev))
         inputs = [prepare_batch(model, batch) for batch in batches]
         dev_batches = model.inference_batches(corpus.dev)

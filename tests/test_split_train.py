@@ -369,6 +369,41 @@ class Alarm(Exception):
     pass
 
 
+def test_a_weight_send_does_not_wait_for_a_stopped_evaluator(capsys, monkeypatch, tmp_path,
+                                                             corpus_files):
+    """The pipe to the evaluator holds one epoch's weights, 300 KB and more
+    at the default model size against a 64 KiB default pipe: with the
+    evaluator stopped, the send of epoch 1's weights returns before an
+    interval timer fires, and the run then ends as usual."""
+    sent = []
+
+    def stop_and_set_timer(pid):
+        stop(pid)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+
+    def cancel_and_continue(pid):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        sent.append(pid)
+        os.kill(pid, signal.SIGCONT)
+
+    def raise_alarm(signum, frame):
+        raise Alarm
+
+    on_sending(monkeypatch, 1, stop_and_set_timer, cancel_and_continue)
+    monkeypatch.setattr(aste.cli, "usable_cores", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, raise_alarm)
+    try:
+        code = main(["train", "--train", str(corpus_files / "train.jsonl"),
+                     "--dev", str(corpus_files / "dev.jsonl"), "--out", str(tmp_path / "out"),
+                     "--adapter", "rel", "--max-epochs", "3", "--patience", "3"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and len(sent) == 1
+    assert (tmp_path / "out" / "weights.bin").stat().st_size > 300_000
+    assert_no_child_left()
+
+
 def test_interrupt_while_waiting_for_a_score_does_not_wait_for_it(monkeypatch, tmp_path,
                                                                   corpus_files):
     """An exception raised in the trainer while it waits for a dev score

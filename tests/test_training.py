@@ -15,8 +15,9 @@ from aste.model import BatchHidden, TripletModel
 from aste.data import Sentence, Span, Triplet, Vocabulary
 from aste.numerics import Tensor, checked_once, cross_entropy_forward, grad_check, no_grad
 from aste.parser import GoldPositions, LossMasks, ParserConfig, TripletParser, build_gold
-from aste.structure import DEPENDENCY, RELATIVE, StructureConfig, random_tree_heads
-from aste.synth import learnable_corpus
+from aste.structure import (DEPENDENCY, RELATIVE, StructureConfig, augmented_distance_matrix,
+                            random_tree_heads)
+from aste.synth import learnable_corpus, proximity_sentence
 from aste.training import (
     LR_GRID,
     AdamW,
@@ -594,6 +595,60 @@ class TestBatching:
             assert loss == fresh_loss
             for a, b in zip(grads, fresh_grads):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [RELATIVE, DEPENDENCY])
+    def test_prepared_batches_keep_a_byte_or_so_a_cell(self, kind):
+        """At two heads, 10-80-token sentences keep at most 8 KiB each
+        between epochs: the ids, the key mask, one byte per distance and
+        per relation class, and the tag classes and token mask."""
+        rng = np.random.default_rng(4)
+        drawn = [proximity_sentence(rng, 10, 80) for _ in range(80)]
+        sentences = [Sentence(tokens=s.tokens, triplets=s.triplets,
+                              heads=random_tree_heads(len(s), rng) if kind == DEPENDENCY else None)
+                     for s in drawn if s is not None]
+        vocab = Vocabulary.build(sentences)
+        config = EncoderConfig(vocab_size=len(vocab), heads=2, max_len=82,
+                               adapter=StructureConfig(tau=8, kind=kind))
+        model = TripletModel(config, ParserConfig(), vocab, seed=0)
+        kept = 0
+        for batch in bucket_batches(sentences, 6):
+            inputs = prepare_batch(model, batch)
+            arrays = (inputs.encoder.ids, inputs.encoder.key_mask, inputs.encoder.rows,
+                      *inputs.gold)
+            kept += sum(a.nbytes for a in arrays if a is not None)
+        assert inputs.encoder.rows.dtype == np.uint8 and inputs.gold[2].dtype == np.int8
+        assert kept / len(sentences) <= 8 * 1024
+        # Dev and decode batches keep one byte a distance too.
+        assert {d.dtype for _, d in model.inference_batches(sentences[:20])} == {np.dtype(np.int8)}
+
+    def test_tau_above_127_keeps_two_bytes_a_distance(self):
+        """At tau = 150 a 150-token sentence has 301 table rows, too many
+        for a byte: the kept rows are uint16, equal to the int64 distances
+        plus tau, their gather index is the one built from the int64
+        distances, and the kept batch gives the unprepared batch's loss and
+        gradients bit for bit."""
+        rng = np.random.default_rng(6)
+        batch = [proximity_sentence(rng, n, n) for n in (150, 120)]
+        vocab = Vocabulary.build(batch)
+        config = EncoderConfig(vocab_size=len(vocab), dim=8, heads=2, layers=1, ffn_dim=12,
+                               max_len=160, adapter=StructureConfig(tau=150, kind=RELATIVE))
+        model = TripletModel(config, tiny_parser_config(), vocab, seed=1)
+        for table in model.encoder.adapter.tensors.values():
+            table.data[...] = rng.normal(0, 0.5, table.shape)
+        inputs = prepare_batch(model, batch)
+        distances = np.stack([augmented_distance_matrix(len(s), config.adapter, total_len=152)
+                              for s in batch])
+        rows = inputs.encoder.rows
+        assert rows.dtype == np.uint16 and rows.max() == 300
+        assert model.batch_distances(batch).dtype == np.int16
+        np.testing.assert_array_equal(rows, distances + 150)
+        np.testing.assert_array_equal(model.encoder._gather_index(rows),
+                                      model.encoder._distance_index(distances, (2, 152)))
+        fresh_loss, fresh_grads = self.loss_and_gradients(model, batch)
+        loss, grads = self.loss_and_gradients(model, batch, inputs)
+        assert loss == fresh_loss
+        for a, b in zip(grads, fresh_grads):
+            np.testing.assert_array_equal(a, b)
 
     def test_training_step_after_inference_has_the_same_gradients(self):
         model, batch = self.dependency_model_and_batch(3)
