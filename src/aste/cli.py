@@ -32,6 +32,7 @@ from .data import (
     numbered_lines,
     preprocess,
     read_corpus_file,
+    serialize_record,
     split_corpus,
     stats,
     stats_table,
@@ -39,7 +40,7 @@ from .data import (
 )
 from .encoder import EncoderConfig, adapter_increment, count_params, structural_layer_increment
 from .errors import NumericError, ParseError, TrainingDivergedError, ValidationError
-from .evaluation import bench_distance, bench_summary, score_corpus
+from .evaluation import MatchScores, bench_distance, bench_summary, exact_match
 from .model import TripletModel
 from .parser import ParserConfig
 from .structure import DEPENDENCY, NONE, RELATIVE, StructureConfig
@@ -302,8 +303,8 @@ def usable_cores() -> int:
 def _cmd_eval(args) -> int:
     model = TripletModel.load(args.weights)
     sentences = _read_for_model(args.input, model.encoder_config)
-    predicted = model.predict_corpus(sentences, processes=usable_cores())
-    scores = score_corpus(predicted, [s.triplet_set() for s in sentences])
+    scores = sum(model.predict_corpus(sentences, processes=usable_cores(), finish=_match_scores),
+                 MatchScores())
     table = (
         "matched\tpredicted\tgold\tprecision\trecall\tf1\n"
         f"{scores.matched}\t{scores.predicted}\t{scores.gold}"
@@ -315,16 +316,26 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _match_scores(sentence, triplets) -> MatchScores:
+    """``eval``'s ``finish``: one sentence's exact-match counts."""
+    return exact_match(triplets, sentence.triplet_set())
+
+
 def _cmd_decode(args) -> int:
     model = TripletModel.load(args.weights)
     sentences = _read_for_model(args.input, model.encoder_config)
-    # Everything is predicted before the output opens, so a failing
-    # record leaves no partial file.
-    predicted = model.predict_corpus(sentences, processes=usable_cores())
-    write_corpus_file(args.out, [replace(sentence, triplets=sorted(triplets))
-                                 for sentence, triplets in zip(sentences, predicted)])
+    # Every line is made before the output opens, so a failing record
+    # leaves no partial file.
+    lines = model.predict_corpus(sentences, processes=usable_cores(), finish=_output_line)
+    Path(args.out).write_text("".join(lines), encoding="utf-8")
     print(f"decoded\t{len(sentences)}")
     return 0
+
+
+def _output_line(sentence, triplets) -> str:
+    """``decode``'s ``finish``: the sentence's output line, its predicted
+    triplets in sorted order."""
+    return serialize_record(sentence, sorted(triplets)) + "\n"
 
 
 def _cmd_params(args) -> int:

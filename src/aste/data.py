@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import json
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -58,7 +59,7 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Inclusive token span ``[start, end]``."""
 
@@ -76,7 +77,7 @@ class Span:
         return range(self.start, self.end + 1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triplet:
     """An aspect span, an opinion span, and their sentiment."""
 
@@ -151,13 +152,17 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
     if unknown:
         raise ParseError(line_no, f"unknown fields {_brief(sorted(unknown))}")
     tokens = raw.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ParseError(line_no, "tokens must be a list of strings")
     try:
-        "".join(tokens).encode("utf-8")
+        if not isinstance(tokens, list):
+            raise TypeError("tokens are not a list")
+        "".join(tokens).encode("utf-8")  # join takes only strings
+    except TypeError:
+        raise ParseError(line_no, "tokens must be a list of strings") from None
     except UnicodeEncodeError as exc:
         # A JSON escape can spell a lone surrogate, which no file can hold.
         raise ParseError(line_no, f"tokens are not valid text ({exc.reason})") from exc
+    # A corpus then holds one string per distinct token, not one per use.
+    tokens = list(map(sys.intern, tokens))
     items = raw.get("triplets", [])
     if not isinstance(items, list):
         raise ParseError(line_no, "triplets must be a list")
@@ -176,8 +181,14 @@ def parse_record(line: str, line_no: int = 1) -> Sentence:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def serialize_record(sentence: Sentence) -> str:
-    """Inverse of parse_record; field order is fixed for byte-stable files."""
+# One encoder for every record: json.dumps with an option builds a new one a call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def serialize_record(sentence: Sentence, triplets=None) -> str:
+    """Inverse of parse_record; field order is fixed for byte-stable files.
+    ``triplets``, when given, stand in for the sentence's own, unchecked:
+    ``aste decode`` writes its predictions this way."""
     record: dict = {"tokens": sentence.tokens}
     if sentence.heads is not None:
         record["heads"] = sentence.heads
@@ -185,9 +196,9 @@ def serialize_record(sentence: Sentence) -> str:
         {"aspect": [t.aspect.start, t.aspect.end],
          "opinion": [t.opinion.start, t.opinion.end],
          "sentiment": t.sentiment}
-        for t in sentence.triplets
+        for t in (sentence.triplets if triplets is None else triplets)
     ]
-    return json.dumps(record, ensure_ascii=False)
+    return _ENCODER.encode(record)
 
 
 def numbered_lines(path):

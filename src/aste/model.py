@@ -10,8 +10,10 @@ group's ``buffer`` as one little-endian float64 block.
 
 ``predict_corpus`` can split its batches over forked worker processes
 (``_in_workers``), each deriving its batches' distances and pickling back
-their triplets. ``Worker`` alone starts, talks to, kills and reaps a child,
-here and for training's dev evaluator; ``_in_workers`` alone owns its workers.
+finished results: triplet sets, or what the caller's ``finish`` makes of
+them (``aste decode``'s output lines, ``aste eval``'s match counts).
+``Worker`` alone starts, talks to, kills and reaps a child, here and for
+training's dev evaluator; ``_in_workers`` alone owns its workers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import ValidationError
 from .numerics import ParamGroup, Tensor, checked_once, no_grad
 from .parser import (ParserConfig, SentimentRelationMap, TripletParser, decode_grid,
                      spans_from_tags)
-from .structure import NONE, StructureConfig, augmented_distance_matrix
+from .structure import DEPENDENCY, NONE, StructureConfig, augmented_distance_matrix
 
 _MAGIC = b"ASTW"
 _VERSION = 2
@@ -81,12 +83,23 @@ class BatchHidden:
     parser: TripletParser
 
 
+class _NoDraws:
+    """A random generator's stand-in whose ``normal`` draws nothing: it
+    gives zeros."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 class TripletModel:
     def __init__(self, encoder_config: EncoderConfig, parser_config: ParserConfig,
-                 vocab: Vocabulary, seed: int = 0):
+                 vocab: Vocabulary, seed: int | None = 0):
+        """Weights drawn from ``seed``; with None, no draws and all zero, for
+        a caller that overwrites every weight (``load``, the dev evaluator)."""
         if encoder_config.vocab_size != len(vocab):
             raise ValidationError("encoder vocab_size does not match the vocabulary")
-        rng = np.random.default_rng(seed)
+        rng = _NoDraws() if seed is None else np.random.default_rng(seed)
         self.encoder = Encoder(encoder_config, rng)
         self.parser = TripletParser(encoder_config.dim, parser_config, rng)
         self.vocab = vocab
@@ -111,15 +124,25 @@ class TripletModel:
     def batch_distances(self, sentences) -> np.ndarray | None:
         """The (B, m, m) distance stack of a batch padded to its longest
         sentence, in the narrowest signed type that holds -tau to tau: one
-        byte a cell up to tau = 127. None without an adapter."""
+        byte a cell up to tau = 127. None without an adapter. The dependency
+        derivation runs per sentence. The relative one runs once, for the
+        longest row, whose matrix holds every shorter row's as its top-left
+        block; one broadcast mask zeroes the shorter rows' padding."""
         structure = self.encoder_config.adapter
         if structure.kind == NONE:
             return None
-        m = max(len(s) for s in sentences) + 2
-        return np.stack([
-            augmented_distance_matrix(len(s), structure, heads=s.heads, total_len=m)
-            for s in sentences
-        ], dtype=np.min_scalar_type(-structure.tau - 1))  # -tau - 1 fits just when tau does
+        dtype = np.min_scalar_type(-structure.tau - 1)  # -tau - 1 fits just when tau does
+        lengths = [len(s) + 2 for s in sentences]  # with the two markers
+        m = max(lengths)
+        if structure.kind == DEPENDENCY:
+            return np.stack([augmented_distance_matrix(len(s), structure, heads=s.heads,
+                                                       total_len=m)
+                             for s in sentences], dtype=dtype)
+        full = augmented_distance_matrix(m - 2, structure).astype(dtype)
+        if min(lengths) == m:
+            return np.repeat(full[None], len(lengths), axis=0)
+        inside = np.arange(m) < np.array(lengths)[:, None]
+        return full * (inside[:, :, None] & inside[:, None, :])
 
     def forward(self, sentences, distances: np.ndarray | None = None) -> BatchForward:
         """One pass over a batch of sentences, padded to the longest; a
@@ -151,46 +174,51 @@ class TripletModel:
         return [(batch, self.batch_distances([sentences[i] for i in batch]))
                 for batch in length_buckets(sentences, PREDICT_BATCH)]
 
-    def predict_corpus(self, sentences, batches=None, processes: int = 1) -> list[set[Triplet]]:
-        """Decode every sentence, in input order. Sentences run in the
+    def predict_corpus(self, sentences, batches=None, processes: int = 1, finish=None) -> list:
+        """Decode every sentence, in input order: its triplet set, or what
+        ``finish(sentence, triplets)`` makes of it. Sentences run in the
         batches of ``inference_batches``; when those are not given, each
         batch derives its distances where it runs. Batches record no tape;
         finiteness is checked once per batch, on its three output arrays.
 
         With ``processes`` above 1, the batches are split into that many
         shards (at most one per batch) of about equal padded cells: this
-        process runs the first and a forked worker each other one. Either
-        way each shard runs its batches in length order, and the error
-        raised is that of the earliest failing batch in length order, as
-        in one process."""
+        process runs the first and a forked worker each other one, and a
+        worker pickles back only its finished results. Either way each
+        shard runs its batches in length order, ``finish`` runs on each
+        batch as it is decoded, and the error raised is that of the
+        earliest failing batch in length order, as in one process."""
         if batches is None:
             batches = [(batch, None) for batch in length_buckets(sentences, PREDICT_BATCH)]
 
         def run(shard):
-            """The ``(position, triplets)`` pairs of the batches numbered in
+            """The ``(position, result)`` pairs of the batches numbered in
             ``shard``, run in that order up to the first that raises, and
             that failure as ``(batch number, exception)``, or None."""
-            decoded = []
+            results = []
             with no_grad():
                 for number in shard:
                     batch, distances = batches[number]
                     rows = [sentences[i] for i in batch]
                     try:
                         forward = checked_once(lambda: self.forward(rows, distances), _outputs)
+                        decoded = forward.decode([len(s) for s in rows])
+                        if finish is not None:
+                            decoded = [finish(*pair) for pair in zip(rows, decoded)]
                     except Exception as exc:
                         # Held: the earliest failure over all shards is raised.
-                        return decoded, (number, exc)
-                    decoded += zip(batch, forward.decode([len(s) for s in rows]))
-            return decoded, None
+                        return results, (number, exc)
+                    results += zip(batch, decoded)
+            return results, None
 
         outcomes = _in_workers(run, _shards(sentences, batches, processes))
         failures = [failure for _, failure in outcomes if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         predicted: list = [None] * len(sentences)
-        for decoded, _ in outcomes:
-            for i, triplets in decoded:
-                predicted[i] = triplets
+        for results, _ in outcomes:
+            for i, result in results:
+                predicted[i] = result
         return predicted
 
     # -- serialization ---------------------------------------------------------
@@ -246,7 +274,7 @@ class TripletModel:
         if len(data) - payload_at != expected:
             raise ValidationError(f"weight file holds {len(data) - payload_at} bytes of "
                                   f"parameters where its header describes {expected}")
-        model = cls(encoder_config, parser_config, vocab, seed=0)
+        model = cls(encoder_config, parser_config, vocab, seed=None)
         if layout != model._layout():
             raise ValidationError("weight file layout does not match its header's configs")
         groups = model.param_groups()

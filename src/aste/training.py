@@ -392,7 +392,7 @@ def _evaluate_epochs(trainer: Worker) -> None:
     """``train``'s dev evaluator. Given the configs, vocabulary and dev sentences, it
     answers weights with their dev scores, and None with the weights it last scored."""
     *configs, dev = trainer.receive()
-    model = TripletModel(*configs)
+    model = TripletModel(*configs, seed=None)  # the trainer's weights come before any scoring
     buffers = [group.buffer for group in model.param_groups()]
     dev_batches = model.inference_batches(dev)
     while True:

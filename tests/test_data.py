@@ -1,7 +1,9 @@
 """Records, preprocessing, splitting, vocabulary, statistics."""
 
+import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -272,6 +274,49 @@ class TestRoundTrip:
         twice = serialize_record(parse_record(once))
         assert once == twice
         assert list(json.loads(once)) == ["tokens", "heads", "triplets"]
+
+
+    def test_given_triplets_stand_in_for_the_sentence_own(self):
+        """``serialize_record(sentence, triplets)`` writes what the sentence
+        with those triplets writes, and the JSON text of ``json.dumps``."""
+        sentence = Sentence(tokens=["caf\u00e9", "b", "c"], heads=[-1, 0, 0],
+                            triplets=[Triplet(Span(0, 0), Span(2, 2), "POS")])
+        triplets = [Triplet(Span(0, 1), Span(2, 2), "NEG"), Triplet(Span(1, 1), Span(0, 0), "NEU")]
+        line = serialize_record(sentence, triplets)
+        assert line == serialize_record(Sentence(tokens=sentence.tokens, heads=sentence.heads,
+                                                 triplets=triplets))
+        assert line == json.dumps(json.loads(line), ensure_ascii=False)
+        assert serialize_record(sentence, []).endswith('"triplets": []}')
+
+
+class TestSlottedRecords:
+    def test_span_and_triplet_keep_their_behaviour(self):
+        """Slotted spans and triplets pickle, hash, order and refuse
+        assignment as before, and hold no per-instance dict."""
+        a = Triplet(Span(0, 1), Span(3, 3), "POS")
+        b = Triplet(Span(0, 1), Span(2, 4), "NEG")
+        for value in (a, a.aspect):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value) and copy is not value
+            assert not hasattr(value, "__dict__")
+        assert {a, pickle.loads(pickle.dumps(a)), b} == {a, b}
+        assert sorted([a, b]) == [b, a] and Span(0, 1) < Span(0, 2) < Span(1, 1)
+        for value, name in ((a, "sentiment"), (a.aspect, "start")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+        with pytest.raises(ValidationError):
+            Span(2, 1)
+        with pytest.raises(ValidationError):
+            Triplet(Span(0, 0), Span(0, 0), "POS")
+
+    def test_parsed_tokens_are_shared_between_records(self, tmp_path):
+        """Each distinct token is one string over a whole corpus."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"tokens": ["the", "food", "the"]}\n{"tokens": ["food", "the"]}\n',
+                        encoding="utf-8")
+        first, second = read_corpus_file(path)
+        assert first.tokens[0] is first.tokens[2] is second.tokens[1]
+        assert first.tokens[1] is second.tokens[0]
 
 
 def sentence_with(n_tokens, n_triplets=1, aspect_len=1, opinion_len=1):

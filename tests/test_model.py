@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aste.model
 from aste.cli import main
 from aste.data import Sentence, Vocabulary, write_corpus_file
 from aste.encoder import Encoder, EncoderConfig
@@ -213,6 +214,61 @@ class TestPredictCorpus:
         assert forward(corpus.train[:1]).relations._parents != ()
 
 
+def counted_distances(monkeypatch):
+    """The lengths ``augmented_distance_matrix`` is called with, through the
+    name the model calls it by."""
+    lengths, derive = [], aste.model.augmented_distance_matrix
+
+    def counting(n, *args, **kwargs):
+        lengths.append(n)
+        return derive(n, *args, **kwargs)
+
+    monkeypatch.setattr(aste.model, "augmented_distance_matrix", counting)
+    return lengths
+
+
+class TestBatchDistances:
+    @pytest.mark.parametrize("tau", [4, 150])
+    def test_relative_stack_is_the_per_sentence_stack(self, monkeypatch, tau):
+        """The relative stack equals the ``np.stack`` of every sentence's own
+        matrix padded to the longest, in values and dtype (int8, or int16
+        above tau = 127), for mixed lengths with an empty sentence, for equal
+        lengths and for one sentence; it is one derivation, for the longest
+        row."""
+        vocab = Vocabulary.build([Sentence(tokens=["w"])])
+        adapter = StructureConfig(tau=tau, kind=RELATIVE)
+        config = EncoderConfig(vocab_size=len(vocab), dim=8, heads=2, layers=1, ffn_dim=12,
+                               max_len=160, adapter=adapter)
+        model = TripletModel(config, ParserConfig(tag_hidden=6, pair_hidden=5), vocab)
+        dtype = np.int8 if tau < 128 else np.int16
+        lengths = counted_distances(monkeypatch)
+        for sizes in ([7, 0, 3, 12, 12, 1], [0], [5, 5, 5], [9], [150, 120, 4]):
+            batch = [Sentence(tokens=["w"] * n) for n in sizes]
+            m = max(sizes) + 2
+            want = np.stack([augmented_distance_matrix(n, adapter, total_len=m) for n in sizes])
+            lengths.clear()
+            got = model.batch_distances(batch)
+            assert lengths == [max(sizes)]
+            assert got.dtype == dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_dependency_derives_each_sentence(self, monkeypatch):
+        """The dependency adapter keeps one BFS per sentence, each padded to
+        the longest."""
+        model, corpus = build_model(adapter_kind=DEPENDENCY)
+        batch = mixed_length_batch(corpus, np.random.default_rng(0))
+        m = max(len(s) for s in batch) + 2
+        adapter = model.encoder_config.adapter
+        want = np.stack([augmented_distance_matrix(len(s), adapter, heads=s.heads, total_len=m)
+                         for s in batch])
+        lengths = counted_distances(monkeypatch)
+        got = model.batch_distances(batch)
+        assert lengths == [len(s) for s in batch]
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSnapshots:
     def test_snapshot_round_trip(self):
         model, corpus = build_model(adapter_kind=RELATIVE)
@@ -257,6 +313,26 @@ class TestWeightFile:
             predicted = model.predict_corpus(sentences)
             assert any(predicted)
             assert loaded.predict_corpus(sentences) == predicted
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        """``load`` builds its model without drawing any weight: with
+        ``numpy.random.default_rng`` raising, every parameter still comes
+        back bit for bit."""
+        for kind in (None, RELATIVE, DEPENDENCY):
+            model, _ = varied_model(kind, seed=3)
+            path = tmp_path / "weights.bin"
+            model.save(path)
+
+            def no_draws(*args, **kwargs):
+                raise AssertionError("load drew random numbers")
+
+            monkeypatch.setattr(np.random, "default_rng", no_draws)
+            loaded = TripletModel.load(path)
+            monkeypatch.undo()
+            expected, got = model.state_snapshot(), loaded.state_snapshot()
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert got[name].tobytes() == expected[name].tobytes()
 
     def test_rejects_non_weight_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -3,10 +3,12 @@ forked worker processes, one per usable core. These tests hold the split
 to the one-process run: the same bytes out, the same error for a failing
 batch, and no child process left behind, whatever happened."""
 
+import json
 import os
 import re
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from aste.cli import main
 from aste.data import Sentence, Vocabulary, length_buckets, write_corpus_file
 from aste.encoder import EncoderConfig
 from aste.errors import NumericError
-from aste.model import PREDICT_BATCH, TripletModel, _shards
+from aste.evaluation import score_corpus
+from aste.model import PREDICT_BATCH, TripletModel, Worker, _shards
 from aste.parser import ParserConfig
 from aste.structure import DEPENDENCY, NONE, RELATIVE, StructureConfig, random_tree_heads
 from aste.synth import learnable_corpus
@@ -124,6 +127,70 @@ def test_outputs_byte_identical_on_any_core_count(capsys, monkeypatch, tmp_path,
     assert eval_code == 0 and scores.startswith("matched\t")
     assert decoded.count(b'"aspect"') > len(sentences)
     assert runs[2] == runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("kind", [NONE, RELATIVE, DEPENDENCY])
+def test_outputs_are_those_of_one_process_predict_corpus(capsys, monkeypatch, tmp_path, kind):
+    """On any core count, decode writes each sentence with its one-process
+    ``predict_corpus`` triplets, sorted, as ``write_corpus_file`` does, and
+    eval prints ``score_corpus`` of those triplets against the gold."""
+    sentences = mixed_corpus()
+    source, weights = write_inputs(tmp_path, kind, sentences)
+    predicted = TripletModel.load(weights).predict_corpus(sentences)
+    assert sum(len(t) for t in predicted) > len(sentences)
+    expected = tmp_path / "expected.jsonl"
+    write_corpus_file(expected, [replace(s, triplets=sorted(t))
+                                 for s, t in zip(sentences, predicted)])
+    scores = score_corpus(predicted, [sentence.triplet_set() for sentence in sentences])
+    table = ("matched\tpredicted\tgold\tprecision\trecall\tf1\n"
+             f"{scores.matched}\t{scores.predicted}\t{scores.gold}\t{scores.precision:.4f}"
+             f"\t{scores.recall:.4f}\t{scores.f1:.4f}\n")
+    for cores, (decoded, evaluated) in runs_on_each_core_count(capsys, monkeypatch, tmp_path,
+                                                               source, weights).items():
+        assert decoded == (0, f"decoded\t{len(sentences)}\n", "", expected.read_bytes()), cores
+        assert evaluated == (0, table, ""), cores
+
+
+def types_in(value) -> set[str]:
+    """The type names in a message, looking into tuples, lists and sets."""
+    found = {type(value).__name__}
+    if isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            found |= types_in(item)
+    return found
+
+
+def test_no_triplet_crosses_a_worker_pipe(capsys, monkeypatch, tmp_path):
+    """Decode and eval workers send back finished lines and match counts,
+    never a ``Triplet`` or ``Span``; ``predict_corpus`` without ``finish``
+    still sends triplet sets, which the recorder sees."""
+    sentences = mixed_corpus()
+    source, weights = write_inputs(tmp_path, RELATIVE, sentences)
+    record, send = tmp_path / "sent.jsonl", Worker.send
+
+    def recording(self, message, *arrays):
+        with open(record, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(sorted(types_in(message))) + "\n")
+        return send(self, message, *arrays)
+
+    monkeypatch.setattr(Worker, "send", recording)
+
+    def sent() -> list[set[str]]:
+        """The type names of each message sent since the last call."""
+        names = [set(json.loads(line)) for line in record.read_text(encoding="utf-8").splitlines()]
+        record.unlink()
+        return names
+
+    monkeypatch.setattr(aste.cli, "usable_cores", lambda: 3)
+    out = tmp_path / "out.jsonl"
+    for argv, finished in ((["decode", "--out", str(out)], "str"), (["eval"], "MatchScores")):
+        assert main([*argv, "--weights", str(weights), "--input", str(source)]) == 0
+        assert_no_child_left()
+        answers = sent()
+        assert len(answers) == 2 and all(finished in names for names in answers)
+        assert not set().union(*answers) & {"Triplet", "Span"}
+    TripletModel.load(weights).predict_corpus(sentences, processes=2)
+    assert "Triplet" in set().union(*sent())
 
 
 def plant_in_batches(sentences, numbers):

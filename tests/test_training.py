@@ -11,8 +11,8 @@ import aste.training
 from aste.data import Corpus
 from aste.encoder import EncoderConfig
 from aste.errors import TrainingDivergedError, ValidationError
-from aste.model import BatchHidden, TripletModel
-from aste.data import Sentence, Span, Triplet, Vocabulary
+from aste.model import PREDICT_BATCH, BatchHidden, TripletModel
+from aste.data import Sentence, Span, Triplet, Vocabulary, length_buckets
 from aste.numerics import Tensor, checked_once, cross_entropy_forward, grad_check, no_grad
 from aste.parser import GoldPositions, LossMasks, ParserConfig, TripletParser, build_gold
 from aste.structure import (DEPENDENCY, RELATIVE, StructureConfig, augmented_distance_matrix,
@@ -483,7 +483,8 @@ class TestTrainLoop:
     def test_gold_and_distances_derived_once_per_train_sentence(self, monkeypatch):
         """Batches keep their contents across epochs, so their gold
         targets and distance stacks, and the dev set's distance stacks,
-        are derived before the first one."""
+        are derived before the first one: gold once per train sentence,
+        relative distances once per batch, for its longest row."""
         calls = {"gold": 0, "distances": 0}
 
         def counting(key, func):
@@ -500,7 +501,8 @@ class TestTrainLoop:
         _, history = self.run(corpus, adapter_kind=RELATIVE, epochs=3)
         assert len(history.records) == 3
         assert calls["gold"] == len(corpus.train)
-        assert calls["distances"] == len(corpus.train) + len(corpus.dev)
+        assert calls["distances"] == (len(bucket_batches(corpus.train, 4))
+                                      + len(length_buckets(corpus.dev, PREDICT_BATCH)))
 
     def test_history_metadata_records_optimizer(self):
         corpus = learnable_corpus(10, seed=9)
