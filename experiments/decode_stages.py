@@ -28,7 +28,8 @@ that is not the program's). Runs alternate which tree goes first. Usage::
     python3 experiments/decode_stages.py --tree parent=../parent/src --tree change=src \\
         --workload short-rel --runs 15 --out decode_stages.json
 
-A run takes well under a second; the script is not part of the test suite.
+A run takes well under a second; ``tests/test_experiments.py`` runs the
+script once, with one run a tree.
 """
 
 from __future__ import annotations

@@ -40,11 +40,11 @@ from .data import (
 )
 from .encoder import EncoderConfig, adapter_increment, count_params, structural_layer_increment
 from .errors import NumericError, ParseError, TrainingDivergedError, ValidationError
-from .evaluation import MatchScores, bench_distance, bench_summary, exact_match
+from .evaluation import bench_distance, bench_summary
 from .model import TripletModel
 from .parser import ParserConfig
 from .structure import DEPENDENCY, NONE, RELATIVE, StructureConfig
-from .training import TrainConfig, check_splits, default_batch_size, train
+from .training import TrainConfig, check_splits, default_batch_size, evaluate_model, train
 
 ADAPTER_KINDS = {"none": NONE, "rel": RELATIVE, "dep": DEPENDENCY}
 
@@ -303,8 +303,7 @@ def usable_cores() -> int:
 def _cmd_eval(args) -> int:
     model = TripletModel.load(args.weights)
     sentences = _read_for_model(args.input, model.encoder_config)
-    scores = sum(model.predict_corpus(sentences, processes=usable_cores(), finish=_match_scores),
-                 MatchScores())
+    scores = evaluate_model(model, sentences, processes=usable_cores())
     table = (
         "matched\tpredicted\tgold\tprecision\trecall\tf1\n"
         f"{scores.matched}\t{scores.predicted}\t{scores.gold}"
@@ -314,11 +313,6 @@ def _cmd_eval(args) -> int:
         Path(args.scores).write_text(table, encoding="utf-8")
     print(table, end="")
     return 0
-
-
-def _match_scores(sentence, triplets) -> MatchScores:
-    """``eval``'s ``finish``: one sentence's exact-match counts."""
-    return exact_match(triplets, sentence.triplet_set())
 
 
 def _cmd_decode(args) -> int:

@@ -310,9 +310,10 @@ class Worker:
     a new interpreter (80 ms) that imports ``body`` by name and so shares no
     page whose later writes here would fault, copy-on-write. ``send`` writes a
     pickled message, then arrays' raw bytes, and ``make_room`` lets it return
-    before the child reads them; ``receive`` raises an exception it reads;
-    ``receive_into`` fills arrays of known shapes. A child gone mid-message
-    raises OSError naming ``role``; ``close`` kills and reaps it."""
+    before the other end reads them; ``receive`` raises an exception it reads;
+    ``receive_into`` fills arrays of known shapes, as the dev evaluator takes
+    weights. A child gone mid-message raises OSError naming ``role``;
+    ``close`` kills and reaps it."""
 
     def __init__(self, role: str, body, fresh: bool = False):
         self.role, self.reaped = role, False
@@ -359,11 +360,12 @@ class Worker:
     def make_room(self, *arrays) -> None:
         """Widen the pipe to the other end so that it holds a small message
         with ``arrays`` whole, and ``send`` of one returns without waiting
-        for a read. Where the OS lacks or refuses that, the pipe keeps its
-        size."""
+        for a read. A pipe is never narrowed (``F_SETPIPE_SZ`` also
+        shrinks); where the OS lacks or refuses that, it keeps its size."""
         size = sum(memoryview(a).nbytes for a in arrays) + 4096  # and the pickled message
         try:
-            fcntl.fcntl(self._write, fcntl.F_SETPIPE_SZ, size)
+            if fcntl.fcntl(self._write, fcntl.F_GETPIPE_SZ) < size:
+                fcntl.fcntl(self._write, fcntl.F_SETPIPE_SZ, size)
         except (AttributeError, OSError):
             pass
 

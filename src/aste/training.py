@@ -19,7 +19,7 @@ import numpy as np
 from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig, EncoderInputs
 from .errors import NumericError, TrainingDivergedError, ValidationError
-from .evaluation import MatchScores, score_corpus
+from .evaluation import MatchScores, exact_match
 from .model import BatchHidden, TripletModel, Worker
 from .numerics import ParamGroup, Tensor, checked_once
 from .parser import GoldPositions, LossMasks, ParserConfig, build_gold
@@ -250,12 +250,15 @@ def bucket_batches(sentences, batch_size: int) -> list[list[Sentence]]:
     return [[sentences[i] for i in batch] for batch in length_buckets(sentences, batch_size)]
 
 
-def evaluate_model(model: TripletModel, sentences, batches=None) -> MatchScores:
-    """Exact-match scores of the model's predictions; ``batches`` is the
-    sentences' ``inference_batches``, derived here when not given."""
-    preds = model.predict_corpus(sentences, batches)
-    golds = [s.triplet_set() for s in sentences]
-    return score_corpus(preds, golds)
+def evaluate_model(model: TripletModel, sentences, batches=None,
+                   processes: int = 1) -> MatchScores:
+    """Exact-match scores of the model's predictions, summed over each
+    sentence's counts as its batch is decoded: ``aste eval`` on every usable
+    core and dev scoring in one process. ``batches`` and ``processes`` are
+    ``predict_corpus``'s."""
+    counts = model.predict_corpus(sentences, batches, processes,
+                                  finish=lambda s, found: exact_match(found, s.triplet_set()))
+    return sum(counts, MatchScores())
 
 
 def _step(model: TripletModel, groups, sentences, inputs: BatchInputs,
@@ -299,11 +302,12 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     """Fit a model on the corpus, early-stopping on dev exact-match F1.
 
     Returns the best-dev weights and the per-epoch history. Fully
-    deterministic given ``config.seed``. With ``processes`` above 1, another
-    process (``_evaluate_epochs``) scores on dev each epoch but the last that
-    begins ``EVALUATOR_START_STEPS`` steps in, while the next trains; its answers
-    are taken in order, before anything that depends on them, so outputs and
-    errors are those of one process.
+    deterministic given ``config.seed``. Each epoch's weights are copied at
+    its end, scored on dev, and kept if they score best. With ``processes``
+    above 1, another process (``_evaluate_epochs``) scores the copy of each
+    epoch but the last that begins ``EVALUATOR_START_STEPS`` steps in, while
+    the next trains; its answer is taken before anything that depends on it,
+    so outputs and errors are those of one process.
     """
     check_splits(corpus.train, corpus.dev)
     if vocab is None:
@@ -324,10 +328,10 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         "seed": config.seed,
         "selection": "dev exact-match F1",
     })
-    best = model.state_snapshot()  # epoch 0 overwrites it
-    owed = []  # (epoch, tagging loss, parsing loss) sent to the evaluator, not yet answered
+    best = {}  # epoch 0 fills it
+    sent = None  # (epoch, tagging loss, parsing loss, weights) the evaluator has yet to score
 
-    def record(epoch, tagging, parsing, scores, keep) -> None:
+    def record(epoch, tagging, parsing, scores, weights) -> None:
         improved = not history.records or scores.f1 > history.best_epoch().dev_f1
         history.append(epoch=epoch, tagging_loss=tagging, parsing_loss=parsing,
                        dev_precision=scores.precision, dev_recall=scores.recall,
@@ -335,18 +339,20 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         if log is not None:
             log(history.records[-1])
         if improved:
-            keep()
+            best.update(weights)
         elif epoch - history.best_epoch().epoch >= config.patience:
             raise _EarlyStop
 
-    def take_answers(every: bool) -> None:  # to keep an epoch, None asks its weights back
-        while owed and (every or evaluator.ready()):
-            record(*owed.pop(0), evaluator.receive(), lambda: (
-                evaluator.send(None), evaluator.receive(), evaluator.receive_into(*best.values())))
+    def take_answer(wait: bool) -> None:
+        nonlocal sent
+        if sent is not None and (wait or evaluator.ready()):
+            (epoch, tagging, parsing, weights), sent = sent, None
+            record(epoch, tagging, parsing, evaluator.receive(), weights)
 
     evaluator, first = None, math.ceil(EVALUATOR_START_STEPS / steps_per_epoch)  # its first epoch
+    overlapped = range(first, config.max_epochs - 1) if processes > 1 else range(0)  # its epochs
     try:
-        if processes > 1 and first < config.max_epochs - 1:  # it starts up from here on
+        if overlapped:
             evaluator = Worker("dev evaluator", _evaluate_epochs, fresh=True)
             evaluator.make_room(*(group.buffer for group in groups))  # for a weight message
             evaluator.send((encoder_config, parser_config, vocab, corpus.dev))
@@ -364,21 +370,21 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
                                       config.grad_clip_norm),
                         _step_results)
                 except NumericError as exc:
-                    take_answers(every=True)  # owed answers may end the run, or fail, first
+                    take_answer(wait=True)  # an owed answer may end the run, or fail, first
                     raise TrainingDivergedError(f"non-finite value at epoch {epoch}, "
                                                 f"step {step}: {exc}") from exc
                 optimizer.step(base_lr)
                 tagging_sum += tagging
                 parsing_sum += parsing
-                take_answers(every=False)
-            take_answers(every=True)
+                take_answer(wait=False)
+            take_answer(wait=True)
             losses = (epoch, tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch)
-            if evaluator is None or not first <= epoch < config.max_epochs - 1:
-                record(*losses, evaluate_model(model, corpus.dev, dev_batches),
-                       lambda: best.update(model.state_snapshot()))
+            if epoch in overlapped:  # none in flight: the one copy sent is the one kept
+                sent = (*losses, model.state_snapshot())
+                evaluator.send(epoch, *sent[3].values())
             else:
-                evaluator.send(epoch, *(group.buffer for group in groups))
-                owed.append(losses)
+                record(*losses, evaluate_model(model, corpus.dev, dev_batches),
+                       model.state_snapshot())
     except _EarlyStop:
         pass
     finally:
@@ -390,14 +396,12 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
 
 def _evaluate_epochs(trainer: Worker) -> None:
     """``train``'s dev evaluator. Given the configs, vocabulary and dev sentences, it
-    answers weights with their dev scores, and None with the weights it last scored."""
+    answers each epoch's number and weights with their dev scores."""
     *configs, dev = trainer.receive()
     model = TripletModel(*configs, seed=None)  # the trainer's weights come before any scoring
     buffers = [group.buffer for group in model.param_groups()]
     dev_batches = model.inference_batches(dev)
     while True:
-        if trainer.receive() is None:
-            trainer.send(None, *buffers)
-        else:
-            trainer.receive_into(*buffers)
-            trainer.send(evaluate_model(model, dev, dev_batches))
+        trainer.receive()
+        trainer.receive_into(*buffers)
+        trainer.send(evaluate_model(model, dev, dev_batches))

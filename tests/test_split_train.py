@@ -9,6 +9,7 @@ The evaluator scores only the epochs that begin after
 so the tests here set it to 1, and the evaluator scores every epoch from 1
 to the last but one, as it would in runs long enough to hide its start-up."""
 
+import fcntl
 import os
 import platform
 import re
@@ -241,12 +242,14 @@ def test_a_best_epoch_scored_by_the_evaluator_keeps_its_weights(capsys, monkeypa
                                                                 corpus_files):
     """Epoch 2's dev score is made perfect wherever it is read: from
     ``evaluate_model`` in the trainer, or from the evaluator's answer. With
-    an evaluator the trainer then asks for that epoch's weights back, and
-    they must be the weights one process keeps. (These tiny runs score 0
-    on dev throughout, so otherwise epoch 0, which the trainer scores, is
-    always the best.)"""
+    an evaluator the trainer keeps the copy of epoch 2's weights it sent to
+    be scored, and it must be the weights one process keeps. The trainer
+    sends the evaluator the set-up message and then each scored epoch's
+    number with its weights, and nothing else: no weights come back. (These
+    tiny runs score 0 on dev throughout, so otherwise epoch 0, which the
+    trainer scores, is always the best.)"""
     evaluate, send, receive = aste.training.evaluate_model, Worker.send, Worker.receive
-    step, steps, sent = aste.training._step, [], []
+    step, steps, sent, answered = aste.training._step, [], [], []
     perfect = MatchScores(matched=1, predicted=1, gold=1)
 
     def counting(*args):
@@ -258,14 +261,15 @@ def test_a_best_epoch_scored_by_the_evaluator_keeps_its_weights(capsys, monkeypa
         return perfect if len(steps) == 3 * STEPS else scores
 
     def sending(worker, message, *arrays):
-        if arrays:
-            sent.append(message)
+        sent.append((message, len(arrays)))
         send(worker, message, *arrays)
 
     def answering(worker):
         answer = receive(worker)
+        answered.append(answer)
         if isinstance(answer, MatchScores):
-            return perfect if sent.pop(0) == 2 else answer
+            scored = [message for message, arrays in sent if arrays]
+            return perfect if scored[len(answered) - 1] == 2 else answer
         return answer
 
     monkeypatch.setattr(aste.training, "_step", counting)
@@ -275,10 +279,36 @@ def test_a_best_epoch_scored_by_the_evaluator_keeps_its_weights(capsys, monkeypa
     runs = {}
     for cores in (1, 2):
         steps.clear()
+        sent.clear()
+        answered.clear()
         runs[cores] = train_on(capsys, monkeypatch, corpus_files, tmp_path / f"out{cores}", cores,
                                "--adapter", "rel", "--max-epochs", "4", "--patience", "4")
     assert runs[1][0] == 0 and runs[1][1].startswith("best_epoch\t2\n")
     assert runs[2] == runs[1]
+    (setup, setup_arrays), *weights = sent
+    assert isinstance(setup, tuple) and setup_arrays == 0
+    groups = 3  # encoder, adapter and parser
+    assert weights == [(1, groups), (2, groups)]
+    assert [type(answer) for answer in answered] == [MatchScores, MatchScores]
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="pipe capacities are Linux's fcntl")
+def test_make_room_only_ever_widens_a_pipe():
+    """``F_SETPIPE_SZ`` sets a pipe's capacity, and would shrink a 64 KiB
+    pipe to two pages for a small array; ``make_room`` leaves a pipe at least
+    as wide as it was, and widens it for a message larger than that."""
+    read, write = os.pipe()
+    worker = Worker.__new__(Worker)
+    worker._write = write
+    try:
+        before = fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+        worker.make_room(np.zeros(8))
+        assert fcntl.fcntl(write, fcntl.F_GETPIPE_SZ) >= before
+        worker.make_room(np.zeros(before // 4))
+        assert fcntl.fcntl(write, fcntl.F_GETPIPE_SZ) >= 2 * before + 4096
+    finally:
+        os.close(read)
+        os.close(write)
 
 
 def test_step_diverging_after_the_last_epoch_still_ends_cleanly(capsys, monkeypatch, tmp_path,
