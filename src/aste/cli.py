@@ -7,9 +7,11 @@ and the fully resolved config is echoed into the output directory so a
 run is reproducible from its artifacts alone. Exit codes: 0 success,
 1 validation failure, 2 usage error. Each command first asks glibc's
 malloc to keep freed heap pages (``_keep_freed_heap``), so a training step
-does not fault back in the memory the previous step freed. ``decode`` and
-``eval`` split their inference batches over every usable core
-(``usable_cores``); ``train`` scores dev on a second, with the same outputs.
+does not fault back in the memory the previous step freed, and holds BLAS
+to one thread per process (``_one_blas_thread``); only the command's own
+parser gets its arguments. ``decode`` and ``eval`` split their inference
+batches over every usable core (``usable_cores``); ``train`` runs half of
+every batch in a helper on a second, with the same outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,45 +136,42 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
             sub.add_argument(flag, type=float if isinstance(default, float) else int)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="aste", description=__doc__)
-    commands = top.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("preprocess", help="filter a raw canonical corpus")
+def _input_and_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True)
     sub.add_argument("--out", required=True)
 
-    sub = commands.add_parser("convert", help="community triple format to canonical records")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--out", required=True)
 
-    sub = commands.add_parser("split", help="seeded 7:1:2 train/dev/test split")
+def _split_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True)
     sub.add_argument("--out-dir", dest="out_dir", required=True)
     sub.add_argument("--seed", type=int, default=0)
 
-    sub = commands.add_parser("stats", help="per-split corpus statistics")
+
+def _stats_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--train")
     sub.add_argument("--dev")
     sub.add_argument("--test")
 
-    sub = commands.add_parser("train", help="fit a model and write its artifacts")
+
+def _train_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--train", dest="train_path", required=True)
     sub.add_argument("--dev", dest="dev_path", required=True)
     sub.add_argument("--out", required=True)
     _add_config_flags(sub)
 
-    sub = commands.add_parser("eval", help="score a trained model on a gold corpus")
+
+def _eval_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--weights", required=True)
     sub.add_argument("--input", required=True)
     sub.add_argument("--scores", help="optional scores.tsv path")
 
-    sub = commands.add_parser("decode", help="write predicted triplets for a corpus")
-    sub.add_argument("--weights", required=True)
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--out", required=True)
 
-    sub = commands.add_parser("params", help="parameter accounting")
+def _decode_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--weights", required=True)
+    _input_and_out(sub)
+
+
+def _params_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--variant", choices=("bare", "adapter", "layer2"), required=True)
     sub.add_argument("--dim", type=int, default=768)
     sub.add_argument("--heads", type=int, default=12)
@@ -186,12 +184,40 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tag-hidden", dest="tag_hidden", type=int, default=64)
     sub.add_argument("--pair-hidden", dest="pair_hidden", type=int, default=64)
 
-    sub = commands.add_parser("bench", help="distance derivation throughput")
+
+def _bench_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=("rel", "dep", "both"), required=True)
     sub.add_argument("--length", type=int, default=128)
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tau", type=int, default=8)
+
+
+# Each command's help line and what adds its arguments, in the order --help
+# lists them.
+_PARSERS = {
+    "preprocess": ("filter a raw canonical corpus", _input_and_out),
+    "convert": ("community triple format to canonical records", _input_and_out),
+    "split": ("seeded 7:1:2 train/dev/test split", _split_arguments),
+    "stats": ("per-split corpus statistics", _stats_arguments),
+    "train": ("fit a model and write its artifacts", _train_arguments),
+    "eval": ("score a trained model on a gold corpus", _eval_arguments),
+    "decode": ("write predicted triplets for a corpus", _decode_arguments),
+    "params": ("parameter accounting", _params_arguments),
+    "bench": ("distance derivation throughput", _bench_arguments),
+}
+
+
+def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given one command's name, every other
+    command's parser is left without its arguments, since parsing that
+    command's line never reads them (``main`` builds only what it parses)."""
+    top = argparse.ArgumentParser(prog="aste", description=__doc__)
+    commands = top.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in _PARSERS.items():
+        sub = commands.add_parser(name, help=text)
+        if command in (name, None) or command not in _PARSERS:
+            add_arguments(sub)
     return top
 
 
@@ -241,7 +267,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = resolve_config(args)
-    # Checked before the corpus is read; the vocabulary sets vocab_size.
+    # Checked before the corpus is read; ``train`` sets vocab_size from the vocabulary.
     structure = _build(StructureConfig, cfg, kind=ADAPTER_KINDS[cfg["adapter"]])
     encoder_config = _build(EncoderConfig, cfg, vocab_size=0, adapter=structure)
     parser_config = _build(ParserConfig, cfg)
@@ -253,7 +279,6 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = Corpus(name="train", train=train_sentences, dev=dev_sentences)
     vocab = Vocabulary.build(corpus.train, min_count=cfg["min_count"])
-    encoder_config = replace(encoder_config, vocab_size=len(vocab))
     resolved = dict(sorted({**cfg, "train": args.train_path, "dev": args.dev_path}.items()))
     (out_dir / "config.resolved").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -292,8 +317,9 @@ def _read_for_model(path, config: EncoderConfig) -> list:
 
 def usable_cores() -> int:
     """The cores this process may run on, which ``decode`` and ``eval``
-    split their batches over; ``train`` starts a dev evaluator on two or
-    more. 1 where the platform cannot tell or cannot fork."""
+    split their batches over; on two or more, ``train`` forks a helper that
+    runs half of every batch. 1 where the platform cannot tell or cannot
+    fork."""
     try:
         return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
     except (AttributeError, OSError):
@@ -408,9 +434,51 @@ def _keep_freed_heap() -> None:
             mallopt(param, value)
 
 
+# OpenBLAS's thread-count setter and getter as numpy's bundled library names
+# them, then as a system OpenBLAS does; and the variables that set the count
+# when a library loads.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_function(names):
+    """The first of ``names`` that numpy's core extension module or a
+    library it loaded exports, or None where none does."""
+    try:
+        from numpy._core import _multiarray_umath
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in names:
+        try:
+            return getattr(library, name)
+        except AttributeError:
+            continue
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Hold BLAS to one thread in this process and the ones it starts. The
+    tensors here are small, and with a pool per process, two processes
+    contend for the cores. A user's explicit ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` wins: with either set, this does nothing. Otherwise
+    both are set to 1 and so is the loaded library's count; where numpy's
+    BLAS has no OpenBLAS setter, only the variables are set."""
+    if any(name in os.environ for name in _BLAS_VARIABLES):
+        return
+    os.environ.update(dict.fromkeys(_BLAS_VARIABLES, "1"))
+    setter = _blas_function(_BLAS_SETTERS)
+    if setter is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        setter(1)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
-    args = build_arg_parser().parse_args(argv)
+    _one_blas_thread()
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_arg_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # Every numeric failure is reported below naming the op that made
         # it; numpy's own warnings would only repeat it, with a source line.

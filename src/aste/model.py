@@ -12,20 +12,17 @@ group's ``buffer`` as one little-endian float64 block.
 (``_in_workers``), each deriving its batches' distances and pickling back
 finished results: triplet sets, or what the caller's ``finish`` makes of
 them (``aste decode``'s output lines, ``aste eval``'s match counts).
-``Worker`` alone starts, talks to, kills and reaps a child, here and for
-training's dev evaluator; ``_in_workers`` alone owns its workers.
+``Worker`` alone forks, talks to, kills and reaps a child, here and for
+training's helper; ``_in_workers`` alone owns its workers.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
 import pickle
-import select
 import signal
 import struct
-import sys
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -96,7 +93,7 @@ class TripletModel:
     def __init__(self, encoder_config: EncoderConfig, parser_config: ParserConfig,
                  vocab: Vocabulary, seed: int | None = 0):
         """Weights drawn from ``seed``; with None, no draws and all zero, for
-        a caller that overwrites every weight (``load``, the dev evaluator)."""
+        a caller that overwrites every weight (``load``)."""
         if encoder_config.vocab_size != len(vocab):
             raise ValidationError("encoder vocab_size does not match the vocabulary")
         rng = _NoDraws() if seed is None else np.random.default_rng(seed)
@@ -305,29 +302,18 @@ def _shards(sentences, batches, processes: int) -> list[list[int]]:
 
 
 class Worker:
-    """A child process with a pipe each way. It runs ``body(worker)``, sends
-    any exception that raises, and exits. It is forked (0.2 ms), or ``fresh``:
-    a new interpreter (80 ms) that imports ``body`` by name and so shares no
-    page whose later writes here would fault, copy-on-write. ``send`` writes a
-    pickled message, then arrays' raw bytes, and ``make_room`` lets it return
-    before the other end reads them; ``receive`` raises an exception it reads;
-    ``receive_into`` fills arrays of known shapes, as the dev evaluator takes
-    weights. A child gone mid-message raises OSError naming ``role``;
-    ``close`` kills and reaps it."""
+    """A forked child process with a pipe each way. It runs ``body(worker)``,
+    sends any exception that raises, and exits. ``send`` writes a pickled
+    message; ``receive`` reads one, and raises it if it is an exception. A
+    child gone mid-message raises OSError naming ``role``; ``close`` kills
+    and reaps it."""
 
-    def __init__(self, role: str, body, fresh: bool = False):
+    def __init__(self, role: str, body):
         self.role, self.reaped = role, False
         to_child, from_child = os.pipe(), os.pipe()
         mine, theirs = (from_child[0], to_child[1]), (to_child[0], from_child[1])
         try:
-            if fresh:
-                argv = ["-S", "-c", _FRESH_CHILD, os.pathsep.join(sys.path), body.__module__,
-                        body.__qualname__]  # -S: this process's path, without site's start-up
-                self.pid = os.posix_spawn(  # its ends of the pipes are its stdin and stdout
-                    sys.executable, [sys.executable, *argv], os.environ, setpgroup=0,
-                    file_actions=[(os.POSIX_SPAWN_DUP2, fd, i) for i, fd in enumerate(theirs)])
-            else:
-                self.pid = os.fork()
+            self.pid = os.fork()
         except OSError:
             for fd in mine + theirs:
                 os.close(fd)
@@ -347,30 +333,17 @@ class Worker:
         finally:
             os._exit(1)
 
-    def send(self, message, *arrays) -> None:
+    def send(self, message) -> None:
         payload = pickle.dumps(message)
+        view = memoryview(struct.pack("<Q", len(payload)) + payload)
         try:
-            for data in (struct.pack("<Q", len(payload)) + payload, *arrays):
-                view = memoryview(data).cast("B")
-                while view:
-                    view = view[os.write(self._write, view):]
+            while view:
+                view = view[os.write(self._write, view):]
         except BrokenPipeError:
             self._gone()
 
-    def make_room(self, *arrays) -> None:
-        """Widen the pipe to the other end so that it holds a small message
-        with ``arrays`` whole, and ``send`` of one returns without waiting
-        for a read. A pipe is never narrowed (``F_SETPIPE_SZ`` also
-        shrinks); where the OS lacks or refuses that, it keeps its size."""
-        size = sum(memoryview(a).nbytes for a in arrays) + 4096  # and the pickled message
-        try:
-            if fcntl.fcntl(self._write, fcntl.F_GETPIPE_SZ) < size:
-                fcntl.fcntl(self._write, fcntl.F_SETPIPE_SZ, size)
-        except (AttributeError, OSError):
-            pass
-
     def receive(self):
-        data = self.receive_into(bytearray(*struct.unpack("<Q", self.receive_into(bytearray(8)))))
+        data = self._receive_into(bytearray(*struct.unpack("<Q", self._receive_into(bytearray(8)))))
         try:
             message = pickle.loads(data)
         except Exception as exc:
@@ -379,13 +352,11 @@ class Worker:
             raise message
         return message
 
-    def receive_into(self, *buffers):
-        """Fill each buffer in turn; the last."""
-        for buffer in buffers:
-            view = memoryview(buffer).cast("B")
-            while view:
-                view = view[os.readv(self._read, [view]) or self._gone():]
-        return buffers[-1]
+    def _receive_into(self, buffer: bytearray) -> bytearray:
+        view = memoryview(buffer)
+        while view:
+            view = view[os.readv(self._read, [view]) or self._gone():]
+        return buffer
 
     def _gone(self):  # the other end closed its pipe
         if self.pid == 0:
@@ -395,22 +366,12 @@ class Worker:
         how = f"was killed by signal {-status}" if status < 0 else f"exited with code {status}"
         raise OSError(f"{self.role} {self.pid} {how} without an answer")
 
-    def ready(self) -> bool:  # whether a message, or the child's end, waits to be read
-        return bool(select.select([self._read], [], [], 0)[0])
-
     def close(self) -> None:
         if not self.reaped:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
         os.close(self._read)
         os.close(self._write)
-
-
-# A fresh child's program, given the import path and its body's module and name.
-_FRESH_CHILD = ("import importlib, os, sys; sys.path[:] = sys.argv[1].split(os.pathsep); "
-                "from aste.model import Worker; w = Worker.__new__(Worker); "
-                "w.role, w.pid, w._read, w._write = 'parent', 0, 0, 1; "
-                "w._run(getattr(importlib.import_module(sys.argv[2]), sys.argv[3]))")
 
 
 def _in_workers(run, shards) -> list:

@@ -6,12 +6,15 @@ entropy, computed from the heads' logits in one tape node. Optimization
 is Adam with decoupled weight decay, a global gradient-norm clip of 1, a
 linear warmup-then-decay schedule, and a parser learning rate 10x the
 base. The optimizer choice is recorded in the history metadata rather
-than assumed elsewhere. Dev scoring can overlap training (``processes``).
+than assumed elsewhere. Every batch runs as two fixed halves whose
+gradients add up to the batch's, so two processes can each run one
+(``processes``) with the outputs of one.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,15 +23,12 @@ from .data import Corpus, Sentence, Vocabulary, length_buckets
 from .encoder import EncoderConfig, EncoderInputs
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .evaluation import MatchScores, exact_match
-from .model import BatchHidden, TripletModel, Worker
+from .model import PREDICT_BATCH, BatchHidden, TripletModel, Worker
 from .numerics import ParamGroup, Tensor, checked_once
 from .parser import GoldPositions, LossMasks, ParserConfig, build_gold
 from .structure import NONE
 
 LR_GRID = (1e-5, 2e-5, 3e-5, 5e-5)
-# A dev evaluator takes about as long to start as 50 training steps at these
-# sizes (100-160 ms), so it scores only the epochs that begin after that many.
-EVALUATOR_START_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -128,17 +128,23 @@ def padded_gold(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 class BatchInputs:
     """What training keeps of a batch for every epoch, a byte or so a cell:
     the encoder's ids, key mask and distance-table rows
-    (``Encoder.prepare``) and the ``padded_gold`` classes and token mask.
-    Each step builds the int64 forms from them (``assemble_batch``)."""
+    (``Encoder.prepare``), the ``padded_gold`` classes and token mask, and
+    the token and cell counts its losses are means over. Each step builds
+    the int64 forms from them (``assemble_batch``)."""
 
     encoder: EncoderInputs
     gold: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    counts: tuple[int, int]
 
 
-def prepare_batch(model: TripletModel, sentences) -> BatchInputs:
+def prepare_batch(model: TripletModel, sentences, batch=None) -> BatchInputs:
+    """The inputs of ``sentences``, part of ``batch`` (by default, all of
+    it), whose tokens and cells its losses are means over."""
     ids = [model.vocab.encode(s.tokens) for s in sentences]
+    lengths = [len(s) for s in (sentences if batch is None else batch)]
     return BatchInputs(encoder=model.encoder.prepare(ids, model.batch_distances(sentences)),
-                       gold=padded_gold(sentences))
+                       gold=padded_gold(sentences),
+                       counts=(sum(lengths), sum(n * n for n in lengths)))
 
 
 def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = None):
@@ -150,8 +156,9 @@ def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = 
         inputs = prepare_batch(model, sentences)
     aspect, opinion, relations, tokens = inputs.gold
     hidden = model.encoder.run(inputs.encoder).content
-    return (BatchHidden(hidden, model.parser), GoldPositions.build(aspect, opinion, relations),
-            LossMasks.build(tokens))
+    masks = replace(LossMasks.build(tokens), token_count=inputs.counts[0],
+                    cell_count=inputs.counts[1])
+    return BatchHidden(hidden, model.parser), GoldPositions.build(aspect, opinion, relations), masks
 
 
 # -- schedule and optimizer ---------------------------------------------------
@@ -255,32 +262,42 @@ def evaluate_model(model: TripletModel, sentences, batches=None,
     """Exact-match scores of the model's predictions, summed over each
     sentence's counts as its batch is decoded: ``aste eval`` on every usable
     core and dev scoring in one process. ``batches`` and ``processes`` are
-    ``predict_corpus``'s."""
+    ``predict_corpus``'s; given some of the ``inference_batches``, only their
+    sentences are scored."""
     counts = model.predict_corpus(sentences, batches, processes,
                                   finish=lambda s, found: exact_match(found, s.triplet_set()))
-    return sum(counts, MatchScores())
+    return sum((count for count in counts if count is not None), MatchScores())
 
 
-def _step(model: TripletModel, groups, sentences, inputs: BatchInputs,
-          clip_norm: float) -> tuple[float, float, float, float]:
-    """Forward, loss, backward and gradient clip of one batch: the tagging,
-    parsing and total losses and the pre-clip gradient norm. A non-finite
-    loss is not backpropagated, and its norm reads 0. Only numbers come
-    back, so the batch's tape is freed before the next one is built."""
+def _step(model: TripletModel, groups, sentences, inputs: BatchInputs) -> tuple:
+    """Forward, loss and backward of one half of a batch: the tagging,
+    parsing and total losses, and the groups holding its gradients. A
+    non-finite loss is not backpropagated. No tensor comes back, so the
+    half's tape is freed before the next one is built."""
     model.zero_grad()
     pred, gold, masks = assemble_batch(model, sentences, inputs)
     tagging, parsing, total = joint_loss(pred, gold, masks)
-    if not np.isfinite(total.data):
-        return tagging, parsing, total.item(), 0.0
-    total.backward()
-    return tagging, parsing, total.item(), clip_gradients(groups, clip_norm)
+    if np.isfinite(total.data):
+        total.backward()
+    return tagging, parsing, total.item(), groups
 
 
 def _step_results(result):
     """What must be finite after a step, for checked_once: the loss, then
-    the gradient norm, which is finite only if every gradient is."""
-    _, _, total, norm = result
-    return (("joint_loss", total), ("backward", norm))
+    every gradient."""
+    _, _, total, groups = result
+    return (("joint_loss", total), *(("backward", group.grad) for group in groups))
+
+
+def _add_halves(groups, slots) -> None:
+    """Each group's gradient, the sum of the two halves' gradients laid out
+    in ``slots`` in group order. Addition commutes bit for bit, so every
+    process that adds them gets the same gradient."""
+    start = 0
+    for group in groups:
+        end = start + group.grad.size
+        np.add(slots[0, start:end], slots[1, start:end], out=group.grad)
+        start = end
 
 
 def check_splits(train_split, dev_split) -> None:
@@ -292,29 +309,29 @@ def check_splits(train_split, dev_split) -> None:
         raise ValidationError("train split has no tokens")
 
 
-class _EarlyStop(Exception):
-    """Early stopping ends the run."""
-
-
 def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserConfig,
           config: TrainConfig, vocab: Vocabulary | None = None,
           log=None, processes: int = 1) -> tuple[TripletModel, TrainHistory]:
     """Fit a model on the corpus, early-stopping on dev exact-match F1.
 
     Returns the best-dev weights and the per-epoch history. Fully
-    deterministic given ``config.seed``. Each epoch's weights are copied at
-    its end, scored on dev, and kept if they score best. With ``processes``
-    above 1, another process (``_evaluate_epochs``) scores the copy of each
-    epoch but the last that begins ``EVALUATOR_START_STEPS`` steps in, while
-    the next trains; its answer is taken before anything that depends on it,
-    so outputs and errors are those of one process.
+    deterministic given ``config.seed``; the vocabulary sets the encoder's
+    ``vocab_size``. Each batch runs as two fixed halves, its even rows
+    (half 0) and its odd rows (half 1); each half's losses are means over
+    the whole batch's tokens and cells, so the halves' losses and gradients
+    add up to the batch's. Each epoch's weights are scored on dev, every
+    inference batch as the same two halves, and kept if they score best.
+    With ``processes`` above 1, a forked helper with its own replica of the
+    model and optimizer runs half 1 of every batch and the trainer half 0;
+    the two gradients meet in a shared mapping and both replicas clip and
+    step alike, so outputs and errors are those of one process, which runs
+    half 0 first.
     """
     check_splits(corpus.train, corpus.dev)
     if vocab is None:
         vocab = Vocabulary.build(corpus.train)
-    if encoder_config.vocab_size != len(vocab):
-        encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    model = TripletModel(encoder_config, parser_config, vocab, seed=config.seed)
+    model = TripletModel(replace(encoder_config, vocab_size=len(vocab)), parser_config, vocab,
+                         seed=config.seed)
     groups = model.param_groups()
     optimizer = AdamW(groups)
     rng = np.random.default_rng(config.seed)
@@ -329,79 +346,83 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         "selection": "dev exact-match F1",
     })
     best = {}  # epoch 0 fills it
-    sent = None  # (epoch, tagging loss, parsing loss, weights) the evaluator has yet to score
+    # By step parity, each half's gradients: a process reads the other's
+    # half of one step while it may already write its own of the next. A
+    # helper shares them through a mapping; one process keeps them on the
+    # heap, whose pages a repeat run reuses.
+    shape = (2, 2, sum(group.grad.size for group in groups))
+    exchange = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+                if processes > 1 else np.empty(shape))
 
-    def record(epoch, tagging, parsing, scores, weights) -> None:
-        improved = not history.records or scores.f1 > history.best_epoch().dev_f1
-        history.append(epoch=epoch, tagging_loss=tagging, parsing_loss=parsing,
-                       dev_precision=scores.precision, dev_recall=scores.recall,
-                       dev_f1=scores.f1, lr=lr_at(min(epoch + 1, config.max_epochs), config))
-        if log is not None:
-            log(history.records[-1])
-        if improved:
-            best.update(weights)
-        elif epoch - history.best_epoch().epoch >= config.patience:
-            raise _EarlyStop
-
-    def take_answer(wait: bool) -> None:
-        nonlocal sent
-        if sent is not None and (wait or evaluator.ready()):
-            (epoch, tagging, parsing, weights), sent = sent, None
-            record(epoch, tagging, parsing, evaluator.receive(), weights)
-
-    evaluator, first = None, math.ceil(EVALUATOR_START_STEPS / steps_per_epoch)  # its first epoch
-    overlapped = range(first, config.max_epochs - 1) if processes > 1 else range(0)  # its epochs
-    try:
-        if overlapped:
-            evaluator = Worker("dev evaluator", _evaluate_epochs, fresh=True)
-            evaluator.make_room(*(group.buffer for group in groups))  # for a weight message
-            evaluator.send((encoder_config, parser_config, vocab, corpus.dev))
-        inputs = [prepare_batch(model, batch) for batch in batches]
-        dev_batches = model.inference_batches(corpus.dev)
+    def epochs(parts, peer):
+        """Each epoch's number, mean losses and dev scores, from the halves
+        of training and dev batches numbered in ``parts``; each step's
+        gradients and losses are added to those of the ``peer`` process's
+        halves, when there is one. The helper speaks first each step, so
+        the trainer reads a failure of the helper's half before it writes
+        anything."""
+        inputs = [{part: (batch[part::2], prepare_batch(model, batch[part::2], batch))
+                   for part in parts if batch[part::2]} for batch in batches]
+        dev_halves = {part: [(rows, model.batch_distances([corpus.dev[i] for i in rows]))
+                             for batch in length_buckets(corpus.dev, PREDICT_BATCH)
+                             if (rows := batch[part::2])] for part in parts}
         for epoch in range(config.max_epochs):
             order = rng.permutation(steps_per_epoch)
             tagging_sum = parsing_sum = 0.0
             for step, batch_index in enumerate(order):
                 t = min(epoch + (step + 1) / steps_per_epoch, config.max_epochs)
-                base_lr = lr_at(t, config)
+                slots, losses = exchange[optimizer.t % 2], {}
                 try:
-                    tagging, parsing, _, _ = checked_once(
-                        lambda: _step(model, groups, batches[batch_index], inputs[batch_index],
-                                      config.grad_clip_norm),
-                        _step_results)
+                    for part in parts:
+                        if part not in inputs[batch_index]:  # a one-sentence batch's odd rows
+                            losses[part], slots[part] = (0.0, 0.0), 0.0
+                            continue
+                        sentences, half = inputs[batch_index][part]
+                        losses[part] = checked_once(
+                            lambda: _step(model, groups, sentences, half), _step_results)[:2]
+                        np.concatenate([group.grad for group in groups], out=slots[part])
+                    if peer is not None:
+                        if peer.pid == 0:
+                            peer.send(losses)
+                        losses |= peer.receive()
+                        if peer.pid:
+                            peer.send(losses)
+                    _add_halves(groups, slots)
+                    if not math.isfinite(clip_gradients(groups, config.grad_clip_norm)):
+                        raise NumericError("backward produced non-finite values", op="backward")
                 except NumericError as exc:
-                    take_answer(wait=True)  # an owed answer may end the run, or fail, first
                     raise TrainingDivergedError(f"non-finite value at epoch {epoch}, "
                                                 f"step {step}: {exc}") from exc
-                optimizer.step(base_lr)
-                tagging_sum += tagging
-                parsing_sum += parsing
-                take_answer(wait=False)
-            take_answer(wait=True)
-            losses = (epoch, tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch)
-            if epoch in overlapped:  # none in flight: the one copy sent is the one kept
-                sent = (*losses, model.state_snapshot())
-                evaluator.send(epoch, *sent[3].values())
-            else:
-                record(*losses, evaluate_model(model, corpus.dev, dev_batches),
-                       model.state_snapshot())
-    except _EarlyStop:
-        pass
+                optimizer.step(lr_at(t, config))
+                tagging_sum += losses[0][0] + losses[1][0]
+                parsing_sum += losses[0][1] + losses[1][1]
+            scores = sum((evaluate_model(model, corpus.dev, dev_halves[part]) for part in parts),
+                         MatchScores())
+            yield epoch, tagging_sum / steps_per_epoch, parsing_sum / steps_per_epoch, scores
+
+    def help_train(trainer: Worker) -> None:
+        for *_, scores in epochs((1,), trainer):
+            trainer.send(scores)
+
+    helper = None
+    try:
+        if processes > 1:
+            helper = Worker("training helper", help_train)
+        for epoch, tagging, parsing, scores in epochs((0,) if helper else (0, 1), helper):
+            if helper is not None:
+                scores += helper.receive()
+            improved = not history.records or scores.f1 > history.best_epoch().dev_f1
+            history.append(epoch=epoch, tagging_loss=tagging, parsing_loss=parsing,
+                           dev_precision=scores.precision, dev_recall=scores.recall,
+                           dev_f1=scores.f1, lr=lr_at(min(epoch + 1, config.max_epochs), config))
+            if log is not None:
+                log(history.records[-1])
+            if improved:
+                best.update(model.state_snapshot())
+            elif epoch - history.best_epoch().epoch >= config.patience:
+                break
     finally:
-        if evaluator is not None:
-            evaluator.close()
+        if helper is not None:
+            helper.close()
     model.load_snapshot(best)
     return model, history
-
-
-def _evaluate_epochs(trainer: Worker) -> None:
-    """``train``'s dev evaluator. Given the configs, vocabulary and dev sentences, it
-    answers each epoch's number and weights with their dev scores."""
-    *configs, dev = trainer.receive()
-    model = TripletModel(*configs, seed=None)  # the trainer's weights come before any scoring
-    buffers = [group.buffer for group in model.param_groups()]
-    dev_batches = model.inference_batches(dev)
-    while True:
-        trainer.receive()
-        trainer.receive_into(*buffers)
-        trainer.send(evaluate_model(model, dev, dev_batches))

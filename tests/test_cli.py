@@ -104,6 +104,33 @@ class TestUsageErrors:
         assert "aste:" in err
 
 
+class TestArgumentParser:
+    COMMANDS = ("preprocess", "convert", "split", "stats", "train", "eval", "decode", "params",
+                "bench")
+
+    def help_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        out = self.help_text(capsys, ["--help"])
+        assert out == aste.cli.build_arg_parser().format_help()
+        listed = re.search(r"\{(.*)\}", out).group(1).split(",")
+        assert listed == list(self.COMMANDS) == list(aste.cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_parser_built_alone_prints_the_full_parsers_help(self, capsys, command):
+        """``main`` adds the arguments of the command it parses alone; its
+        help is that of the parser with every command's arguments."""
+        full = aste.cli.build_arg_parser()
+        sub = full._subparsers._group_actions[0].choices[command]
+        assert self.help_text(capsys, [command, "--help"]) == sub.format_help()
+        alone = aste.cli.build_arg_parser(command)._subparsers._group_actions[0].choices
+        assert [name for name, parser in alone.items() if len(parser._actions) > 1] == [command]
+
+
 class TestDataCommands:
     def test_split_writes_three_files(self, capsys, tmp_path):
         full = tmp_path / "full.jsonl"
@@ -483,8 +510,9 @@ class TestTrainEvalDecode:
                                            warmup_epochs=0.5, grad_clip_norm=2.5, seed=7)
         expected_vocab = Vocabulary.build(read_corpus_file(train), min_count=2)
         assert seen["vocab"].id_list() == expected_vocab.id_list()
-        assert encoder.vocab_size == len(expected_vocab) < len(Vocabulary.build(
-            read_corpus_file(train)))
+        # ``train`` sets the model's vocab_size from this vocabulary
+        # (tests/test_training.py).
+        assert len(seen["vocab"]) < len(Vocabulary.build(read_corpus_file(train)))
 
     def test_directory_paths_exit_1(self, capsys, corpus_files, tmp_path):
         train, dev = corpus_files
@@ -637,12 +665,16 @@ class TestDecodeRecords:
         assert [str(w.message) for w in caught] == []
 
 
-# Runs ``aste train`` three times in one process; prints each run's exit
-# code and the minor page faults it took.
+# Runs ``aste train`` three times in one process, on one core; prints each
+# run's exit code and the minor page faults it took. On two cores the forked
+# training helper's copy-on-write faults would count here too;
+# tests/test_split_train.py counts those.
 REPEATED_TRAIN = """
 import contextlib, io, resource, sys
+import aste.cli
 from aste.cli import main
 
+aste.cli.usable_cores = lambda: 1
 train, dev, out = sys.argv[1:]
 for run in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -686,3 +718,56 @@ class TestFreedHeapKept:
 
         monkeypatch.setattr(aste.cli.ctypes, "CDLL", cdll)
         assert aste.cli._libc_mallopt() is None
+
+
+# Prints OpenBLAS's thread count after ``main``'s set-up, then as a forked
+# ``Worker`` child reads it, or "absent" where numpy's BLAS has no getter.
+BLAS_THREADS = """
+import ctypes
+import aste.cli
+from aste.model import Worker
+
+getter = aste.cli._blas_function(aste.cli._BLAS_GETTERS)
+if getter is None:
+    print("absent")
+else:
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    before = getter()
+    assert aste.cli.main(["params", "--variant", "bare"]) == 0
+    child = Worker("reader", lambda parent: parent.send(getter()))
+    print(before, getter(), child.receive())
+    child.close()
+"""
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def threads(environment):
+        """``BLAS_THREADS``'s counts in a fresh interpreter with this
+        environment, None where the getter is absent."""
+        src = str(Path(aste.cli.__file__).parents[1])
+        env = {**environment, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", BLAS_THREADS], capture_output=True,
+                                text=True, env=env, check=True)
+        last = result.stdout.splitlines()[-1]
+        return None if last == "absent" else tuple(map(int, last.split()))
+
+    def test_main_holds_blas_to_one_thread_here_and_in_a_forked_child(self):
+        """OpenBLAS starts a thread per core, so on two or more cores the
+        count reads more than 1 before ``main``; on one core it reads 1
+        before too, and this passes without the set-up."""
+        environment = {key: value for key, value in os.environ.items()
+                       if key not in aste.cli._BLAS_VARIABLES}
+        counts = self.threads(environment)
+        if counts is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count getter")
+        assert counts[1:] == (1, 1), counts
+
+    def test_an_explicit_setting_wins(self):
+        environment = {key: value for key, value in os.environ.items()
+                       if key not in aste.cli._BLAS_VARIABLES}
+        counts = self.threads({**environment, "OPENBLAS_NUM_THREADS": "2"})
+        if counts is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count getter")
+        assert counts[0] == counts[1] == counts[2], counts

@@ -149,9 +149,10 @@ class TestLossFromLogits:
             probs = model.forward(batch).relations.data
         assert (probs[..., 1:] == 0.0).all()
         groups = model.param_groups()
-        tagging, parsing, total, norm = checked_once(
-            lambda: aste.training._step(model, groups, batch, inputs, 1.0),
+        tagging, parsing, total, _ = checked_once(
+            lambda: aste.training._step(model, groups, batch, inputs),
             aste.training._step_results)
+        norm = clip_gradients(groups, 1.0)
         # Each sentiment cell costs its gap of about 800, the others nothing.
         assert parsing == pytest.approx(800.0 * sentiment, rel=1e-3)
         assert total == pytest.approx(self.reference_loss(model, batch), rel=1e-12)
@@ -484,7 +485,8 @@ class TestTrainLoop:
         """Batches keep their contents across epochs, so their gold
         targets and distance stacks, and the dev set's distance stacks,
         are derived before the first one: gold once per train sentence,
-        relative distances once per batch, for its longest row."""
+        relative distances once per half of a training or dev batch, for
+        its longest row."""
         calls = {"gold": 0, "distances": 0}
 
         def counting(key, func):
@@ -501,8 +503,16 @@ class TestTrainLoop:
         _, history = self.run(corpus, adapter_kind=RELATIVE, epochs=3)
         assert len(history.records) == 3
         assert calls["gold"] == len(corpus.train)
-        assert calls["distances"] == (len(bucket_batches(corpus.train, 4))
-                                      + len(length_buckets(corpus.dev, PREDICT_BATCH)))
+        batches = bucket_batches(corpus.train, 4) + length_buckets(corpus.dev, PREDICT_BATCH)
+        assert calls["distances"] == sum(min(len(batch), 2) for batch in batches)
+
+    @pytest.mark.parametrize("vocab_size", [0, 999])
+    def test_the_vocabulary_sets_vocab_size(self, vocab_size):
+        corpus = learnable_corpus(10, seed=9)
+        config = TrainConfig(base_lr=1e-4, batch_size=4, max_epochs=1, patience=1)
+        model, _ = train(corpus, tiny_encoder_config(vocab=vocab_size), tiny_parser_config(),
+                         config)
+        assert model.encoder_config.vocab_size == len(Vocabulary.build(corpus.train))
 
     def test_history_metadata_records_optimizer(self):
         corpus = learnable_corpus(10, seed=9)
@@ -747,6 +757,45 @@ class TestDegenerateBatches:
         _, history = train(Corpus("edge", train=train_split, dev=batch), model.encoder_config,
                            tiny_parser_config(), config, vocab=vocab)
         assert len(history.records) == 1 and np.isfinite(history.records[0].total_loss)
+
+
+class TestHalves:
+    """Each batch trains as two halves, its even and its odd rows. Each
+    half's losses are means over the whole batch's tokens and cells, so the
+    halves' losses and gradients add up to the whole batch's, which
+    ``prepare_batch`` of the batch alone gives."""
+
+    CASES = {"mixed": [3, 5, 6, 9, 11], "one-sentence": [7], "empty-half": [0, 0, 0, 4]}
+
+    @staticmethod
+    def step(model, sentences, inputs):
+        """The checked step's tagging, parsing and total losses, and its
+        gradients laid end to end in group order."""
+        groups = model.param_groups()
+        *losses, _ = checked_once(lambda: aste.training._step(model, groups, sentences, inputs),
+                                  aste.training._step_results)
+        return np.array(losses), np.concatenate([group.grad for group in groups])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("adapter_kind", [None, RELATIVE, DEPENDENCY])
+    def test_halves_add_up_to_the_whole_batch(self, adapter_kind, case):
+        rng = np.random.default_rng(4)
+        batch = [TestDegenerateBatches.sentence(n, rng) for n in self.CASES[case]]
+        vocab = Vocabulary.build(batch + [TestDegenerateBatches.sentence(3, rng)])
+        model = TripletModel(tiny_encoder_config(adapter_kind, vocab=len(vocab)),
+                             tiny_parser_config(), vocab, seed=2)
+        if model.encoder.adapter is not None:  # tables that move the states
+            model.encoder.adapter.buffer[...] = rng.normal(0.0, 0.5, model.encoder.adapter.buffer.size)
+        whole_losses, whole_grad = self.step(model, batch, prepare_batch(model, batch))
+        halves = [self.step(model, batch[k::2], prepare_batch(model, batch[k::2], batch))
+                  for k in (0, 1) if batch[k::2]]
+        assert len(halves) == min(len(batch), 2) and whole_losses[2] > 0.0
+        losses, grad = map(sum, zip(*halves))
+        assert np.max(np.abs(losses - whole_losses)) <= 1e-12
+        assert np.max(np.abs(grad - whole_grad)) <= 1e-12 and np.abs(whole_grad).max() > 0.0
+        if case == "empty-half":  # the even rows are two empty sentences
+            np.testing.assert_array_equal(halves[0][0], 0.0)
+            np.testing.assert_array_equal(halves[0][1], 0.0)
 
 
 class TestTrainConfigValidation:
