@@ -163,28 +163,21 @@ class TripletModel:
         """Decode the model's triplets for one sentence."""
         return self.predict_corpus([sentence])[0]
 
-    def inference_batches(self, sentences) -> list[tuple[list[int], np.ndarray | None]]:
-        """The length-sorted padded batches ``predict_corpus`` runs: each is
-        up to ``PREDICT_BATCH`` positions in ``sentences`` with the batch's
-        ``batch_distances``. Fixed for fixed sentences, so a caller that
-        decodes the same sentences again derives them once."""
-        return [(batch, self.batch_distances([sentences[i] for i in batch]))
-                for batch in length_buckets(sentences, PREDICT_BATCH)]
-
     def predict_corpus(self, sentences, batches=None, processes: int = 1, finish=None) -> list:
         """Decode every sentence, in input order: its triplet set, or what
-        ``finish(sentence, triplets)`` makes of it. Sentences run in the
-        batches of ``inference_batches``; when those are not given, each
-        batch derives its distances where it runs. Batches record no tape;
+        ``finish(sentence, triplets)`` makes of it. Sentences run in
+        ``batches``, ``(positions, batch_distances)`` pairs in length order;
+        by default the ``length_buckets`` of ``PREDICT_BATCH``, each
+        deriving its distances where it runs. Batches record no tape;
         finiteness is checked once per batch, on its three output arrays.
 
-        With ``processes`` above 1, the batches are split into that many
-        shards (at most one per batch) of about equal padded cells: this
-        process runs the first and a forked worker each other one, and a
-        worker pickles back only its finished results. Either way each
-        shard runs its batches in length order, ``finish`` runs on each
-        batch as it is decoded, and the error raised is that of the
-        earliest failing batch in length order, as in one process."""
+        With ``processes`` above 1, the batches are split by stride into
+        that many shards (``_shards``, at most one per batch): this process
+        runs the one with the last, longest batch and a forked worker each
+        other one, and a worker pickles back only its finished results.
+        Either way each shard runs its batches in length order, ``finish``
+        runs on each batch as it is decoded, and the error raised is that
+        of the earliest failing batch in length order, as in one process."""
         if batches is None:
             batches = [(batch, None) for batch in length_buckets(sentences, PREDICT_BATCH)]
 
@@ -208,7 +201,7 @@ class TripletModel:
                     results += zip(batch, decoded)
             return results, None
 
-        outcomes = _in_workers(run, _shards(sentences, batches, processes))
+        outcomes = _in_workers(run, _shards(len(batches), processes))
         failures = [failure for _, failure in outcomes if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
@@ -284,21 +277,14 @@ class TripletModel:
         return model
 
 
-def _shards(sentences, batches, processes: int) -> list[list[int]]:
-    """The batch numbers split into ``processes`` shards, at most one per
-    batch, each listed in length order. A batch costs its padded cells
-    (sentences times longest length squared); each batch, costliest first,
-    goes to the shard with the fewest cells so far. Fixed for fixed
-    batches."""
-    count = max(1, min(processes, len(batches)))
-    cost = [len(batch) * max(len(sentences[i]) for i in batch) ** 2 for batch, _ in batches]
-    shards: list[list[int]] = [[] for _ in range(count)]
-    cells = [0] * count
-    for number in sorted(range(len(batches)), key=lambda k: -cost[k]):
-        k = cells.index(min(cells))
-        shards[k].append(number)
-        cells[k] += cost[number]
-    return [sorted(shard) for shard in shards]
+def _shards(count: int, processes: int) -> list[list[int]]:
+    """The numbers of ``count`` length-sorted batches split into
+    ``processes`` shards, at most one per batch, each in length order.
+    Shard 0, which this process runs, takes the last, longest batch and
+    every ``processes``-th batch before it; shard ``j`` takes the batches
+    ``j`` places earlier."""
+    k = max(1, min(processes, count))
+    return [list(range((count - 1 - j) % k, count - j, k)) for j in range(k)]
 
 
 class Worker:

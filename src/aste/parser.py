@@ -275,8 +275,8 @@ class GoldPositions:
 class LossMasks:
     """A padded batch's token and cell masks as ``TripletParser.loss``
     reads them: shaped to broadcast against the taggers' (N, 3) logit rows
-    and the pair scorer's (..., 4, n, n) label planes, with their counts
-    of real cells."""
+    and the pair scorer's (..., 4, n, n) label planes, with the token and
+    cell counts the losses are means over."""
 
     tokens: np.ndarray
     cells: np.ndarray
@@ -284,14 +284,13 @@ class LossMasks:
     cell_count: int
 
     @classmethod
-    def build(cls, tokens) -> LossMasks:
-        """From the (..., n) token mask of the padded batch; a cell is real
-        when both its tokens are."""
+    def build(cls, tokens, counts: tuple[int, int]) -> LossMasks:
+        """From the (..., n) token mask of the padded batch, a cell real
+        when both its tokens are, and the ``(token_count, cell_count)`` the
+        losses are means over."""
         tokens = np.asarray(tokens, dtype=bool)
         cells = tokens[..., :, None] & tokens[..., None, :]
-        return cls(tokens=tokens.reshape(-1, 1), cells=cells[..., None, :, :],
-                   token_count=int(np.count_nonzero(tokens)),
-                   cell_count=int(np.count_nonzero(cells)))
+        return cls(tokens.reshape(-1, 1), cells[..., None, :, :], *counts)
 
 
 # -- decoding ------------------------------------------------------------

@@ -156,9 +156,8 @@ def assemble_batch(model: TripletModel, sentences, inputs: BatchInputs | None = 
         inputs = prepare_batch(model, sentences)
     aspect, opinion, relations, tokens = inputs.gold
     hidden = model.encoder.run(inputs.encoder).content
-    masks = replace(LossMasks.build(tokens), token_count=inputs.counts[0],
-                    cell_count=inputs.counts[1])
-    return BatchHidden(hidden, model.parser), GoldPositions.build(aspect, opinion, relations), masks
+    return (BatchHidden(hidden, model.parser), GoldPositions.build(aspect, opinion, relations),
+            LossMasks.build(tokens, inputs.counts))
 
 
 # -- schedule and optimizer ---------------------------------------------------
@@ -262,8 +261,8 @@ def evaluate_model(model: TripletModel, sentences, batches=None,
     """Exact-match scores of the model's predictions, summed over each
     sentence's counts as its batch is decoded: ``aste eval`` on every usable
     core and dev scoring in one process. ``batches`` and ``processes`` are
-    ``predict_corpus``'s; given some of the ``inference_batches``, only their
-    sentences are scored."""
+    ``predict_corpus``'s; given batches that hold some of the sentences, as
+    training's dev halves do, only those are scored."""
     counts = model.predict_corpus(sentences, batches, processes,
                                   finish=lambda s, found: exact_match(found, s.triplet_set()))
     return sum((count for count in counts if count is not None), MatchScores())

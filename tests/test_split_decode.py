@@ -220,11 +220,8 @@ def test_overflow_in_one_batch_fails_as_in_one_process(capsys, monkeypatch, tmp_
 
 def test_overflow_in_two_shards_fails_as_in_one_process(capsys, monkeypatch, tmp_path):
     sentences = mixed_corpus()
-    batches = [(batch, None) for batch in length_buckets(sentences, PREDICT_BATCH)]
-    first, last = 0, len(batches) - 1
-    parent, _ = _shards(sentences, batches, 2)
-    assert (first in parent) != (last in parent)
-    sentences, plant = plant_in_batches(sentences, [first, last])
+    parent, worker = _shards(len(length_buckets(sentences, PREDICT_BATCH)), 2)
+    sentences, plant = plant_in_batches(sentences, [worker[0], parent[-1]])
     source, weights = write_inputs(tmp_path, RELATIVE, sentences, plant)
     runs = runs_on_each_core_count(capsys, monkeypatch, tmp_path, source, weights)
     assert runs[1] == ((*OVERFLOW, None), OVERFLOW)
@@ -237,7 +234,7 @@ def test_earliest_failing_batch_in_length_order_wins(monkeypatch):
     count."""
     sentences = mixed_corpus()
     batches = length_buckets(sentences, PREDICT_BATCH)
-    parent, worker = _shards(sentences, [(batch, None) for batch in batches], 2)
+    parent, worker = _shards(len(batches), 2)
     early = min(worker)
     late = max(number for number in parent if number > early)
     failing = {batches[number][0]: number for number in (early, late)}
@@ -350,14 +347,25 @@ def test_one_process_without_affinity_or_fork(monkeypatch):
     assert aste.cli.usable_cores() == 1
 
 
-def test_shards_balance_padded_cells():
-    """Four batches of 16, 16, 16 and 8 sentences of lengths 10, 20, 30
-    and 40 cost 1,600, 6,400, 14,400 and 12,800 cells. Two shards, filled
-    costliest batch first, take 16,000 and 19,200, each listed in length
-    order."""
+def test_shards_stride_from_the_longest_batch():
+    """Every batch number in exactly one shard, each shard in length order,
+    one shard per process up to one per batch, and this process's shard
+    holding the last, longest batch."""
+    for count in range(41):
+        for processes in range(1, 6):
+            shards = _shards(count, processes)
+            assert len(shards) == max(1, min(processes, count))
+            assert sorted(n for shard in shards for n in shard) == list(range(count))
+            assert all(shard == sorted(shard) for shard in shards)
+            assert count == 0 or shards[0][-1] == count - 1
+
+
+def test_shards_of_four_batches():
+    """Four batches of 16, 16, 16 and 8 sentences of lengths 10, 20, 30 and
+    40: two shards take every other batch, this process the longest."""
     sentences = [Sentence(tokens=["w"] * n) for n in [10] * 16 + [20] * 16 + [30] * 16 + [40] * 8]
-    batches = [(batch, None) for batch in length_buckets(sentences, PREDICT_BATCH)]
-    assert _shards(sentences, batches, 2) == [[0, 2], [1, 3]]
-    assert _shards(sentences, batches, 1) == [[0, 1, 2, 3]]
-    assert _shards(sentences, batches, 9) == [[2], [3], [1], [0]]
-    assert _shards(sentences, [], 4) == [[]]
+    count = len(length_buckets(sentences, PREDICT_BATCH))
+    assert _shards(count, 2) == [[1, 3], [0, 2]]
+    assert _shards(count, 1) == [[0, 1, 2, 3]]
+    assert _shards(count, 9) == [[3], [2], [1], [0]]
+    assert _shards(0, 4) == [[]]

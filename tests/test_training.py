@@ -81,7 +81,7 @@ class TestJointLoss:
         tokens = np.array([[True, True, True], [True, False, False]])
         gold = GoldPositions.build(rng.integers(0, 3, (2, 3)), rng.integers(0, 3, (2, 3)),
                                    rng.integers(0, 4, (2, 3, 3)))
-        masks = LossMasks.build(tokens)
+        masks = LossMasks.build(tokens, (4, 10))
         states = rng.normal(0, 1, (2, 3, 8))
         losses = []
         for padding in (0.0, 50.0):
@@ -631,7 +631,8 @@ class TestBatching:
         assert inputs.encoder.rows.dtype == np.uint8 and inputs.gold[2].dtype == np.int8
         assert kept / len(sentences) <= 8 * 1024
         # Dev and decode batches keep one byte a distance too.
-        assert {d.dtype for _, d in model.inference_batches(sentences[:20])} == {np.dtype(np.int8)}
+        assert {model.batch_distances(batch).dtype
+                for batch in bucket_batches(sentences[:20], PREDICT_BATCH)} == {np.dtype(np.int8)}
 
     def test_tau_above_127_keeps_two_bytes_a_distance(self):
         """At tau = 150 a 150-token sentence has 301 table rows, too many
