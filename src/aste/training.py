@@ -8,7 +8,10 @@ linear warmup-then-decay schedule, and a parser learning rate 10x the
 base. The optimizer choice is recorded in the history metadata rather
 than assumed elsewhere. Every batch runs as two fixed halves whose
 gradients add up to the batch's, so two processes can each run one
-(``processes``) with the outputs of one.
+(``processes``) with the outputs of one. Two processes also share the
+optimizer step: each adds, clips and steps only the parameter groups it
+owns (``owned_groups``), as ZeRO stage 1 does (Rajbhandari et al. 2020),
+and copies in the other's.
 """
 
 from __future__ import annotations
@@ -178,9 +181,12 @@ def lr_at(t: float, config: TrainConfig) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay. Each parameter group has one first-
-    and one second-moment vector laid out like its buffer, and a step is a
-    few in-place operations over whole groups."""
+    """Adam with decoupled weight decay over the parameter groups it is
+    given: in training, the groups this process owns (``owned_groups``).
+    Each group has one first- and one second-moment vector laid out like
+    its buffer, and a step is a few in-place operations over whole groups.
+    ``last_group_lrs`` holds the rate of the last step for each of those
+    groups only: ``lr_at(t) * lr_multiplier``."""
 
     beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
 
@@ -196,9 +202,10 @@ class AdamW:
         self._step, self._work = np.empty_like(largest), np.empty_like(largest)
         self.last_group_lrs: dict[str, float] = {}
 
-    def describe(self) -> str:
-        return (f"adamw(beta1={self.beta1}, beta2={self.beta2}, eps={self.eps}, "
-                f"weight_decay={self.weight_decay})")
+    @classmethod
+    def describe(cls) -> str:
+        return (f"adamw(beta1={cls.beta1}, beta2={cls.beta2}, eps={cls.eps}, "
+                f"weight_decay={cls.weight_decay})")
 
     def step(self, base_lr: float) -> None:
         self.t += 1
@@ -233,16 +240,37 @@ class AdamW:
             np.subtract(group.buffer, s, out=group.buffer)
 
 
-def clip_gradients(groups, max_norm: float) -> float:
-    """Scale the gradients in place so their global norm is at most
-    ``max_norm``; returns the pre-clip norm, from per-tensor sums of
-    squares added in tensor order."""
-    norm = float(np.sqrt(sum(float(np.square(p.grad).sum())
-                             for g in groups for p in g.tensors.values())))
+def square_sums(groups) -> list[float]:
+    """The sum of squares of each tensor's gradient, in tensor order."""
+    return [float(np.square(p.grad).sum()) for g in groups for p in g.tensors.values()]
+
+
+def clip_gradients(groups, max_norm: float, sums=None) -> float:
+    """Scale the gradients of ``groups`` in place so the global norm is at
+    most ``max_norm``; returns the pre-clip norm. The norm adds per-tensor
+    sums of squares in tensor order: ``sums``, those of every tensor of the
+    model when ``groups`` are only the ones this process owns, or else the
+    ``square_sums`` of ``groups``. Every owner of some groups thus gets the
+    norm, bit for bit, that one process gets from all of them."""
+    norm = float(np.sqrt(sum(square_sums(groups) if sums is None else sums)))
     if norm > max_norm:
         for g in groups:
             g.grad *= max_norm / norm
     return norm
+
+
+def owned_groups(groups, processes: int) -> list[tuple[list[ParamGroup], slice]]:
+    """Per training process, the parameter groups it adds, clips and steps,
+    and their columns of a gradient slot, which lays every group's
+    gradient end to end. One process owns them all. With two, the trainer
+    (half 0) owns the groups before the group boundary nearest half the
+    parameters and the helper (half 1) the rest."""
+    starts = np.cumsum([0] + [group.grad.size for group in groups]).tolist()
+    cuts = [0, len(groups)]
+    if processes > 1:
+        cuts.insert(1, 1 + int(np.argmin([abs(2 * start - starts[-1])
+                                          for start in starts[1:-1]])))
+    return [(groups[a:b], slice(starts[a], starts[b])) for a, b in zip(cuts, cuts[1:])]
 
 
 # -- training loop ---------------------------------------------------------------
@@ -290,13 +318,34 @@ def _step_results(result):
 
 def _add_halves(groups, slots) -> None:
     """Each group's gradient, the sum of the two halves' gradients laid out
-    in ``slots`` in group order. Addition commutes bit for bit, so every
-    process that adds them gets the same gradient."""
+    in ``slots`` in group order. Addition commutes bit for bit, so a group
+    gets the same gradient whichever process adds it."""
     start = 0
     for group in groups:
         end = start + group.grad.size
         np.add(slots[0, start:end], slots[1, start:end], out=group.grad)
         start = end
+
+
+def _copy_in(groups, columns) -> None:
+    """Each group's buffer from ``columns``, which lay the groups' buffers
+    end to end."""
+    start = 0
+    for group in groups:
+        end = start + group.buffer.size
+        group.buffer[...] = columns[start:end]
+        start = end
+
+
+def _swap(peer: Worker, message):
+    """The peer process's message, for ``message``. The helper sends first,
+    so the trainer reads a failure of the helper's before it sends."""
+    if peer.pid == 0:
+        peer.send(message)
+    answer = peer.receive()
+    if peer.pid:
+        peer.send(message)
+    return answer
 
 
 def check_splits(train_split, dev_split) -> None:
@@ -320,10 +369,15 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     the whole batch's tokens and cells, so the halves' losses and gradients
     add up to the batch's. Each epoch's weights are scored on dev, every
     inference batch as the same two halves, and kept if they score best.
+
     With ``processes`` above 1, a forked helper with its own replica of the
-    model and optimizer runs half 1 of every batch and the trainer half 0;
-    the two gradients meet in a shared mapping and both replicas clip and
-    step alike, so outputs and errors are those of one process, which runs
+    model runs half 1 of every batch and the trainer half 0. The two
+    gradients meet in a shared mapping. Each process then adds, clips and
+    steps only the groups it owns (``owned_groups``), with an AdamW of its
+    own that holds moments for those alone; the two swap their per-tensor
+    sums of squares for the clip's norm, and each copies in the groups the
+    other stepped. Every element goes through the operations of one
+    process, so outputs and errors are those of one process, which runs
     half 0 first.
     """
     check_splits(corpus.train, corpus.dev)
@@ -332,12 +386,12 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
     model = TripletModel(replace(encoder_config, vocab_size=len(vocab)), parser_config, vocab,
                          seed=config.seed)
     groups = model.param_groups()
-    optimizer = AdamW(groups)
+    owners = owned_groups(groups, processes)
     rng = np.random.default_rng(config.seed)
     batches = bucket_batches(corpus.train, config.batch_size)
     steps_per_epoch = len(batches)
     history = TrainHistory(metadata={
-        "optimizer": optimizer.describe(),
+        "optimizer": AdamW.describe(),
         "base_lr": config.base_lr,
         "parser_rate_multiplier": model.parser.params.lr_multiplier,
         "batch_size": config.batch_size,
@@ -345,11 +399,12 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         "selection": "dev exact-match F1",
     })
     best = {}  # epoch 0 fills it
-    # By step parity, each half's gradients: a process reads the other's
-    # half of one step while it may already write its own of the next. A
-    # helper shares them through a mapping; one process keeps them on the
-    # heap, whose pages a repeat run reuses.
-    shape = (2, 2, sum(group.grad.size for group in groups))
+    # Each half's gradients, every group's laid end to end. After the step
+    # each process writes the groups it owns into its columns of the other
+    # half's slot, and the peer copies them from there. A helper shares the
+    # slots through a mapping; one process keeps them on the heap, whose
+    # pages a repeat run reuses.
+    shape = (2, sum(group.grad.size for group in groups))
     exchange = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
                 if processes > 1 else np.empty(shape))
 
@@ -357,42 +412,54 @@ def train(corpus: Corpus, encoder_config: EncoderConfig, parser_config: ParserCo
         """Each epoch's number, mean losses and dev scores, from the halves
         of training and dev batches numbered in ``parts``; each step's
         gradients and losses are added to those of the ``peer`` process's
-        halves, when there is one. The helper speaks first each step, so
-        the trainer reads a failure of the helper's half before it writes
-        anything."""
+        halves, when there is one. Every step the two swap three messages,
+        the helper first: their halves' losses, their groups' sums of
+        squares, and word that their groups' weights are written. Each
+        orders what the peer reads in the slots after it before what this
+        process writes there next, so one pair of slots serves every
+        step."""
         inputs = [{part: (batch[part::2], prepare_batch(model, batch[part::2], batch))
                    for part in parts if batch[part::2]} for batch in batches]
         dev_halves = {part: [(rows, model.batch_distances([corpus.dev[i] for i in rows]))
                              for batch in length_buckets(corpus.dev, PREDICT_BATCH)
                              if (rows := batch[part::2])] for part in parts}
+        own, columns = owners[parts[0]]
+        if peer is not None:
+            theirs, their_columns = owners[1 - parts[0]]
+        optimizer = AdamW(own)
         for epoch in range(config.max_epochs):
             order = rng.permutation(steps_per_epoch)
             tagging_sum = parsing_sum = 0.0
             for step, batch_index in enumerate(order):
                 t = min(epoch + (step + 1) / steps_per_epoch, config.max_epochs)
-                slots, losses = exchange[optimizer.t % 2], {}
+                losses = {}
                 try:
                     for part in parts:
                         if part not in inputs[batch_index]:  # a one-sentence batch's odd rows
-                            losses[part], slots[part] = (0.0, 0.0), 0.0
+                            losses[part], exchange[part] = (0.0, 0.0), 0.0
                             continue
                         sentences, half = inputs[batch_index][part]
                         losses[part] = checked_once(
                             lambda: _step(model, groups, sentences, half), _step_results)[:2]
-                        np.concatenate([group.grad for group in groups], out=slots[part])
+                        np.concatenate([group.grad for group in groups], out=exchange[part])
                     if peer is not None:
-                        if peer.pid == 0:
-                            peer.send(losses)
-                        losses |= peer.receive()
-                        if peer.pid:
-                            peer.send(losses)
-                    _add_halves(groups, slots)
-                    if not math.isfinite(clip_gradients(groups, config.grad_clip_norm)):
+                        losses |= _swap(peer, losses)
+                    _add_halves(own, exchange[:, columns])
+                    sums = square_sums(own)
+                    if peer is not None:
+                        their_sums = _swap(peer, sums)  # the trainer's groups come first
+                        sums = their_sums + sums if parts == (1,) else sums + their_sums
+                    if not math.isfinite(clip_gradients(own, config.grad_clip_norm, sums)):
                         raise NumericError("backward produced non-finite values", op="backward")
                 except NumericError as exc:
                     raise TrainingDivergedError(f"non-finite value at epoch {epoch}, "
                                                 f"step {step}: {exc}") from exc
                 optimizer.step(lr_at(t, config))
+                if peer is not None:
+                    np.concatenate([group.buffer for group in own],
+                                   out=exchange[1 - parts[0], columns])
+                    _swap(peer, None)
+                    _copy_in(theirs, exchange[parts[0], their_columns])
                 tagging_sum += losses[0][0] + losses[1][0]
                 parsing_sum += losses[0][1] + losses[1][1]
             scores = sum((evaluate_model(model, corpus.dev, dev_halves[part]) for part in parts),

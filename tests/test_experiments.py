@@ -2,7 +2,8 @@
 
 They are measurement harnesses, not part of the program, and they reach into
 it by internal names (``aste.model._in_workers``, ``aste.cli._read_for_model``,
-``aste.cli._COMMANDS``, ``aste.training.prepare_batch``), which a refactor can
+``aste.cli._COMMANDS``, ``aste.training.prepare_batch``, ``aste.training._step``,
+``aste.model.Worker.receive``), which a refactor can
 rename without any other test noticing. Each runs here once, at its smallest
 size, in a subprocess that writes only to temporary directories."""
 
@@ -40,3 +41,12 @@ def test_decode_stages_runs_and_both_trees_agree():
     out = run_experiment("decode_stages.py", "--tree", f"a={SRC}", "--tree", f"b={SRC}",
                          "--workload", "short-rel", "--runs", "1")
     assert "outputs identical: True" in out
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the script reports the cores from sched_getaffinity")
+def test_train_stages_runs_and_both_trees_agree():
+    out = run_experiment("train_stages.py", "--tree", f"a={SRC}", "--tree", f"b={SRC}",
+                         "--workload", "short-rel", "--runs", "1", "--epochs", "1")
+    assert "outputs identical: True" in out
+    assert out.count("  trainer: half_steps ") == 2

@@ -1,7 +1,8 @@
 """``aste train`` runs every batch as two fixed halves, its even and its odd
 rows. On more than one usable core a forked helper holds a replica of the
-model and optimizer and runs the odd rows of every training and dev
-batch, the trainer the even rows; their gradients meet in a shared mapping. These tests
+model and runs the odd rows of every training and dev batch, the trainer
+the even rows; their gradients meet in a shared mapping, and each steps
+the parameter groups it owns and copies in the other's. These tests
 hold that to the one-process run: the same bytes out, replicas that agree
 bit for bit, the same error, and no child process left behind, whatever
 happened. The helper is forked, so the monkeypatches made here run in it
@@ -153,30 +154,48 @@ def test_early_stopped_run_byte_identical_on_any_core_count(capsys, monkeypatch,
 
 def test_replicas_bit_identical_at_every_epoch_end(capsys, monkeypatch, tmp_path, corpus_files,
                                                    forks):
-    """After each epoch's last optimizer step, each process writes its
-    weights and AdamW moments to a file named by its pid and step: the
-    trainer's and the helper's are the same bytes, and so are the one
-    process's."""
-    step, runs = AdamW.step, [tmp_path / "one", tmp_path / "two"]
+    """At each epoch's end, as dev scoring starts, each process writes its
+    weights to a file named by its pid and step; after each epoch's last
+    optimizer step, it writes each group's AdamW moments to one named by
+    its pid, step and group. The trainer's and the helper's weights are the
+    same bytes, and so are the one process's. Each group's moments are
+    held by one of the two, and are the one process's bytes."""
+    step, evaluate, at = AdamW.step, aste.training.evaluate_model, [0]
+    runs = [tmp_path / "one", tmp_path / "two"]
 
     def dumping(optimizer, base_lr):
         step(optimizer, base_lr)
+        at[0] = optimizer.t
         if optimizer.t % STEPS == 0:
-            state = [group.buffer for group in optimizer.groups] + optimizer.m + optimizer.v
-            (runs[0] / f"{os.getpid()}-{optimizer.t}").write_bytes(np.concatenate(state).tobytes())
+            for group, m, v in zip(optimizer.groups, optimizer.m, optimizer.v):
+                (runs[0] / f"{os.getpid()}-{optimizer.t}-{group.name}").write_bytes(
+                    np.concatenate([m, v]).tobytes())
+
+    def scoring(model, sentences, batches=None):
+        weights = [group.buffer for group in model.param_groups()]
+        (runs[0] / f"{os.getpid()}-{at[0]}").write_bytes(np.concatenate(weights).tobytes())
+        return evaluate(model, sentences, batches)
 
     monkeypatch.setattr(AdamW, "step", dumping)
+    monkeypatch.setattr(aste.training, "evaluate_model", scoring)
     flags = ("--adapter", "dep", "--max-epochs", "4", "--patience", "4")
     one = train_on(capsys, monkeypatch, corpus_files, runs[0], 1, *flags)
     runs.pop(0)
     two = train_on(capsys, monkeypatch, corpus_files, runs[0], 2, *flags)
     assert two == one and one[0] == 0 and len(forks) == 1
     one, two = tmp_path / "one", tmp_path / "two"
+    names = ("encoder", "adapter", "parser")
     for t in range(STEPS, 4 * STEPS + 1, STEPS):
         alone, trainer, helper = (one / f"{os.getpid()}-{t}", two / f"{os.getpid()}-{t}",
                                   two / f"{forks[0]}-{t}")
         assert trainer.read_bytes() == helper.read_bytes(), f"replicas differ after step {t}"
         assert trainer.read_bytes() == alone.read_bytes(), f"one process differs after step {t}"
+        for name in names:
+            held = [path for pid in (os.getpid(), forks[0])
+                    if (path := two / f"{pid}-{t}-{name}").exists()]
+            assert len(held) == 1, f"{name} moments held by {len(held)} processes"
+            assert held[0].read_bytes() == (one / f"{os.getpid()}-{t}-{name}").read_bytes(), \
+                f"{name} moments differ from one process's after step {t}"
 
 
 @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)], ids=["even", "odd", "both"])
@@ -359,18 +378,24 @@ def test_interrupt_while_waiting_for_a_score_does_not_wait_for_it(monkeypatch, t
 def test_dev_token_overflowing_at_an_epoch_fails_as_in_one_process(capsys, monkeypatch,
                                                                    tmp_path, corpus_files,
                                                                    epoch):
-    """After the last optimizer step of ``epoch``, in every replica, the
-    unknown token's embedding row, which the first dev sentence's last token
-    reads, is set to 1e308, which the embedding norm overflows when dev is
-    scored. No training batch reads that row."""
-    step = AdamW.step
+    """As dev scoring of ``epoch`` starts, after its last optimizer step and
+    weight copy, in every replica, the unknown token's embedding row, which
+    the first dev sentence's last token reads, is set to 1e308, which the
+    embedding norm overflows when dev is scored. No training batch reads
+    that row."""
+    step, evaluate, at = AdamW.step, aste.training.evaluate_model, [0]
 
-    def planting(optimizer, base_lr):
+    def stepping(optimizer, base_lr):
         step(optimizer, base_lr)
-        if optimizer.t == (epoch + 1) * STEPS:
-            optimizer.groups[0]["tok_emb"].data[UNK_ID] = 1e308
+        at[0] = optimizer.t
 
-    monkeypatch.setattr(AdamW, "step", planting)
+    def planting(model, sentences, batches=None):
+        if at[0] == (epoch + 1) * STEPS:
+            model.param_groups()[0]["tok_emb"].data[UNK_ID] = 1e308
+        return evaluate(model, sentences, batches)
+
+    monkeypatch.setattr(AdamW, "step", stepping)
+    monkeypatch.setattr(aste.training, "evaluate_model", planting)
     runs = on_each_core_count(capsys, monkeypatch, corpus_files, tmp_path, "--adapter", "dep",
                               "--max-epochs", "4", "--patience", "4", cores=(1, 2))
     assert runs[1][:3] == (1, "", "aste: embedding produced non-finite values\n")
@@ -426,8 +451,8 @@ def test_a_forked_helper_costs_the_trainer_its_working_set_once(tmp_path, corpus
     """After the helper is forked, each page of its own heap that the
     trainer writes faults once, copy-on-write, and the shared mapping of
     the gradient halves faults in once: at these sizes the third repeat
-    run took 2,205-2,212 faults at 12 epochs (36 steps), 2,137-2,145 at 3
-    (9 steps), and 7 in one process. Faulting per step would cost that
+    run took 1,958-1,973 faults at 12 epochs (36 steps), and 8-10 in one
+    process. Faulting per step would cost that
     many again every step. Run in a fresh process so the test process's
     own heap does not count, as ``tests/test_cli.py``'s repeat-training
     test does."""

@@ -28,8 +28,10 @@ from aste.training import (
     default_batch_size,
     joint_loss,
     lr_at,
+    owned_groups,
     padded_gold,
     prepare_batch,
+    square_sums,
     train,
 )
 
@@ -287,7 +289,8 @@ class ReferenceAdamW:
     def _key(group, name):
         return f"{group.name}/{name}"
 
-    def describe(self):
+    @classmethod
+    def describe(cls):
         return "reference"
 
     def step(self, base_lr):
@@ -365,6 +368,42 @@ class TestWholeGroupOptimizer:
                     np.testing.assert_array_equal(param.grad, other.grad)
         assert True in clipped and False in clipped
 
+    @pytest.mark.parametrize("scale", [0.05, 3.0], ids=["unclipped", "clipped"])
+    def test_two_owners_sums_give_the_whole_model_clip(self, scale):
+        """For every cut of the groups into two owners, each clipping its own
+        groups from both owners' sums, the norm and the gradients are those
+        of one ``clip_gradients`` over every group, bit for bit."""
+
+        def with_gradients():
+            groups, rng = self.groups(), np.random.default_rng(2)
+            for group in groups:
+                group.grad[...] = rng.normal(0, scale, group.grad.shape)
+            return groups
+
+        whole = with_gradients()
+        norm = clip_gradients(whole, 1.0)
+        assert (norm > 1.0) == (scale > 1.0)
+        for cut in range(len(whole) + 1):
+            groups = with_gradients()
+            first, second = groups[:cut], groups[cut:]
+            sums = square_sums(first) + square_sums(second)
+            assert [clip_gradients(first, 1.0, sums), clip_gradients(second, 1.0, sums)] \
+                == [norm, norm]
+            for group, twin in zip(groups, whole):
+                np.testing.assert_array_equal(group.grad, twin.grad)
+
+    def test_owned_groups_cut_at_the_boundary_nearest_half(self):
+        """Encoder 62, adapter 54 and parser 32 parameters: one process owns
+        all three; of two, the trainer owns the encoder (62 is 12 from half
+        of 148, 116 is 42) and the helper the rest, each with its columns
+        of the groups laid end to end."""
+        groups = self.groups()
+        assert [([g.name for g in own], columns) for own, columns in owned_groups(groups, 1)] \
+            == [(["encoder", "adapter", "parser"], slice(0, 148))]
+        assert [([g.name for g in own], columns) for own, columns in owned_groups(groups, 2)] \
+            == [(["encoder"], slice(0, 62)), (["adapter", "parser"], slice(62, 148))]
+        assert [len(own) for own, _ in owned_groups(groups[::2], 2)] == [1, 1]
+
     def test_two_step_train_matches_reference(self, monkeypatch):
         corpus = learnable_corpus(12, seed=14)
         config = TrainConfig(base_lr=1e-2, batch_size=len(corpus.train) // 2 + 1,
@@ -375,7 +414,11 @@ class TestWholeGroupOptimizer:
 
         model, history = fit()
         monkeypatch.setattr(aste.training, "AdamW", ReferenceAdamW)
-        monkeypatch.setattr(aste.training, "clip_gradients", reference_clip_gradients)
+        # One process owns every group, so the sums ``train`` passes are
+        # those of the groups the reference clips.
+        monkeypatch.setattr(aste.training, "clip_gradients",
+                            lambda groups, max_norm, sums: reference_clip_gradients(groups,
+                                                                                    max_norm))
         reference, reference_history = fit()
         assert len(bucket_batches(corpus.train, config.batch_size)) == 2
         assert history.records == reference_history.records
